@@ -20,13 +20,12 @@ silently flipping a sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .basis import matrix_rank_estimate
 from .errors import DegenerateCase, PreconditionError
-from .fitting import FitResult, ProblemInstance, assemble_primal
+from .fitting import FitResult, ProblemInstance
 from .lp import FEAS_TOL, OPTIMAL, LpSolution
 
 # Multipliers below this are treated as zero in complementarity checks.
@@ -74,20 +73,10 @@ class CertificateReport:
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "strong_duality_gap": self.strong_duality_gap,
-            "beta_sum_residual": self.beta_sum_residual,
-            "value_sum_gap": self.value_sum_gap,
-            "orthogonality_residuals": [float(v) for v in self.orthogonality_residuals],
-            "combined_orthogonality_residual": self.combined_orthogonality_residual,
-            "residual_pairing_gap": self.residual_pairing_gap,
-            "complementarity_violations": self.complementarity_violations,
-            "active_point_count": self.active_point_count,
-            "active_count_ok": self.active_count_ok,
-            "two_sided_ok": self.two_sided_ok,
-            "identities_ok": self.identities_ok,
-            "notes": list(self.notes),
-        }
+        out = asdict(self)
+        out["orthogonality_residuals"] = self.orthogonality_residuals.tolist()
+        out["notes"] = list(self.notes)
+        return out
 
 
 def _require_analyzable(discrepancy: float, instance: ProblemInstance):
@@ -96,8 +85,7 @@ def _require_analyzable(discrepancy: float, instance: ProblemInstance):
             "exact interpolation (discrepancy ~ 0): certificates are not "
             "defined for this case"
         )
-    scaled_design, _ = instance.scaled_design_and_values()
-    if matrix_rank_estimate(scaled_design) < instance.m:
+    if instance.rank < instance.m:
         raise DegenerateCase("rank-deficient design: certificates are not defined")
 
 
@@ -146,7 +134,7 @@ def verify_identities(
     d = fit_result.discrepancy
     b_over = cert.beta[0::2]
     b_under = cert.beta[1::2]
-    fitted = g @ alpha
+    residual = y - g @ alpha
     tol = _certificate_tolerance(d)
 
     strong_duality_gap = abs(cert.dual_objective - d)
@@ -160,13 +148,13 @@ def verify_identities(
     orthogonality = g.T @ (b_over - b_under)
     combined = float(alpha @ orthogonality)
 
-    pairing = float(b_over @ (fitted - y) + b_under @ (y - fitted))
+    pairing = float(b_under @ residual - b_over @ residual)
     residual_pairing_gap = abs(pairing - d)
 
-    lp = assemble_primal(instance)
-    primal = np.append(alpha, d)
-    slack = lp.rhs - lp.constraint_matrix @ primal
-    row_scale = np.maximum(1.0, np.abs(lp.rhs))
+    # Slacks of the fit LP's rows, interleaved per point like the rows:
+    # d + residual on the overshoot row, d - residual on the undershoot row.
+    slack = d + np.column_stack((residual, -residual)).ravel()
+    row_scale = np.repeat(np.maximum(1.0, np.abs(y)), 2)
     violations = int(
         np.sum((cert.beta > BETA_NONZERO_TOL) & (slack > TIGHT_ROW_TOL * row_scale))
     )

@@ -33,6 +33,10 @@ class ProblemInstance:
     matrix computed from the basis; it supports point-wise surgery on the
     design (row sign flips, row rescaling) that no closed-form basis list
     expresses.
+
+    The design, its weighted form and its rank are derived once, here, and
+    every later step reads them; a basis function that is not finite at
+    some point raises EvaluationError from the constructor.
     """
 
     points: np.ndarray
@@ -40,6 +44,7 @@ class ProblemInstance:
     basis: BasisSet
     weights: np.ndarray | None = None
     design_override: np.ndarray | None = None
+    rank: int = field(init=False)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -77,6 +82,15 @@ class ProblemInstance:
                     f"design override has shape {self.design_override.shape}, "
                     f"expected ({n}, {self.basis.size})"
                 )
+            self._design = self.design_override
+        else:
+            self._design = design_matrix(self.basis, self.points)
+        w = self.weights
+        if w is None:
+            self._scaled = (self._design, self.values)
+        else:
+            self._scaled = (w[:, None] * self._design, w * self.values)
+        self.rank = matrix_rank_estimate(self._scaled[0])
 
     @property
     def n(self) -> int:
@@ -91,16 +105,11 @@ class ProblemInstance:
         return self.points.shape[1]
 
     def design(self) -> np.ndarray:
-        if self.design_override is not None:
-            return self.design_override
-        return design_matrix(self.basis, self.points)
+        return self._design
 
     def scaled_design_and_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Design rows and values with the weights folded in."""
-        g = self.design()
-        if self.weights is None:
-            return g, self.values
-        return self.weights[:, None] * g, self.weights * self.values
+        return self._scaled
 
 
 @dataclass
@@ -176,8 +185,7 @@ def fit(instance: ProblemInstance, feas_tol: float = FEAS_TOL) -> FitResult:
     m = instance.m
     coefficients = solution.primal[:m].copy()
     discrepancy = float(solution.objective_value)
-    g = instance.design()
-    residuals = instance.values - g @ coefficients
+    residuals = instance.values - instance.design() @ coefficients
     if instance.weights is None:
         scaled = residuals.copy()
     else:
@@ -194,7 +202,6 @@ def fit(instance: ProblemInstance, feas_tol: float = FEAS_TOL) -> FitResult:
     active = np.abs(scaled) >= discrepancy - active_tol
     if instance.weights is not None:
         active &= instance.weights > 0
-    scaled_g, _ = instance.scaled_design_and_values()
     return FitResult(
         instance=instance,
         coefficients=coefficients,
@@ -203,7 +210,7 @@ def fit(instance: ProblemInstance, feas_tol: float = FEAS_TOL) -> FitResult:
         scaled_residuals=scaled,
         active_points=tuple(int(i) for i in np.flatnonzero(active)),
         exact_interpolation=discrepancy <= feas_tol,
-        low_rank=matrix_rank_estimate(scaled_g) < m,
+        low_rank=instance.rank < m,
         lp_solution=solution,
     )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCandidate, TooLarge
-from .fitting import ProblemInstance
+from .fitting import FitResult, ProblemInstance, objective_value
 
 MAX_POINTS = 15
 MAX_BASIS = 4
@@ -25,6 +25,12 @@ MAX_BASIS = 4
 # this scale are accurate to machine precision.
 FEASIBILITY_SLACK = 1e-9
 
+# A fit agrees with the oracle when the discrepancies match; coefficients
+# that differ are accepted if the oracle's achieve their discrepancy too
+# (the optimum need not be unique).
+AGREE_DISCREPANCY_TOL = 1e-8
+AGREE_COEFFICIENT_TOL = 1e-7
+
 
 @dataclass
 class OracleResult:
@@ -32,6 +38,16 @@ class OracleResult:
     discrepancy: float
     witness_subset: tuple[int, ...]
     witness_signs: tuple[int, ...]
+
+
+@dataclass
+class OracleComparison:
+    """A fit checked against the brute-force optimum of its instance."""
+
+    oracle: OracleResult
+    discrepancy_gap: float
+    coefficient_gap: float
+    agrees: bool
 
 
 def brute_force_fit(instance: ProblemInstance) -> OracleResult:
@@ -107,3 +123,17 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
         witness_subset=tuple(int(i) for i in subset),
         witness_signs=tuple(int(s) for s in sign),
     )
+
+
+def compare_with_oracle(result: FitResult) -> OracleComparison:
+    """Brute-force the fit's instance and compare the two optima; raises
+    what ``brute_force_fit`` raises (TooLarge, NoCandidate)."""
+    oracle = brute_force_fit(result.instance)
+    discrepancy_gap = abs(result.discrepancy - oracle.discrepancy)
+    coefficient_gap = float(np.max(np.abs(result.coefficients - oracle.coefficients)))
+    agrees = discrepancy_gap <= AGREE_DISCREPANCY_TOL and (
+        coefficient_gap <= AGREE_COEFFICIENT_TOL
+        or objective_value(result.instance, oracle.coefficients)
+        <= oracle.discrepancy + AGREE_DISCREPANCY_TOL
+    )
+    return OracleComparison(oracle, discrepancy_gap, coefficient_gap, bool(agrees))

@@ -11,16 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import check_two_sided, extract_certificate, verify_identities
+from .certificates import extract_certificate, verify_identities
 from .equioscillation import alternation_pattern, perturbation_step, strict_improvement_check
-from .fitting import ProblemInstance, fit, objective_value
+from .fitting import ProblemInstance, fit
 from .generators import (
     random_instance,
     random_small_instance,
     random_weighted_instance,
     same_sided_reference_config,
 )
-from .oracle import brute_force_fit
+from .oracle import AGREE_DISCREPANCY_TOL, compare_with_oracle
 
 
 @dataclass
@@ -71,49 +71,44 @@ def _run_property(name, count, draw, check) -> PropertyOutcome:
 def _certificate_battery(rng, count):
     """Active-point count, two-sided touch, and all identities on smooth
     random instances with a constant-leading monomial basis."""
-    failures = {"active_count": 0, "two_sided": 0, "identities": 0}
-    details = {}
-    failing = {}
+    outcomes = [
+        PropertyOutcome(name=name, passed=0, failed=0)
+        for name in (
+            "active point count >= m+1",
+            "overshoot/undershoot touch with even dual mass",
+            "certificate identities",
+        )
+    ]
     for _ in range(count):
         instance = random_instance(rng, n=50, m=5)
         result = fit(instance)
         cert = extract_certificate(result.lp_solution, instance)
         report = verify_identities(cert, result, instance)
-        checks = {
-            "active_count": (
+        checks = (
+            (
                 report.active_count_ok,
                 f"{report.active_point_count} active points, need {instance.m + 1}",
             ),
-            "two_sided": (
-                check_two_sided(result, cert),
+            (
+                report.two_sided_ok,
                 f"overshoot mass {cert.overshoot_sum!r}, "
                 f"undershoot mass {cert.undershoot_sum!r}",
             ),
-            "identities": (
+            (
                 report.identities_ok,
                 f"duality gap {report.strong_duality_gap!r}, "
                 f"max orthogonality {float(np.max(report.orthogonality_residuals))!r}",
             ),
-        }
-        for key, (ok, message) in checks.items():
-            if not ok:
-                failures[key] += 1
-                details.setdefault(key, message)
-                failing.setdefault(key, serialize_instance(instance))
-    return [
-        PropertyOutcome(
-            name={
-                "active_count": "active point count >= m+1",
-                "two_sided": "overshoot/undershoot touch with even dual mass",
-                "identities": "certificate identities",
-            }[key],
-            passed=count - failures[key],
-            failed=failures[key],
-            detail=details.get(key, ""),
-            failing_instance=failing.get(key),
         )
-        for key in ("active_count", "two_sided", "identities")
-    ]
+        for outcome, (ok, message) in zip(outcomes, checks):
+            if ok:
+                outcome.passed += 1
+                continue
+            if not outcome.failed:
+                outcome.detail = message
+                outcome.failing_instance = serialize_instance(instance)
+            outcome.failed += 1
+    return outcomes
 
 
 def _oracle_property(rng, count):
@@ -122,16 +117,13 @@ def _oracle_property(rng, count):
 
     def check(instance, _):
         result = fit(instance)
-        oracle = brute_force_fit(instance)
-        if abs(result.discrepancy - oracle.discrepancy) > 1e-8:
+        comparison = compare_with_oracle(result)
+        if comparison.discrepancy_gap > AGREE_DISCREPANCY_TOL:
             return False, (
                 f"LP discrepancy {result.discrepancy!r} vs brute force "
-                f"{oracle.discrepancy!r}"
+                f"{comparison.oracle.discrepancy!r}"
             )
-        if not np.allclose(result.coefficients, oracle.coefficients, atol=1e-7):
-            if objective_value(instance, oracle.coefficients) > oracle.discrepancy + 1e-8:
-                return False, "oracle coefficients do not achieve their discrepancy"
-        return True, ""
+        return comparison.agrees, "oracle coefficients do not achieve their discrepancy"
 
     return _run_property("brute-force agreement", count, draw, check)
 

@@ -210,3 +210,13 @@ def test_selftest_zero_instances_exits_2(capsys):
     code, _, err = run_cli(capsys, "selftest", "--instances", "0")
     assert code == 2
     assert err.startswith("E2: ")
+
+
+def test_basis_not_finite_on_the_data_exits_2(tmp_path, capsys):
+    path = tmp_path / "zero.csv"
+    path.write_text("x,y\n0,1\n1,2\n2,0\n3,1\n")
+    code, out, err = run_cli(capsys, "fit", "--data", str(path), "--basis", "1, 1/x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("E2: ")
+    assert "'1/x'" in err

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equifit.basis import parse_basis_spec
+from equifit.basis import BasisFunction, parse_basis_spec
+from equifit.certificates import extract_certificate, verify_identities
+from equifit.equioscillation import alternation_pattern
 from equifit.fitting import (
     ProblemInstance,
     assemble_primal,
@@ -249,3 +251,44 @@ def test_zero_weight_point_excluded_from_active_set():
     result = fit(instance)
     assert result.discrepancy == pytest.approx(0.5, abs=1e-9)
     assert 2 not in result.active_points
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_each_basis_function_is_evaluated_once_per_instance(monkeypatch, weighted):
+    calls = {}
+    original = BasisFunction.evaluate
+
+    def counting(self, points):
+        calls[self.label] = calls.get(self.label, 0) + 1
+        return original(self, points)
+
+    monkeypatch.setattr(BasisFunction, "evaluate", counting)
+    rng = np.random.default_rng(3)
+    x = np.linspace(0.0, 1.0, 25)
+    instance = ProblemInstance(
+        points=x[:, None],
+        values=np.sin(4.0 * x) + 0.05 * rng.standard_normal(25),
+        basis=parse_basis_spec("1, x, x^2", 1),
+        weights=rng.uniform(0.5, 2.0, 25) if weighted else None,
+    )
+    result = fit(instance)
+    cert = extract_certificate(result.lp_solution, instance)
+    report = verify_identities(cert, result, instance)
+    alternation_pattern(result, instance)
+    assert report.identities_ok
+    assert calls == {"1": 1, "x": 1, "x^2": 1}
+
+
+def test_instance_rank_is_the_weighted_design_rank():
+    basis = parse_basis_spec("1, x", 1)
+    full = ProblemInstance(points=[[0.0], [1.0], [2.0]], values=[0, 1, 0], basis=basis)
+    assert full.rank == 2
+    # Only one point carries weight, so the weighted design has rank one.
+    single = ProblemInstance(
+        points=[[0.0], [1.0], [2.0]],
+        values=[0, 1, 0],
+        basis=basis,
+        weights=[0.0, 1.0, 0.0],
+    )
+    assert single.rank == 1
+    assert fit(single).low_rank

@@ -1,12 +1,19 @@
 """Tests for the brute-force reference solver and its agreement with the LP."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from equifit.basis import parse_basis_spec
 from equifit.errors import NoCandidate, TooLarge
 from equifit.fitting import ProblemInstance, fit, objective_value
-from equifit.oracle import brute_force_fit
+from equifit.oracle import (
+    AGREE_COEFFICIENT_TOL,
+    AGREE_DISCREPANCY_TOL,
+    brute_force_fit,
+    compare_with_oracle,
+)
 
 
 def test_constant_two_points():
@@ -144,3 +151,24 @@ def test_witness_signs_alternate_for_polynomial_bases():
         )
         signs = [result.witness_signs[k] for k in ordered]
         assert all(a == -b for a, b in zip(signs, signs[1:]))
+
+
+
+def test_compare_with_oracle_judges_optimality_not_the_coefficients():
+    # The two points at x = 0 fix d = 1 and the constant at 1; any slope in
+    # [3, 5] is optimal too, so the optimum is not unique.
+    instance = ProblemInstance(
+        points=[[0.0], [0.0], [1.0]],
+        values=[0.0, 2.0, 5.0],
+        basis=parse_basis_spec("1, x", 1),
+    )
+    result = fit(instance)
+    comparison = compare_with_oracle(result)
+    # The LP and the oracle land on different slopes, both optimal.
+    assert comparison.coefficient_gap > AGREE_COEFFICIENT_TOL
+    assert comparison.agrees
+
+    worse = replace(result, discrepancy=result.discrepancy + 10 * AGREE_DISCREPANCY_TOL)
+    comparison = compare_with_oracle(worse)
+    assert comparison.discrepancy_gap > AGREE_DISCREPANCY_TOL
+    assert not comparison.agrees
