@@ -430,12 +430,12 @@ def design_matrix(basis: BasisSet, points: np.ndarray) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def matrix_rank_estimate(matrix: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+def matrix_rank_estimate(matrix: np.ndarray) -> int:
     """Numerical rank via Gram-Schmidt with column pivoting.
 
     At each step the column with the largest remaining norm is chosen; its
     norm is the pivot.  Columns stop counting once the pivot falls below
-    ``rank_tol`` times the first (largest) pivot.
+    ``RANK_TOL`` times the first (largest) pivot.
     """
     work = np.array(matrix, dtype=float, copy=True)
     if work.ndim != 2:
@@ -451,7 +451,7 @@ def matrix_rank_estimate(matrix: np.ndarray, rank_tol: float = RANK_TOL) -> int:
             if pivot == 0.0:
                 break
             first_pivot = pivot
-        if pivot <= rank_tol * first_pivot:
+        if pivot <= RANK_TOL * first_pivot:
             break
         rank += 1
         q = work[:, j] / pivot

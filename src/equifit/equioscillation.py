@@ -272,20 +272,19 @@ def strict_improvement_check(
     instance: ProblemInstance,
     j: int,
     epsilon: float,
-    delta: float | None = None,
 ) -> ImprovementCheck:
     """Second half of the perturbation argument.
 
     First bump the candidate toward the data at node j (skipping node j+1)
-    and interpolate; then shift every kept node value by delta toward its
-    data point and interpolate again.  For a small enough delta the second
-    interpolant beats the candidate at every reference point, proving the
-    same-sided configuration was not optimal.
+    and interpolate; then shift every kept node value by a small step toward
+    its data point and interpolate again.  For a small enough step the
+    second interpolant beats the candidate at every reference point,
+    proving the same-sided configuration was not optimal.
 
-    When ``delta`` is omitted a provably safe step is chosen: at most
-    min(epsilon, gap)/4 (gap being the candidate's slack at off-reference
-    points), shrunk further when the interpolation transfer onto node j+1
-    would otherwise eat its freshly won margin.
+    The step is chosen provably safe: at most min(epsilon, gap)/4 (gap
+    being the candidate's slack at off-reference points), shrunk further
+    when the interpolation transfer onto node j+1 would otherwise eat its
+    freshly won margin.  PreconditionError when no positive step is left.
     """
     z, q, s, f_vals = _reference_geometry(reference, instance)
     if not 0 <= j < len(z) - 1:
@@ -321,21 +320,17 @@ def strict_improvement_check(
 
     f_prime_at = f_prime(z)
     margins = q - f_prime_at
-    cap = 0.25 * min(epsilon, gap)
-    if delta is None:
-        delta = cap
-        # Transfer of the node bumps onto the uninterpolated node j+1.
-        basis_rows = []
-        for pos, i in enumerate(keep):
-            unit = np.zeros(len(keep))
-            unit[pos] = 1.0
-            basis_rows.append(lagrange_interpolate(z[keep], unit)(z[j + 1]))
-        transfer = float(
-            np.dot(np.sign(margins[keep]), np.asarray(basis_rows))
-        )
-        own_margin = d - abs(margins[j + 1])
-        if np.sign(margins[j + 1]) * transfer < 0 and abs(transfer) > 0:
-            delta = min(delta, 0.5 * own_margin / abs(transfer))
+    delta = 0.25 * min(epsilon, gap)
+    # Transfer of the node bumps onto the uninterpolated node j+1.
+    basis_rows = []
+    for pos in range(len(keep)):
+        unit = np.zeros(len(keep))
+        unit[pos] = 1.0
+        basis_rows.append(lagrange_interpolate(z[keep], unit)(z[j + 1]))
+    transfer = float(np.dot(np.sign(margins[keep]), np.asarray(basis_rows)))
+    own_margin = d - abs(margins[j + 1])
+    if np.sign(margins[j + 1]) * transfer < 0 and abs(transfer) > 0:
+        delta = min(delta, 0.5 * own_margin / abs(transfer))
     if delta <= 0:
         raise PreconditionError(f"delta must be positive, got {delta!r}")
 

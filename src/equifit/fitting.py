@@ -165,7 +165,7 @@ def assemble_primal(instance: ProblemInstance) -> LinearProgram:
     )
 
 
-def fit(instance: ProblemInstance, feas_tol: float = FEAS_TOL) -> FitResult:
+def fit(instance: ProblemInstance) -> FitResult:
     """Solve the minimax fit for an instance.
 
     The discrepancy is the LP optimum; residuals are recomputed from the
@@ -174,7 +174,7 @@ def fit(instance: ProblemInstance, feas_tol: float = FEAS_TOL) -> FitResult:
     """
     lp = assemble_primal(instance)
     try:
-        solution = solve_lp(lp, feas_tol=feas_tol)
+        solution = solve_lp(lp)
     except EquifitError as exc:
         raise SolverError(f"fit LP failed: {exc}") from exc
     if solution.status != OPTIMAL:
@@ -192,7 +192,7 @@ def fit(instance: ProblemInstance, feas_tol: float = FEAS_TOL) -> FitResult:
         scaled = instance.weights * residuals
 
     max_scaled = float(np.max(np.abs(scaled)))
-    if abs(max_scaled - discrepancy) > 100 * feas_tol * max(1.0, discrepancy):
+    if abs(max_scaled - discrepancy) > 100 * FEAS_TOL * max(1.0, discrepancy):
         raise SolverError(
             f"recomputed residual bound {max_scaled!r} is inconsistent with "
             f"the LP optimum {discrepancy!r}"
@@ -209,7 +209,7 @@ def fit(instance: ProblemInstance, feas_tol: float = FEAS_TOL) -> FitResult:
         residuals=residuals,
         scaled_residuals=scaled,
         active_points=tuple(int(i) for i in np.flatnonzero(active)),
-        exact_interpolation=discrepancy <= feas_tol,
+        exact_interpolation=discrepancy <= FEAS_TOL,
         low_rank=instance.rank < m,
         lp_solution=solution,
     )

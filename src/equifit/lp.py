@@ -11,6 +11,12 @@ optimal basic solution together with the nonnegative multipliers of the
 single solve.  Sign convention for the duals: ``beta >= 0`` row-wise and
 the dual functional is ``-rhs . beta``, maximized; at an optimum it equals
 the primal objective.
+
+Both phases pivot by Bland's rule.  The entering column is the lowest-index
+allowed column whose reduced cost is below ``-PIVOT_TOL``.  The ratio test
+runs over the rows whose entry in that column exceeds ``PIVOT_TOL``; among
+the rows whose ratio lies within ``RATIO_TIE_TOL`` of the minimum, the row
+whose basic column has the lowest index leaves.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ UNBOUNDED = "unbounded"
 FEAS_TOL = 1e-9
 # Entries smaller than this are treated as zero during pivot selection.
 PIVOT_TOL = 1e-10
+# Ratios within this of the minimum ratio count as tied in the ratio test.
+RATIO_TIE_TOL = 1e-12
 
 
 @dataclass
@@ -125,9 +133,8 @@ def _standard_columns(lp: LinearProgram):
 class _Simplex:
     """Tableau state for one solve.  Not shared between solves."""
 
-    def __init__(self, lp: LinearProgram, feas_tol: float, max_iterations: int):
+    def __init__(self, lp: LinearProgram, max_iterations: int):
         self.lp = lp
-        self.feas_tol = feas_tol
         self.max_iterations = max_iterations
         self.iterations = 0
 
@@ -142,7 +149,6 @@ class _Simplex:
             blocks.append(np.where(rhs < 0, -1.0, 0.0)[:, None])
         self.work = np.hstack(blocks)
         self.n_struct = n_struct
-        self.slack_start = n_struct
         self.art_col = n_struct + r if self.needs_artificial else -1
         ncols = self.work.shape[1]
 
@@ -152,7 +158,7 @@ class _Simplex:
 
         # Tableau rows hold B^-1 [work | rhs]; slacks form the initial basis.
         self.tableau = np.hstack([self.work, rhs[:, None]])
-        self.basis = np.arange(self.slack_start, self.slack_start + r)
+        self.basis = np.arange(n_struct, n_struct + r)
 
     def _pivot(self, row: int, col: int):
         t = self.tableau
@@ -171,43 +177,27 @@ class _Simplex:
                 iterations=self.iterations,
             )
 
-    def _bland_step(self, cost: np.ndarray):
-        """One Bland pivot.  Returns None when optimal for this cost, or the
-        entering column when the problem is unbounded in that direction."""
-        t = self.tableau
-        ncols = t.shape[1] - 1
-        reduced = cost[:ncols] - cost[self.basis] @ t[:, :ncols]
-        reduced[self.basis] = 0.0
-        enter = -1
-        for j in range(ncols):
-            if self.allowed[j] and reduced[j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return None, True
-        col = t[:, enter]
-        leave = -1
-        best_ratio = np.inf
-        for i in range(len(self.basis)):
-            if col[i] > PIVOT_TOL:
-                ratio = t[i, -1] / col[i]
-                if ratio < best_ratio - 1e-12:
-                    best_ratio = ratio
-                    leave = i
-                elif abs(ratio - best_ratio) <= 1e-12 and self.basis[i] < self.basis[leave]:
-                    leave = i
-        if leave < 0:
-            return enter, False
-        self._pivot(leave, enter)
-        return None, False
+    def _optimize(self, cost: np.ndarray):
+        """Pivot by Bland's rule until no allowed column improves ``cost``.
 
-    def _run(self, cost: np.ndarray):
+        Returns None at the optimum, or the entering column when the
+        objective decreases without bound along it.
+        """
+        t = self.tableau
         while True:
-            enter, optimal = self._bland_step(cost)
-            if optimal:
+            reduced = cost - cost[self.basis] @ t[:, :-1]
+            reduced[self.basis] = 0.0
+            improving = self.allowed & (reduced < -PIVOT_TOL)
+            if not improving.any():
                 return None
-            if enter is not None:
+            enter = int(np.argmax(improving))
+            col = t[:, enter]
+            rows = np.flatnonzero(col > PIVOT_TOL)
+            if rows.size == 0:
                 return enter
+            ratios = t[rows, -1] / col[rows]
+            ties = rows[ratios <= ratios.min() + RATIO_TIE_TOL]
+            self._pivot(int(ties[np.argmin(self.basis[ties])]), enter)
 
     def phase_one(self) -> bool:
         """Drive the single artificial variable to zero.  False if the
@@ -219,7 +209,7 @@ class _Simplex:
         self._pivot(worst, self.art_col)
         phase_cost = np.zeros_like(self.cost)
         phase_cost[self.art_col] = 1.0
-        if self._run(phase_cost) is not None:  # pragma: no cover
+        if self._optimize(phase_cost) is not None:  # pragma: no cover
             raise NumericFailure(
                 "infeasibility phase claims an unbounded direction",
                 iterations=self.iterations,
@@ -229,19 +219,15 @@ class _Simplex:
         where = np.flatnonzero(self.basis == self.art_col)
         if where.size:
             row = int(where[0])
-            if self.tableau[row, -1] > self.feas_tol * scale:
+            if self.tableau[row, -1] > FEAS_TOL * scale:
                 return False
             # Artificial stuck in the basis at level zero: pivot it out if
             # any real column can take its place.
-            for j in range(self.art_col):
-                if abs(self.tableau[row, j]) > PIVOT_TOL:
-                    self._pivot(row, j)
-                    break
+            real = np.abs(self.tableau[row, : self.art_col]) > PIVOT_TOL
+            if real.any():
+                self._pivot(row, int(np.argmax(real)))
         self.allowed[self.art_col] = False
         return True
-
-    def phase_two(self):
-        return self._run(self.cost)
 
     def extract(self) -> LpSolution:
         """Recompute the vertex and its multipliers from the final basis."""
@@ -270,7 +256,7 @@ class _Simplex:
         slack = lp.rhs - activity
         row_scale = np.maximum(1.0, np.abs(lp.rhs))
         worst = float(np.max(-slack / row_scale))
-        if worst > 100 * self.feas_tol:
+        if worst > 100 * FEAS_TOL:
             raise NumericFailure(
                 f"optimal basis violates feasibility by {worst:.3e}", self.iterations
             )
@@ -289,12 +275,15 @@ class _Simplex:
         )
 
 
-def solve_lp(
-    lp: LinearProgram,
-    feas_tol: float = FEAS_TOL,
-    max_iterations: int | None = None,
-) -> LpSolution:
+def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     """Solve an inequality-form LP with Bland's rule.
+
+    The entering column is the lowest-index column with reduced cost below
+    ``-PIVOT_TOL``; the leaving row is, among the rows whose ratio lies
+    within ``RATIO_TIE_TOL`` of the minimum ratio, the one whose basic
+    column has the lowest index.  Columns are numbered as the standard form
+    lays them out: each variable in order (a free one as its + and - parts),
+    then one slack per row, then the phase-one artificial.
 
     Returns an optimal vertex plus complementary duals, or a solution with
     status ``infeasible`` / ``unbounded`` and a reason string.  Raises
@@ -303,7 +292,7 @@ def solve_lp(
     """
     if max_iterations is None:
         max_iterations = 50 * (lp.num_rows + lp.num_vars)
-    state = _Simplex(lp, feas_tol, max_iterations)
+    state = _Simplex(lp, max_iterations)
     if not state.phase_one():
         return LpSolution(
             status=INFEASIBLE,
@@ -311,7 +300,7 @@ def solve_lp(
             reason="constraints are inconsistent: the infeasibility residual "
             "could not be driven to zero",
         )
-    enter = state.phase_two()
+    enter = state._optimize(state.cost)
     if enter is not None:
         if enter < state.n_struct:
             var, sign = state.col_map[enter]

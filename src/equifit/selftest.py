@@ -161,7 +161,7 @@ def _weighted_property(rng, count):
         )
         if abs(weighted.discrepancy - prescaled.discrepancy) > 1e-9:
             return False, "weighted and pre-scaled discrepancies differ"
-        if not np.allclose(weighted.coefficients, prescaled.coefficients, atol=1e-8):
+        if np.max(np.abs(weighted.coefficients - prescaled.coefficients)) > 1e-8:
             return False, "weighted and pre-scaled coefficients differ"
         return True, ""
 

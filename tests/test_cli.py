@@ -220,3 +220,37 @@ def test_basis_not_finite_on_the_data_exits_2(tmp_path, capsys):
     assert out == ""
     assert err.startswith("E2: ")
     assert "'1/x'" in err
+
+
+def test_emit_curve_basis_not_finite_on_the_grid_exits_2(tmp_path, capsys):
+    path = tmp_path / "gap.csv"
+    path.write_text("x,y\n0,1\n0.25,2\n0.75,0\n1,1\n")
+    curve = tmp_path / "c.txt"
+    code, out, err = run_cli(
+        capsys,
+        "fit",
+        "--data",
+        str(path),
+        "--basis",
+        "1, 1/(x-0.5)",
+        "--emit-curve",
+        str(curve),
+        "--grid",
+        "4",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("E2: ")
+    assert "grid x = 0.5" in err
+    assert not curve.exists()
+
+
+def test_verify_beyond_the_oracle_bounds_is_skipped(tmp_path, capsys):
+    path = tmp_path / "sixteen.csv"
+    rows = [f"{i},{(i * 7) % 5}" for i in range(16)]
+    path.write_text("x,y\n" + "\n".join(rows) + "\n")
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(path), "--basis", "1, x", "--verify"
+    )
+    assert code == 0, err
+    assert "n <= 15" in json.loads(out)["oracle"]["skipped"]

@@ -13,6 +13,8 @@ from equifit.lp import (
     INFEASIBLE,
     NONNEGATIVE,
     OPTIMAL,
+    PIVOT_TOL,
+    RATIO_TIE_TOL,
     UNBOUNDED,
     LinearProgram,
     dual_of,
@@ -267,3 +269,75 @@ def test_weak_and_strong_duality_on_random_instances(lp):
     best, _ = enumerate_vertex_optimum(lp)
     assert best is not None
     assert sol.objective_value == pytest.approx(best, abs=1e-7 * scale)
+
+
+def test_beale_cycling_example_terminates_under_bland():
+    """Beale's LP: every ratio test in its first pivots ties at zero, and
+    a largest-coefficient rule with naive tie breaking cycles on it."""
+    lp = LinearProgram(
+        objective=[-0.75, 20.0, -0.5, 6.0],
+        constraint_matrix=[
+            [0.25, -8.0, -1.0, 9.0],
+            [0.5, -12.0, -0.5, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ],
+        rhs=[0.0, 0.0, 1.0],
+        variable_kinds=(NONNEGATIVE,) * 4,
+    )
+    sol = solve_lp(lp)
+    assert sol.status == OPTIMAL
+    assert sol.iterations == 6
+    assert sol.objective_value == pytest.approx(-1.25, abs=1e-12)
+    assert np.allclose(sol.primal, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    assert np.allclose(sol.dual, [0.0, 1.5, 1.25], atol=1e-12)
+
+
+def _loop_bland(state, cost):
+    """Reference for ``_Simplex._optimize``: the same pricing, with both
+    pivot choices made by plain loops over columns and rows."""
+    t = state.tableau
+    while True:
+        reduced = cost - cost[state.basis] @ t[:, :-1]
+        reduced[state.basis] = 0.0
+        enter = None
+        for j in range(len(cost)):
+            if state.allowed[j] and reduced[j] < -PIVOT_TOL:
+                enter = j
+                break
+        if enter is None:
+            return None
+        ratios = {}
+        for i in range(len(state.basis)):
+            if t[i, enter] > PIVOT_TOL:
+                ratios[i] = t[i, -1] / t[i, enter]
+        if not ratios:
+            return enter
+        low = min(ratios.values())
+        tied = [i for i, ratio in ratios.items() if ratio <= low + RATIO_TIE_TOL]
+        state._pivot(min(tied, key=lambda i: state.basis[i]), enter)
+
+
+def test_pivot_choices_match_a_loop_reference(monkeypatch):
+    # Small integer data make degenerate vertices and ratio ties common.
+    rng = np.random.default_rng(11)
+    problems = []
+    for _ in range(150):
+        r, v = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        problems.append(
+            LinearProgram(
+                objective=rng.integers(-3, 4, v),
+                constraint_matrix=rng.integers(-2, 3, (r, v)),
+                rhs=rng.integers(-1, 3, r),
+                variable_kinds=tuple(rng.choice([FREE, NONNEGATIVE], v)),
+            )
+        )
+    solved = [solve_lp(lp) for lp in problems]
+    monkeypatch.setattr("equifit.lp._Simplex._optimize", _loop_bland)
+    for lp, sol in zip(problems, solved):
+        ref = solve_lp(lp)
+        assert (ref.status, ref.iterations) == (sol.status, sol.iterations)
+        assert ref.reason == sol.reason
+        if sol.status == OPTIMAL:
+            assert np.array_equal(ref.primal, sol.primal)
+            assert np.array_equal(ref.dual, sol.dual)
+    assert {sol.status for sol in solved} == {OPTIMAL, INFEASIBLE, UNBOUNDED}

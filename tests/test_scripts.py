@@ -1,0 +1,21 @@
+"""Smoke tests for the demo scripts under scripts/."""
+
+import pathlib
+import runpy
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_demo_parabola(tmp_path, capsys):
+    demo = runpy.run_path(str(SCRIPTS / "demo_parabola.py"))
+    curve = tmp_path / "curve.csv"
+    demo["run"](n=101, out_path=curve)
+    out = capsys.readouterr().out
+    assert "discrepancy:  0.125000000000" in out
+    assert "equioscillates: True" in out
+    assert len(curve.read_text().splitlines()) == 201
+
+
+def test_one_sided_demo(capsys):
+    runpy.run_path(str(SCRIPTS / "one_sided_demo.py"), run_name="__main__")
+    assert "equioscillates: False" in capsys.readouterr().out
