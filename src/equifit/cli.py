@@ -1,6 +1,6 @@
 """Command-line front end.
 
-``equifit fit`` ingests a CSV (header row required: coordinate columns
+``equifit fit`` ingests a UTF-8 CSV (header row required: coordinate columns
 ``x1..xp`` or ``x``, a ``y`` column, optionally a weight column), fits the
 requested basis, and writes a JSON or text report.  ``equifit selftest``
 runs the randomized property battery.
@@ -54,7 +54,7 @@ def _fail(code, message):
 
 def _read_csv(path, dim, weight_column):
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None:
                 _fail(EXIT_VALIDATION, f"{path}: empty file, header row required")
@@ -65,6 +65,10 @@ def _read_csv(path, dim, weight_column):
             ]
     except OSError as exc:
         _fail(EXIT_VALIDATION, f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        _fail(EXIT_VALIDATION, f"{path}: not UTF-8 text: {exc}")
+    except csv.Error as exc:
+        _fail(EXIT_VALIDATION, f"{path}: malformed CSV: {exc}")
 
     if dim is None:
         if "x" in header:

@@ -1,11 +1,18 @@
 """Brute-force reference solver for small instances.
 
-At an optimum of the minimax fit there is a witness subset of m+1 points
-whose residuals all sit at the discrepancy with definite signs.  This
-module enumerates every subset of that size and every sign pattern, solves
-the square system for (coefficients, discrepancy), and keeps the best
-globally feasible candidate.  It exists to check the LP path, not to
-compete with it.
+At an optimum of the minimax fit there is a witness subset S of m+1 points
+whose residuals all sit at the discrepancy d with definite signs s, so
+that [G_S | s][alpha; d] = y_S.  This module tries every subset and every
+sign pattern and keeps the best globally feasible candidate.  It exists to
+check the LP path, not to compete with it.
+
+The systems of one subset share G_S, so each subset is factored once: a
+complete QR of the (m+1) x m block G_S gives the null vector lam of G_S^T
+(the last column of Q) and the pseudo-inverse G_S^+ = R^-1 Q_1^T.  Every
+sign pattern is then read off with matmuls (Stiefel's levelled reference):
+d_s = lam^T y_S / lam^T s and alpha_s = G_S^+ (y_S - d_s s).  The cost is
+C(n, m+1) small QRs plus O(C(n, m+1) * 2^(m+1) * n * m) multiply-adds for
+the candidates' residuals at all n points.
 """
 
 from __future__ import annotations
@@ -50,13 +57,41 @@ class OracleComparison:
     agrees: bool
 
 
+def factor_witness_subsets(blocks: np.ndarray):
+    """Factor a stack of witness blocks G_S, shape (k, m+1, m), once each.
+
+    Returns ``(null_vectors, pseudo_inverses, full_rank)``: the unit vectors
+    lam, shape (k, m+1), with G_S^T lam = 0; the pseudo-inverses
+    G_S^+ = R^-1 Q_1^T, shape (k, m, m+1); and a mask of the blocks whose R
+    has no zero on its diagonal (outside it the pseudo-inverse is not
+    finite).  For any sign pattern s, [G_S | s][alpha; d] = y_S is singular
+    exactly when the block is outside the mask or lam^T s = 0; otherwise
+    d = lam^T y_S / lam^T s and alpha = G_S^+ (y_S - d s).
+    """
+    m = blocks.shape[2]
+    q, r = np.linalg.qr(blocks, mode="complete")
+    diagonal = np.diagonal(r, axis1=1, axis2=2)
+    # Back-substitute R_1 X = Q_1^T one row at a time, all blocks at once:
+    # a zero on a diagonal then spoils only its own block, where a batched
+    # solve would raise for the whole stack.
+    pseudo_inverses = np.swapaxes(q[:, :, :m], 1, 2).copy()
+    with np.errstate(all="ignore"):
+        for i in reversed(range(m)):
+            pseudo_inverses[:, i] -= np.einsum(
+                "kj,kjc->kc", r[:, i, i + 1 : m], pseudo_inverses[:, i + 1 :]
+            )
+            pseudo_inverses[:, i] /= diagonal[:, i, None]
+    return q[:, :, m], pseudo_inverses, np.all(diagonal != 0.0, axis=1)
+
+
 def brute_force_fit(instance: ProblemInstance) -> OracleResult:
     """Enumerate witness subsets and sign patterns; return the best feasible
     candidate.
 
     Requires n <= 15 and m <= 4 (raises TooLarge otherwise).  Weights are
-    folded in by pre-scaling rows and values.  Raises NoCandidate when every
-    witness system is singular, which signals a rank-deficient design.
+    folded in by pre-scaling rows and values.  Raises NoCandidate when the
+    design's rank is below m (its optimum need not have an (m+1)-point
+    witness) or when no witness system yields a feasible candidate.
     """
     n, m = instance.n, instance.m
     if n > MAX_POINTS or m > MAX_BASIS:
@@ -66,42 +101,31 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
         )
     if n < m + 1:
         raise NoCandidate(f"need at least m + 1 = {m + 1} points, got {n}")
+    if instance.rank < m:
+        raise NoCandidate(
+            f"design has rank {instance.rank} < m = {m} (rank-deficient design)"
+        )
 
     g, y = instance.scaled_design_and_values()
-    subsets = list(itertools.combinations(range(n), m + 1))
+    subsets = np.array(list(itertools.combinations(range(n), m + 1)))
     signs = np.array(
         list(itertools.product((-1.0, 1.0), repeat=m + 1)), dtype=float
     )
-    n_subsets = len(subsets)
-    n_signs = signs.shape[0]
+    lam, pinv, full_rank = factor_witness_subsets(g[subsets])
+    y_s = y[subsets]
 
-    # One square system per (subset, sign pattern): unknowns are the m
-    # coefficients and the discrepancy.
-    systems = np.empty((n_subsets, n_signs, m + 1, m + 1))
-    rhs = np.empty((n_subsets, n_signs, m + 1))
-    for si, subset in enumerate(subsets):
-        rows = g[list(subset)]
-        systems[si, :, :, :m] = rows[None, :, :]
-        systems[si, :, :, m] = signs
-        rhs[si, :, :] = y[list(subset)][None, :]
-
-    flat = systems.reshape(-1, m + 1, m + 1)
-    flat_rhs = rhs.reshape(-1, m + 1)
-    dets = np.linalg.det(flat)
-    solvable = np.abs(dets) > 0.0
-    if not np.any(solvable):
-        raise NoCandidate("every witness system is singular (rank-deficient design)")
-
-    solutions = np.full((flat.shape[0], m + 1), np.nan)
-    solutions[solvable] = np.linalg.solve(
-        flat[solvable], flat_rhs[solvable][..., None]
-    )[..., 0]
-
+    # One row per subset, one column per sign pattern.
+    lam_signs = lam @ signs.T
+    solvable = full_rank[:, None] & (lam_signs != 0.0)
     with np.errstate(all="ignore"):
-        alphas = solutions[:, :m]
-        ds = solutions[:, m]
-        residual_matrix = y[None, :] - alphas @ g.T
-        max_abs = np.max(np.abs(residual_matrix), axis=1)
+        ds = np.sum(lam * y_s, axis=1)[:, None] / lam_signs
+        # alphas[:, i, j] = G_S^+ (y_S - d s) for subset i and sign pattern
+        # j, laid out so that one matrix product gives every residual.
+        alphas = pinv @ y_s[:, :, None] - ds[:, None, :] * (pinv @ signs.T)
+        alphas = np.ascontiguousarray(np.moveaxis(alphas, 1, 0))
+        residuals = g @ alphas.reshape(m, -1)
+        residuals -= y[:, None]
+        max_abs = np.max(np.abs(residuals, out=residuals), axis=0).reshape(ds.shape)
     feasible = (
         solvable
         & np.isfinite(max_abs)
@@ -111,17 +135,16 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
     if not np.any(feasible):
         raise NoCandidate("no witness system yields a feasible candidate")
 
-    # Systems are ordered by (subset lexicographic, sign lexicographic), so
-    # the first minimum is the canonical tie-break.
-    ds_masked = np.where(feasible, ds, np.inf)
-    best = int(np.argmin(ds_masked))
-    subset = subsets[best // n_signs]
-    sign = signs[best % n_signs]
+    # Candidates are ordered by (subset lexicographic, sign lexicographic),
+    # so the first minimum is the canonical tie-break.
+    best_subset, best_sign = np.unravel_index(
+        int(np.argmin(np.where(feasible, ds, np.inf))), ds.shape
+    )
     return OracleResult(
-        coefficients=alphas[best].copy(),
-        discrepancy=float(max(ds[best], 0.0)),
-        witness_subset=tuple(int(i) for i in subset),
-        witness_signs=tuple(int(s) for s in sign),
+        coefficients=alphas[:, best_subset, best_sign].copy(),
+        discrepancy=float(max(ds[best_subset, best_sign], 0.0)),
+        witness_subset=tuple(int(i) for i in subsets[best_subset]),
+        witness_signs=tuple(int(s) for s in signs[best_sign]),
     )
 
 

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,3 +258,55 @@ def test_verify_beyond_the_oracle_bounds_is_skipped(tmp_path, capsys):
     )
     assert code == 0, err
     assert "n <= 15" in json.loads(out)["oracle"]["skipped"]
+
+
+def test_verify_on_a_rank_deficient_basis_is_skipped(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 1.0, 9)
+    path = tmp_path / "sine.csv"
+    path.write_text(
+        "x,y\n" + "".join(f"{float(a)!r},{float(np.sin(4 * a))!r}\n" for a in x)
+    )
+    for spec in ("x, 2*x", "x, 3*x", "x, 0.1*x", "1, x, 1+x"):
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--basis", spec, "--verify"
+        )
+        assert code == 0, (spec, err)
+        report = json.loads(out)
+        assert report["low_rank"] is True
+        assert "rank-deficient" in report["oracle"]["skipped"]
+
+
+def test_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"x,y\n0,\xff\xfe\n1,1\n")
+    code, out, err = run_cli(capsys, "fit", "--data", str(path), "--basis", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"E2: {path}: not UTF-8 text")
+    assert len(err.splitlines()) == 1
+
+
+def test_malformed_csv_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text('x,y\n0,"' + "1" * 200_000 + '"\n')
+    code, out, err = run_cli(capsys, "fit", "--data", str(path), "--basis", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"E2: {path}: malformed CSV: field larger than")
+    assert len(err.splitlines()) == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "equifit", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: equifit")
+    assert "selftest" in done.stdout

@@ -1,5 +1,6 @@
 """Tests for the brute-force reference solver and its agreement with the LP."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from equifit.fitting import ProblemInstance, fit, objective_value
 from equifit.oracle import (
     AGREE_COEFFICIENT_TOL,
     AGREE_DISCREPANCY_TOL,
+    FEASIBILITY_SLACK,
     brute_force_fit,
     compare_with_oracle,
 )
@@ -172,3 +174,93 @@ def test_compare_with_oracle_judges_optimality_not_the_coefficients():
     comparison = compare_with_oracle(worse)
     assert comparison.discrepancy_gap > AGREE_DISCREPANCY_TOL
     assert not comparison.agrees
+
+
+def test_rank_deficient_bases_report_no_candidate():
+    # Each basis spans at most m - 1 dimensions on the data, so every
+    # (m+1)-point witness system is singular; roundoff must not let one
+    # through (its coefficients would be of order 1e16).
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 1.0, 9)
+    for spec in ("x, 2*x", "x, 3*x", "x, 0.1*x", "1, x, 1+x"):
+        instance = ProblemInstance(
+            points=x.reshape(-1, 1),
+            values=np.sin(4 * x),
+            basis=parse_basis_spec(spec, 1),
+        )
+        assert instance.rank < instance.m
+        with pytest.raises(NoCandidate, match="rank"):
+            brute_force_fit(instance)
+
+
+def _plain_loop_oracle(instance):
+    """Every (subset, sign) system solved on its own, in enumeration order;
+    returns the best feasible candidate and every feasible discrepancy."""
+    g, y = instance.scaled_design_and_values()
+    n, m = instance.n, instance.m
+    best = None
+    feasible = []
+    for subset in itertools.combinations(range(n), m + 1):
+        rows = list(subset)
+        for signs in itertools.product((-1.0, 1.0), repeat=m + 1):
+            system = np.column_stack([g[rows], signs])
+            try:
+                solution = np.linalg.solve(system, y[rows])
+            except np.linalg.LinAlgError:
+                continue
+            alpha, d = solution[:m], solution[m]
+            max_abs = np.max(np.abs(y - g @ alpha))
+            if d >= -FEASIBILITY_SLACK and max_abs <= d + FEASIBILITY_SLACK:
+                feasible.append(d)
+                if best is None or d < best[0]:
+                    best = (d, subset, signs)
+    return best, np.array(feasible)
+
+
+def _differential_instances(rng, count):
+    bases = {1: "1", 2: "1, x", 3: "1, x, x^2", 4: "1, x, x^2, x^3"}
+    even_bases = {2: "1, x^2", 3: "1, x^2, x^4"}
+    most_points = {1: 10, 2: 8, 3: 7, 4: 6}
+    for k in range(count):
+        kind = ("plain", "duplicated", "symmetric")[k % 3]
+        m = int(rng.integers(2, 4)) if kind == "symmetric" else int(rng.integers(1, 5))
+        n = int(rng.integers(m + 1, most_points[m] + 1))
+        x = rng.uniform(-1.0, 1.0, n)
+        spec = bases[m]
+        if kind == "duplicated":
+            x[: n // 3] = x[n - n // 3 :]
+        elif kind == "symmetric":
+            half = rng.uniform(0.1, 1.0, (n + 1) // 2)
+            x = np.concatenate([half, -half])[:n]
+            spec = even_bases[m]
+        values = np.cos(rng.uniform(1.0, 5.0) * x) + 0.1 * rng.standard_normal(n)
+        weights = rng.uniform(0.1, 10.0, n) if rng.uniform() < 0.3 else None
+        yield ProblemInstance(
+            points=x.reshape(-1, 1),
+            values=values,
+            basis=parse_basis_spec(spec, 1),
+            weights=weights,
+        )
+
+
+def test_oracle_matches_a_plain_loop_over_every_witness_system():
+    rng = np.random.default_rng(29)
+    compared = unique = 0
+    for instance in _differential_instances(rng, 150):
+        if instance.rank < instance.m:
+            with pytest.raises(NoCandidate):
+                brute_force_fit(instance)
+            continue
+        result = brute_force_fit(instance)
+        (d, subset, signs), feasible = _plain_loop_oracle(instance)
+        scale = max(1.0, d)
+        assert abs(result.discrepancy - max(d, 0.0)) <= 1e-12 * scale
+        assert objective_value(instance, result.coefficients) <= (
+            result.discrepancy + FEASIBILITY_SLACK
+        )
+        compared += 1
+        if np.sum(feasible <= d + 1e-9 * scale) == 1:
+            unique += 1
+            assert result.witness_subset == subset
+            assert result.witness_signs == tuple(int(s) for s in signs)
+    assert compared >= 120 and unique >= 60
