@@ -1,9 +1,10 @@
 """Command-line front end.
 
-``equifit fit`` ingests a UTF-8 CSV (header row required: coordinate columns
-``x1..xp`` or ``x``, a ``y`` column, optionally a weight column), fits the
-requested basis, and writes a JSON or text report.  ``equifit selftest``
-runs the randomized property battery.
+``equifit fit`` ingests a UTF-8 CSV (an optional byte-order mark, then a
+header row that names each column once: coordinate columns ``x1..xp`` or
+``x``, a ``y`` column, optionally a weight column), fits the requested
+basis, and writes a JSON or text report.  ``equifit selftest`` runs the
+randomized property battery.
 
 Exit codes: 0 success, 2 parse/validation error (a basis function that is
 not finite at a data point included), 3 solver failure, 4 brute-force
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -54,7 +56,7 @@ def _fail(code, message):
 
 def _read_csv(path, dim, weight_column):
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None:
                 _fail(EXIT_VALIDATION, f"{path}: empty file, header row required")
@@ -69,6 +71,11 @@ def _read_csv(path, dim, weight_column):
         _fail(EXIT_VALIDATION, f"{path}: not UTF-8 text: {exc}")
     except csv.Error as exc:
         _fail(EXIT_VALIDATION, f"{path}: malformed CSV: {exc}")
+    for k, name in enumerate(header):
+        if name and name in header[:k]:
+            _fail(
+                EXIT_VALIDATION, f"{path}: column {name!r} appears twice in the header"
+            )
 
     if dim is None:
         if "x" in header:
@@ -326,7 +333,9 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="equifit",
         description="Best uniform approximation of finite data sets, with "

@@ -2,21 +2,33 @@
 
 At an optimum of the minimax fit there is a witness subset S of m+1 points
 whose residuals all sit at the discrepancy d with definite signs s, so
-that [G_S | s][alpha; d] = y_S.  This module tries every subset and every
-sign pattern and keeps the best globally feasible candidate.  It exists to
-check the LP path, not to compete with it.
+that [G_S | s][alpha; d] = y_S.  The candidates are every subset with
+every sign pattern; the answer is the first globally feasible candidate of
+least d in (subset-lexicographic, sign-lexicographic) order.  This module
+exists to check the LP path, not to compete with it.
 
 The systems of one subset share G_S, so each subset is factored once: a
 complete QR of the (m+1) x m block G_S gives the null vector lam of G_S^T
 (the last column of Q) and the pseudo-inverse G_S^+ = R^-1 Q_1^T.  Every
 sign pattern is then read off with matmuls (Stiefel's levelled reference):
-d_s = lam^T y_S / lam^T s and alpha_s = G_S^+ (y_S - d_s s).  The cost is
-C(n, m+1) small QRs plus O(C(n, m+1) * 2^(m+1) * n * m) multiply-adds for
-the candidates' residuals at all n points.
+d_s = lam^T y_S / lam^T s and alpha_s = G_S^+ (y_S - d_s s).
+
+Scoring a candidate (its residuals at all n points) is what costs, and
+most candidates need not be scored.  The same lam gives each subset its de
+la Vallee Poussin bound h_S = |lam^T y_S| / ||lam||_1: every coefficient
+vector has a residual of at least h_S on S, so no candidate of d below the
+floor H = max_S h_S is feasible, and at full rank the optimum is H itself
+(Stiefel 1959; Cheney, *Introduction to Approximation Theory*, 1966,
+ch. 2).  The scan therefore skips the candidates below the floor, scores
+those within rounding of it (the band) in ascending (d, enumeration) order
+and stops at the first feasible one; only if the band holds none does it
+go on to the candidates above it, in the same order.  Either way the
+answer is the full scan's first minimum, exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -28,15 +40,21 @@ from .fitting import FitResult, ProblemInstance, objective_value
 MAX_POINTS = 15
 MAX_BASIS = 4
 
-# Absolute slack for global feasibility of a candidate; square solves at
-# this scale are accurate to machine precision.
+# Slack for global feasibility of a candidate, relative to the scale
+# max(1, max |y|) of the (weighted) values: square solves at this scale
+# are accurate to machine precision.
 FEASIBILITY_SLACK = 1e-9
 
-# A fit agrees with the oracle when the discrepancies match; coefficients
-# that differ are accepted if the oracle's achieve their discrepancy too
-# (the optimum need not be unique).
+# A fit agrees with the oracle when the discrepancies match to
+# AGREE_DISCREPANCY_TOL * max(1, d); coefficients that differ are accepted
+# if the oracle's achieve their discrepancy too (the optimum need not be
+# unique).
 AGREE_DISCREPANCY_TOL = 1e-8
 AGREE_COEFFICIENT_TOL = 1e-7
+
+# Candidates are scored this many at a time, so that memory stays bounded
+# when many of them share the floor (data the basis interpolates exactly).
+SCORE_CHUNK = 1024
 
 
 @dataclass
@@ -55,6 +73,11 @@ class OracleComparison:
     discrepancy_gap: float
     coefficient_gap: float
     agrees: bool
+
+
+def discrepancy_tolerance(discrepancy: float) -> float:
+    """How far two optimal discrepancies near ``discrepancy`` may differ."""
+    return AGREE_DISCREPANCY_TOL * max(1.0, discrepancy)
 
 
 def factor_witness_subsets(blocks: np.ndarray):
@@ -84,9 +107,22 @@ def factor_witness_subsets(blocks: np.ndarray):
     return q[:, :, m], pseudo_inverses, np.all(diagonal != 0.0, axis=1)
 
 
+@functools.cache
+def _enumeration(n: int, m: int):
+    """The (m+1)-point subsets of n points and the 2^(m+1) sign patterns,
+    both in lexicographic order; read-only, since every instance of the
+    size shares them."""
+    subsets = np.array(list(itertools.combinations(range(n), m + 1)))
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m + 1)))
+    subsets.flags.writeable = False
+    signs.flags.writeable = False
+    return subsets, signs
+
+
 def brute_force_fit(instance: ProblemInstance) -> OracleResult:
-    """Enumerate witness subsets and sign patterns; return the best feasible
-    candidate.
+    """Return the first best feasible (witness subset, sign pattern)
+    candidate, scoring only those at or above the de la Vallee Poussin
+    floor.
 
     Requires n <= 15 and m <= 4 (raises TooLarge otherwise).  Weights are
     folded in by pre-scaling rows and values.  Raises NoCandidate when the
@@ -107,45 +143,76 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
         )
 
     g, y = instance.scaled_design_and_values()
-    subsets = np.array(list(itertools.combinations(range(n), m + 1)))
-    signs = np.array(
-        list(itertools.product((-1.0, 1.0), repeat=m + 1)), dtype=float
-    )
+    subsets, signs = _enumeration(n, m)
     lam, pinv, full_rank = factor_witness_subsets(g[subsets])
     y_s = y[subsets]
 
-    # One row per subset, one column per sign pattern.
-    lam_signs = lam @ signs.T
-    solvable = full_rank[:, None] & (lam_signs != 0.0)
+    # One row per subset, one column per sign pattern.  d is not finite
+    # where lam^T s = 0 (the system is singular) or the quotient
+    # overflows; either way that candidate is never feasible.
+    lam_y = np.sum(lam * y_s, axis=1)
     with np.errstate(all="ignore"):
-        ds = np.sum(lam * y_s, axis=1)[:, None] / lam_signs
-        # alphas[:, i, j] = G_S^+ (y_S - d s) for subset i and sign pattern
-        # j, laid out so that one matrix product gives every residual.
-        alphas = pinv @ y_s[:, :, None] - ds[:, None, :] * (pinv @ signs.T)
-        alphas = np.ascontiguousarray(np.moveaxis(alphas, 1, 0))
-        residuals = g @ alphas.reshape(m, -1)
-        residuals -= y[:, None]
-        max_abs = np.max(np.abs(residuals, out=residuals), axis=0).reshape(ds.shape)
-    feasible = (
-        solvable
-        & np.isfinite(max_abs)
-        & (ds >= -FEASIBILITY_SLACK)
-        & (max_abs <= ds + FEASIBILITY_SLACK)
+        ds = lam_y[:, None] / (lam @ signs.T)
+    floor = np.max(
+        np.abs(lam_y) / np.sum(np.abs(lam), axis=1), where=full_rank, initial=0.0
     )
-    if not np.any(feasible):
-        raise NoCandidate("no witness system yields a feasible candidate")
 
-    # Candidates are ordered by (subset lexicographic, sign lexicographic),
-    # so the first minimum is the canonical tie-break.
-    best_subset, best_sign = np.unravel_index(
-        int(np.argmin(np.where(feasible, ds, np.inf))), ds.shape
-    )
-    return OracleResult(
-        coefficients=alphas[:, best_subset, best_sign].copy(),
-        discrepancy=float(max(ds[best_subset, best_sign], 0.0)),
-        witness_subset=tuple(int(i) for i in subsets[best_subset]),
-        witness_signs=tuple(int(s) for s in signs[best_sign]),
-    )
+    # The allowance.  For any alpha and any subset T, G_T^T lam_T = 0 gives
+    # lam_T^T (y_T - G_T alpha) = lam_T^T y_T, so the residual r of alpha
+    # has max |r| >= h_T, hence max |r| >= H.  A candidate passes the
+    # feasibility test only when max |r| <= d_s + slack, so only when
+    # d_s >= H - slack.  In floating point lam_T is a null vector of G_T^T
+    # only to O(eps |G_T|), and h_T, d_s and max |r| carry a few ulps of
+    # |y| + |G| |alpha|; for a feasible alpha, whose G alpha is within
+    # max |y| + d of zero, that is some 1e-15 * max(1, max |y|) with a
+    # moderate condition number, far below a second slack.  So no candidate
+    # with d_s < H - 2 slack can pass, and the skip changes no answer.
+    slack = FEASIBILITY_SLACK * max(1.0, float(np.max(np.abs(y))))
+    allowance = 2.0 * slack
+    above = ds > floor + allowance
+    band = (ds >= floor - allowance) & ~above
+
+    flat_ds = ds.ravel()
+    for tier in (band, above):
+        flat = np.flatnonzero(tier)
+        # A stable sort keeps enumeration order among equal d.
+        flat = flat[np.argsort(flat_ds[flat], kind="stable")]
+        for start in range(0, flat.size, SCORE_CHUNK):
+            chunk = flat[start : start + SCORE_CHUNK]
+            si, gi = np.divmod(chunk, signs.shape[0])
+            d = flat_ds[chunk]
+            # The same matmul shapes as a full scan, so that alpha is
+            # bit-identical to it.  The residuals take at least two columns:
+            # a one-column product runs through BLAS gemv, which rounds
+            # otherwise than the matrix-matrix kernel of a full scan.
+            block_pinv = pinv[si]
+            with np.errstate(all="ignore"):
+                base = (block_pinv @ y_s[si][:, :, None])[:, :, 0]
+                step = (block_pinv @ signs.T)[np.arange(chunk.size), :, gi]
+                alphas = base - d[:, None] * step
+                columns = alphas.T
+                if chunk.size == 1:
+                    columns = np.repeat(columns, 2, axis=1)
+                residuals = g @ np.ascontiguousarray(columns)
+                residuals -= y[:, None]
+                max_abs = np.max(np.abs(residuals, out=residuals), axis=0)
+            max_abs = max_abs[: chunk.size]
+            feasible = (
+                full_rank[si]
+                & np.isfinite(d)
+                & np.isfinite(max_abs)
+                & (d >= -slack)
+                & (max_abs <= d + slack)
+            )
+            if np.any(feasible):
+                k = int(np.argmax(feasible))
+                return OracleResult(
+                    coefficients=alphas[k].copy(),
+                    discrepancy=float(max(d[k], 0.0)),
+                    witness_subset=tuple(int(i) for i in subsets[si[k]]),
+                    witness_signs=tuple(int(s) for s in signs[gi[k]]),
+                )
+    raise NoCandidate("no witness system yields a feasible candidate")
 
 
 def compare_with_oracle(result: FitResult) -> OracleComparison:
@@ -154,9 +221,10 @@ def compare_with_oracle(result: FitResult) -> OracleComparison:
     oracle = brute_force_fit(result.instance)
     discrepancy_gap = abs(result.discrepancy - oracle.discrepancy)
     coefficient_gap = float(np.max(np.abs(result.coefficients - oracle.coefficients)))
-    agrees = discrepancy_gap <= AGREE_DISCREPANCY_TOL and (
+    tolerance = discrepancy_tolerance(oracle.discrepancy)
+    agrees = discrepancy_gap <= tolerance and (
         coefficient_gap <= AGREE_COEFFICIENT_TOL
         or objective_value(result.instance, oracle.coefficients)
-        <= oracle.discrepancy + AGREE_DISCREPANCY_TOL
+        <= oracle.discrepancy + tolerance
     )
     return OracleComparison(oracle, discrepancy_gap, coefficient_gap, bool(agrees))

@@ -20,7 +20,7 @@ from .generators import (
     random_weighted_instance,
     same_sided_reference_config,
 )
-from .oracle import AGREE_DISCREPANCY_TOL, compare_with_oracle
+from .oracle import compare_with_oracle, discrepancy_tolerance
 
 
 @dataclass
@@ -118,7 +118,9 @@ def _oracle_property(rng, count):
     def check(instance, _):
         result = fit(instance)
         comparison = compare_with_oracle(result)
-        if comparison.discrepancy_gap > AGREE_DISCREPANCY_TOL:
+        if comparison.discrepancy_gap > discrepancy_tolerance(
+            comparison.oracle.discrepancy
+        ):
             return False, (
                 f"LP discrepancy {result.discrepancy!r} vs brute force "
                 f"{comparison.oracle.discrepancy!r}"

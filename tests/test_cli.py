@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equifit.cli import main
+from equifit.cli import build_parser, main
 from equifit.fitting import ProblemInstance, objective_value
 from equifit.basis import parse_basis_spec
 
@@ -310,3 +310,71 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: equifit")
     assert "selftest" in done.stdout
+
+
+def test_verify_agrees_on_values_of_order_1e6(tmp_path, capsys):
+    # The oracle's feasibility slack and the agreement tolerance scale with
+    # the values; absolute ones rejected the true optimum here (exit 4).
+    rng = np.random.default_rng(0)
+    x = np.sort(rng.uniform(0.0, 1.0, 12))
+    y = 1e6 * (np.sin(4 * x) + rng.normal(0.0, 0.05, 12))
+    path = tmp_path / "large.csv"
+    path.write_text(
+        "x,y\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, y))
+    )
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(path), "--basis", "1, x, x^2, x^3", "--verify"
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["discrepancy"] == pytest.approx(43931.0097, rel=1e-8)
+    assert report["oracle"]["agrees"] is True
+    assert report["oracle"]["discrepancy_gap"] <= 1e-8 * report["discrepancy"]
+
+
+def test_csv_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfx,y\n0,0\n1,1\n")
+    code, out, err = run_cli(capsys, "fit", "--data", str(path), "--basis", "1, x")
+    assert code == 0, err
+    report = json.loads(out)
+    assert [entry["value"] for entry in report["coefficients"]] == pytest.approx(
+        [0.0, 1.0], abs=1e-12
+    )
+
+
+def test_column_named_twice_exits_2(tmp_path, capsys):
+    path = tmp_path / "twice.csv"
+    path.write_text("x,y,y\n0,0,5\n1,1,6\n")
+    code, out, err = run_cli(capsys, "fit", "--data", str(path), "--basis", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"E2: {path}: column 'y' appears twice in the header\n"
+
+
+def test_options_do_not_carry_over_between_calls(tmp_path, capsys):
+    path = tmp_path / "weighted.csv"
+    path.write_text("x,y,w\n0,0,1\n1,1,2\n2,0,1\n3,2,1\n")
+    assert build_parser() is build_parser()
+    code, out, err = run_cli(
+        capsys,
+        "fit",
+        "--data",
+        str(path),
+        "--basis",
+        "1, x",
+        "--weights",
+        "w",
+        "--certify",
+    )
+    assert code == 0, err
+    first = json.loads(out)
+    assert first["instance"]["weighted"] is True
+    assert "weighted_residuals" in first and "certificate" in first
+    code, out, err = run_cli(capsys, "fit", "--data", str(path), "--basis", "1, x")
+    assert code == 0, err
+    second = json.loads(out)
+    assert second["instance"]["weighted"] is False
+    assert "weighted_residuals" not in second
+    assert "certificate" not in second
+    assert "alternation" not in second

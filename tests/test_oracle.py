@@ -15,6 +15,7 @@ from equifit.oracle import (
     FEASIBILITY_SLACK,
     brute_force_fit,
     compare_with_oracle,
+    factor_witness_subsets,
 )
 
 
@@ -264,3 +265,121 @@ def test_oracle_matches_a_plain_loop_over_every_witness_system():
             assert result.witness_subset == subset
             assert result.witness_signs == tuple(int(s) for s in signs)
     assert compared >= 120 and unique >= 60
+
+
+def _full_scan(instance):
+    """Every (subset, sign) candidate scored at once, in one matrix product,
+    as the oracle did before it skipped the candidates below the floor;
+    returns the first minimum in enumeration order, or None."""
+    g, y = instance.scaled_design_and_values()
+    n, m = instance.n, instance.m
+    subsets = np.array(list(itertools.combinations(range(n), m + 1)))
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m + 1)))
+    lam, pinv, full_rank = factor_witness_subsets(g[subsets])
+    y_s = y[subsets]
+    lam_signs = lam @ signs.T
+    solvable = full_rank[:, None] & (lam_signs != 0.0)
+    with np.errstate(all="ignore"):
+        ds = np.sum(lam * y_s, axis=1)[:, None] / lam_signs
+        alphas = pinv @ y_s[:, :, None] - ds[:, None, :] * (pinv @ signs.T)
+        alphas = np.ascontiguousarray(np.moveaxis(alphas, 1, 0))
+        residuals = g @ alphas.reshape(m, -1)
+        residuals -= y[:, None]
+        max_abs = np.max(np.abs(residuals), axis=0).reshape(ds.shape)
+    slack = FEASIBILITY_SLACK * max(1.0, float(np.max(np.abs(y))))
+    feasible = (
+        solvable & np.isfinite(max_abs) & (ds >= -slack) & (max_abs <= ds + slack)
+    )
+    if not np.any(feasible):
+        return None
+    best_subset, best_sign = np.unravel_index(
+        int(np.argmin(np.where(feasible, ds, np.inf))), ds.shape
+    )
+    return (
+        alphas[:, best_subset, best_sign],
+        float(max(ds[best_subset, best_sign], 0.0)),
+        tuple(int(i) for i in subsets[best_subset]),
+        tuple(int(s) for s in signs[best_sign]),
+    )
+
+
+def _pruning_instances(rng, count):
+    """Verify-sized instances (n 8-15, m 2-4, n=15, m=4 first): plain,
+    with points repeated exactly, symmetric about 0 with an even basis
+    (both give candidates of equal d), and clustered in a width of 1e-4 to
+    1e-1, where the coefficients are large and rounding decides some
+    feasibility tests, or leaves the floor without a feasible candidate.
+    About 30% weighted over e^-6..e^6, about 30% with values x 1e6."""
+    bases = {2: "1, x", 3: "1, x, x^2", 4: "1, x, x^2, x^3"}
+    even_bases = {2: "1, x^2", 3: "1, x^2, x^4", 4: "1, x^2, x^4, x^6"}
+    for k in range(count):
+        kind = ("plain", "repeated", "symmetric", "clustered")[k % 4]
+        if k < 4:
+            n, m = 15, 4
+        else:
+            n, m = int(rng.integers(8, 16)), int(rng.integers(2, 5))
+        x = rng.uniform(-1.0, 1.0, n)
+        y = np.cos(rng.uniform(1.0, 5.0) * x) + 0.1 * rng.standard_normal(n)
+        w = np.exp(rng.uniform(-6.0, 6.0, n)) if rng.uniform() < 0.3 else None
+        spec = bases[m]
+        if kind == "repeated":
+            tail = slice(n - n // 3, n)
+            x[: n // 3], y[: n // 3] = x[tail], y[tail]
+            if w is not None:
+                w[: n // 3] = w[tail]
+        elif kind == "symmetric":
+            half = (n + 1) // 2
+            x = np.concatenate([x[:half], -x[:half]])[:n]
+            y = np.concatenate([y[:half], y[:half]])[:n]
+            if w is not None:
+                w = np.concatenate([w[:half], w[:half]])[:n]
+            spec = even_bases[m]
+        elif kind == "clustered":
+            x = x[0] + 10 ** rng.uniform(-4.0, -1.0) * x
+        if rng.uniform() < 0.3:
+            y = 1e6 * y
+        yield ProblemInstance(
+            points=x.reshape(-1, 1),
+            values=y,
+            basis=parse_basis_spec(spec, 1),
+            weights=w,
+        )
+
+
+def _narrow_cubic():
+    """A cubic on a window of width 0.015: the coefficients are near 1e6,
+    so the residuals of some candidates round to either side of the
+    feasibility slack, and only a product that rounds as the full scan's
+    does gives its answer."""
+    x = [-1.6509514766112707, -1.6457447478262937, -1.6528384762528707,
+         -1.6471325116662507, -1.6605600195852483, -1.647835403796264,
+         -1.6595419659003983, -1.6624768732740762, -1.6557736539851227,
+         -1.66131535799234]
+    y = [0.29694375038898274, 0.18391863530155175, 0.23115015924921078,
+         0.2080454924062576, 0.25065961064799736, 0.2316800161999709,
+         0.3162679779190855, 0.36333230053453075, 0.23542497347901778,
+         0.25803283980754815]
+    return ProblemInstance(
+        points=np.reshape(x, (-1, 1)),
+        values=y,
+        basis=parse_basis_spec("1, x, x^2, x^3", 1),
+    )
+
+
+def test_pruned_scan_returns_the_full_scan_answer():
+    rng = np.random.default_rng(31)
+    compared = 0
+    for instance in [_narrow_cubic(), *_pruning_instances(rng, 100)]:
+        expected = _full_scan(instance) if instance.rank >= instance.m else None
+        if expected is None:
+            with pytest.raises(NoCandidate):
+                brute_force_fit(instance)
+            continue
+        result = brute_force_fit(instance)
+        coefficients, discrepancy, subset, signs = expected
+        assert result.witness_subset == subset
+        assert result.witness_signs == signs
+        assert result.discrepancy == discrepancy
+        assert np.array_equal(result.coefficients, coefficients)
+        compared += 1
+    assert compared >= 80
