@@ -60,11 +60,23 @@ def _read_csv(path, dim, weight_column):
             reader = csv.DictReader(handle)
             if reader.fieldnames is None:
                 _fail(EXIT_VALIDATION, f"{path}: empty file, header row required")
+            if not reader.fieldnames:
+                _fail(EXIT_VALIDATION, f"{path} line 1: blank, header row required")
             header = [name.strip() for name in reader.fieldnames]
-            rows = [
-                {key.strip(): value for key, value in row.items() if key is not None}
-                for row in reader
-            ]
+            # (line, row) pairs; the reader skips blank lines, so a row's
+            # line is the reader's count, not its position among the rows.
+            rows = []
+            for row in reader:
+                if None in row:
+                    _fail(
+                        EXIT_VALIDATION,
+                        f"{path} line {reader.line_num}: "
+                        f"{len(header) + len(row[None])} cells, but the header "
+                        f"names {len(header)} columns",
+                    )
+                rows.append(
+                    (reader.line_num, {key.strip(): value for key, value in row.items()})
+                )
     except OSError as exc:
         _fail(EXIT_VALIDATION, f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -120,8 +132,7 @@ def _read_csv(path, dim, weight_column):
     points = []
     values = []
     weights = [] if weight_column else None
-    for k, row in enumerate(rows):
-        line = k + 2  # header is line 1
+    for line, row in rows:
         points.append([cell(row, name, line) for name in coord_names])
         values.append(cell(row, "y", line))
         if weight_column:

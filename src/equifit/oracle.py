@@ -7,11 +7,16 @@ every sign pattern; the answer is the first globally feasible candidate of
 least d in (subset-lexicographic, sign-lexicographic) order.  This module
 exists to check the LP path, not to compete with it.
 
-The systems of one subset share G_S, so each subset is factored once: a
-complete QR of the (m+1) x m block G_S gives the null vector lam of G_S^T
-(the last column of Q) and the pseudo-inverse G_S^+ = R^-1 Q_1^T.  Every
-sign pattern is then read off with matmuls (Stiefel's levelled reference):
-d_s = lam^T y_S / lam^T s and alpha_s = G_S^+ (y_S - d_s s).
+The systems of one subset share G_S, so each subset is factored once, by
+Householder QR, G_S = Q R.  All C(n, m+1) blocks are factored together in
+one sweep: laid out (column, row, subset), each of the m reflector steps
+is a few elementwise numpy operations across the whole stack, with no
+LAPACK call per block, and no operation mixes two blocks.  The reflectors
+applied to e_(m+1) give the null vector lam = Q e_(m+1) of G_S^T, and
+every sign pattern is read off from it (Stiefel's levelled reference):
+d_s = lam^T y_S / lam^T s.  The pseudo-inverse G_S^+ = R^-1 Q_1^T, which
+gives alpha_s = G_S^+ (y_S - d_s s), is formed only for the subsets of
+the candidates that are scored.
 
 Scoring a candidate (its residuals at all n points) is what costs, and
 most candidates need not be scored.  The same lam gives each subset its de
@@ -56,6 +61,10 @@ AGREE_COEFFICIENT_TOL = 1e-7
 # when many of them share the floor (data the basis interpolates exactly).
 SCORE_CHUNK = 1024
 
+# The smallest normal float: the floor under a reflector's scale, which is
+# zero only for a column that is zero from the diagonal down.
+TINY = np.finfo(float).tiny
+
 
 @dataclass
 class OracleResult:
@@ -80,6 +89,74 @@ def discrepancy_tolerance(discrepancy: float) -> float:
     return AGREE_DISCREPANCY_TOL * max(1.0, discrepancy)
 
 
+def _householder(a: np.ndarray) -> np.ndarray:
+    """Householder QR of a stack of blocks laid out (column, row, block),
+    shape (m, m+1, k).  Overwrites a with R above the diagonal (R[i, j] in
+    a[j, i]) and, from the diagonal down, each column j with its
+    reflector's vector u_j, scaled so that H_j = I - u_j u_j^T and
+    Q = H_0 ... H_(m-1); returns the diagonal of R, shape (m, k).
+
+    Every step is elementwise along the block axis, and the sums run along
+    the row axis alone, which numpy adds in row order up to 7 rows
+    (m <= 6); so a block's factors do not depend on the stack it sits in.
+    A column that is exactly zero from the diagonal down gets u = 0
+    (H = I) and a zero on R's diagonal.
+    """
+    m = a.shape[0]
+    diagonal = np.empty((m, a.shape[2]))
+    for j in range(m):
+        column = a[j, j:]
+        norm = np.add.reduce(column * column, axis=0)
+        np.sqrt(norm, out=norm)
+        shift = np.copysign(norm, column[0])
+        np.negative(shift, out=diagonal[j])
+        column[0] += shift
+        # u^T u / 2 = |u_0| ||x|| = u_0 shift, as u_0 and shift share a sign.
+        scale = np.multiply(column[0], shift, out=shift)
+        np.maximum(scale, TINY, out=scale)
+        column /= np.sqrt(scale, out=scale)
+        if j + 1 < m:
+            rest = a[j + 1 :, j:]
+            rest -= column * np.add.reduce(column * rest, axis=1)[:, None]
+    return diagonal
+
+
+def _apply_q(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Overwrite z, laid out (column, row, block), with Q z for the
+    reflectors that ``_householder`` left in a; elementwise along the block
+    axis, like it."""
+    for j in reversed(range(a.shape[0])):
+        u = a[j, j:]
+        z[:, j:] -= u * np.add.reduce(u * z[:, j:], axis=1)[:, None]
+    return z
+
+
+def _null_vectors(a: np.ndarray) -> np.ndarray:
+    """lam = Q e_(m+1), the last column of each Q, shape (k, m+1)."""
+    m = a.shape[0]
+    # H_(m-1) e_(m+1) = e_(m+1) - u u_1, where u has two entries.
+    u = a[m - 1, m - 1 :]
+    z = np.zeros((1, m + 1, a.shape[2]))
+    np.multiply(u, -u[1], out=z[0, m - 1 :])
+    z[0, m] += 1.0
+    return np.ascontiguousarray(_apply_q(a[: m - 1], z)[0].T)
+
+
+def _pseudo_inverses(a: np.ndarray, diagonal: np.ndarray, index) -> np.ndarray:
+    """G_S^+ = R^-1 Q_1^T of the blocks ``a[..., index]``, shape
+    (count, m, m+1): Q_1 from the reflectors, laid out (column, row, block)
+    so that it reads as Q_1^T, then back-substitution with R.  Not finite
+    where R has a zero on its diagonal."""
+    a, diagonal = a[:, :, index], diagonal[:, index]
+    m = a.shape[0]
+    x = np.repeat(np.eye(m, m + 1)[:, :, None], a.shape[2], axis=2)
+    _apply_q(a, x)
+    for col in reversed(range(m)):
+        x[col] /= diagonal[col]
+        x[:col] -= a[col, :col, None] * x[col]
+    return np.ascontiguousarray(x.transpose(2, 0, 1))
+
+
 def factor_witness_subsets(blocks: np.ndarray):
     """Factor a stack of witness blocks G_S, shape (k, m+1, m), once each.
 
@@ -89,22 +166,17 @@ def factor_witness_subsets(blocks: np.ndarray):
     has no zero on its diagonal (outside it the pseudo-inverse is not
     finite).  For any sign pattern s, [G_S | s][alpha; d] = y_S is singular
     exactly when the block is outside the mask or lam^T s = 0; otherwise
-    d = lam^T y_S / lam^T s and alpha = G_S^+ (y_S - d s).
+    d = lam^T y_S / lam^T s and alpha = G_S^+ (y_S - d s).  A block's
+    factors do not depend on the other blocks of the stack.
     """
-    m = blocks.shape[2]
-    q, r = np.linalg.qr(blocks, mode="complete")
-    diagonal = np.diagonal(r, axis1=1, axis2=2)
-    # Back-substitute R_1 X = Q_1^T one row at a time, all blocks at once:
-    # a zero on a diagonal then spoils only its own block, where a batched
-    # solve would raise for the whole stack.
-    pseudo_inverses = np.swapaxes(q[:, :, :m], 1, 2).copy()
+    a = np.transpose(np.asarray(blocks, dtype=float), (2, 1, 0)).copy()
     with np.errstate(all="ignore"):
-        for i in reversed(range(m)):
-            pseudo_inverses[:, i] -= np.einsum(
-                "kj,kjc->kc", r[:, i, i + 1 : m], pseudo_inverses[:, i + 1 :]
-            )
-            pseudo_inverses[:, i] /= diagonal[:, i, None]
-    return q[:, :, m], pseudo_inverses, np.all(diagonal != 0.0, axis=1)
+        diagonal = _householder(a)
+        return (
+            _null_vectors(a),
+            _pseudo_inverses(a, diagonal, slice(None)),
+            np.all(diagonal != 0.0, axis=0),
+        )
 
 
 @functools.cache
@@ -144,37 +216,49 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
 
     g, y = instance.scaled_design_and_values()
     subsets, signs = _enumeration(n, m)
-    lam, pinv, full_rank = factor_witness_subsets(g[subsets])
+    # Every block G_S, laid out (column, row, subset); the sweep overwrites
+    # them with their factors.
+    factors = np.take(np.ascontiguousarray(g.T), subsets.T, axis=1)
     y_s = y[subsets]
 
-    # One row per subset, one column per sign pattern.  d is not finite
-    # where lam^T s = 0 (the system is singular) or the quotient
-    # overflows; either way that candidate is never feasible.
-    lam_y = np.sum(lam * y_s, axis=1)
     with np.errstate(all="ignore"):
-        ds = lam_y[:, None] / (lam @ signs.T)
-    floor = np.max(
-        np.abs(lam_y) / np.sum(np.abs(lam), axis=1), where=full_rank, initial=0.0
-    )
+        diagonal = _householder(factors)
+        lam = _null_vectors(factors)
+        full_rank = np.all(diagonal != 0.0, axis=0)
+        # One row per subset, one column per sign pattern.  d is not finite
+        # where lam^T s = 0 (the system is singular) or the quotient
+        # overflows; either way that candidate is never feasible.
+        lam_y = np.sum(lam * y_s, axis=1)
+        ds = lam @ signs.T
+        np.divide(lam_y[:, None], ds, out=ds)
+        floor = np.max(
+            np.abs(lam_y) / np.sum(np.abs(lam), axis=1), where=full_rank, initial=0.0
+        )
 
     # The allowance.  For any alpha and any subset T, G_T^T lam_T = 0 gives
     # lam_T^T (y_T - G_T alpha) = lam_T^T y_T, so the residual r of alpha
     # has max |r| >= h_T, hence max |r| >= H.  A candidate passes the
     # feasibility test only when max |r| <= d_s + slack, so only when
     # d_s >= H - slack.  In floating point lam_T is a null vector of G_T^T
-    # only to O(eps |G_T|), and h_T, d_s and max |r| carry a few ulps of
-    # |y| + |G| |alpha|; for a feasible alpha, whose G alpha is within
-    # max |y| + d of zero, that is some 1e-15 * max(1, max |y|) with a
-    # moderate condition number, far below a second slack.  So no candidate
-    # with d_s < H - 2 slack can pass, and the skip changes no answer.
+    # only to O(eps |G_T|), as Householder QR is backward stable, and h_T,
+    # d_s and max |r| carry a few ulps of |y| + |G| |alpha|; for a feasible
+    # alpha, whose G alpha is within max |y| + d of zero, that is some
+    # 1e-15 * max(1, max |y|) with a moderate condition number, far below
+    # a second slack.  So no candidate with d_s < H - 2 slack can pass, and
+    # the skip changes no answer.
     slack = FEASIBILITY_SLACK * max(1.0, float(np.max(np.abs(y))))
     allowance = 2.0 * slack
-    above = ds > floor + allowance
-    band = (ds >= floor - allowance) & ~above
-
     flat_ds = ds.ravel()
-    for tier in (band, above):
-        flat = np.flatnonzero(tier)
+
+    # The tier above the band is selected only if the band holds no
+    # feasible candidate.
+    def tiers():
+        yield np.flatnonzero(
+            (flat_ds >= floor - allowance) & (flat_ds <= floor + allowance)
+        )
+        yield np.flatnonzero(flat_ds > floor + allowance)
+
+    for flat in tiers():
         # A stable sort keeps enumeration order among equal d.
         flat = flat[np.argsort(flat_ds[flat], kind="stable")]
         for start in range(0, flat.size, SCORE_CHUNK):
@@ -185,8 +269,8 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
             # bit-identical to it.  The residuals take at least two columns:
             # a one-column product runs through BLAS gemv, which rounds
             # otherwise than the matrix-matrix kernel of a full scan.
-            block_pinv = pinv[si]
             with np.errstate(all="ignore"):
+                block_pinv = _pseudo_inverses(factors, diagonal, si)
                 base = (block_pinv @ y_s[si][:, :, None])[:, :, 0]
                 step = (block_pinv @ signs.T)[np.arange(chunk.size), :, gi]
                 alphas = base - d[:, None] * step

@@ -352,6 +352,33 @@ def test_column_named_twice_exits_2(tmp_path, capsys):
     assert err == f"E2: {path}: column 'y' appears twice in the header\n"
 
 
+def test_row_with_more_cells_than_the_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text("x,y\n0,0,7\n1,1\n2,4\n3,9,1,2\n")
+    code, out, err = run_cli(capsys, "fit", "--data", str(path), "--basis", "1, x")
+    assert code == 2
+    assert out == ""
+    assert err == f"E2: {path} line 2: 3 cells, but the header names 2 columns\n"
+
+
+def test_blank_header_line_exits_2(tmp_path, capsys):
+    path = tmp_path / "blank_header.csv"
+    path.write_text("\nx,y\n0,0\n1,1\n")
+    code, out, err = run_cli(capsys, "fit", "--data", str(path), "--basis", "1, x")
+    assert code == 2
+    assert out == ""
+    assert err == f"E2: {path} line 1: blank, header row required\n"
+
+
+def test_line_numbers_count_blank_lines(tmp_path, capsys):
+    path = tmp_path / "gaps.csv"
+    path.write_text("x,y\n\n0,0\n\n1,abc\n")
+    code, out, err = run_cli(capsys, "fit", "--data", str(path), "--basis", "1, x")
+    assert code == 2
+    assert out == ""
+    assert err == f"E2: {path} line 5: column 'y' has non-numeric value 'abc'\n"
+
+
 def test_options_do_not_carry_over_between_calls(tmp_path, capsys):
     path = tmp_path / "weighted.csv"
     path.write_text("x,y,w\n0,0,1\n1,1,2\n2,0,1\n3,2,1\n")
