@@ -2,9 +2,9 @@
 
 ``equifit fit`` ingests a UTF-8 CSV (an optional byte-order mark, then a
 header row that names each column once: coordinate columns ``x1..xp`` or
-``x``, a ``y`` column, optionally a weight column), fits the requested
-basis, and writes a JSON or text report.  ``equifit selftest`` runs the
-randomized property battery.
+``x``, a ``y`` column, optionally a weight column; then rows of one cell
+per column), fits the requested basis, and writes a JSON or text report.
+``equifit selftest`` runs the randomized property battery.
 
 Exit codes: 0 success, 2 parse/validation error (a basis function that is
 not finite at a data point included), 3 solver failure, 4 brute-force
@@ -57,26 +57,26 @@ def _fail(code, message):
 def _read_csv(path, dim, weight_column):
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None:
+            reader = csv.reader(handle)
+            fieldnames = next(reader, None)
+            if fieldnames is None:
                 _fail(EXIT_VALIDATION, f"{path}: empty file, header row required")
-            if not reader.fieldnames:
+            if not fieldnames:
                 _fail(EXIT_VALIDATION, f"{path} line 1: blank, header row required")
-            header = [name.strip() for name in reader.fieldnames]
-            # (line, row) pairs; the reader skips blank lines, so a row's
-            # line is the reader's count, not its position among the rows.
+            header = [name.strip() for name in fieldnames]
+            # (line, row) pairs; blank lines are skipped, so a row's line is
+            # the reader's count, not its position among the rows.
             rows = []
-            for row in reader:
-                if None in row:
+            for cells in reader:
+                if not cells:
+                    continue
+                if len(cells) != len(header):
                     _fail(
                         EXIT_VALIDATION,
-                        f"{path} line {reader.line_num}: "
-                        f"{len(header) + len(row[None])} cells, but the header "
-                        f"names {len(header)} columns",
+                        f"{path} line {reader.line_num}: {len(cells)} cells, but "
+                        f"the header names {len(header)} columns",
                     )
-                rows.append(
-                    (reader.line_num, {key.strip(): value for key, value in row.items()})
-                )
+                rows.append((reader.line_num, dict(zip(header, cells))))
     except OSError as exc:
         _fail(EXIT_VALIDATION, f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -114,7 +114,7 @@ def _read_csv(path, dim, weight_column):
         _fail(EXIT_VALIDATION, f"{path}: no data rows")
 
     def cell(row, name, line):
-        raw = (row.get(name) or "").strip()
+        raw = row[name].strip()
         try:
             value = float(raw)
         except ValueError:

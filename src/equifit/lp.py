@@ -1,4 +1,4 @@
-"""Dense two-phase simplex for inequality-form linear programs.
+"""Two-phase tableau simplex for inequality-form linear programs.
 
 Problems are stated as
 
@@ -17,6 +17,26 @@ allowed column whose reduced cost is below ``-PIVOT_TOL``.  The ratio test
 runs over the rows whose entry in that column exceeds ``PIVOT_TOL``; among
 the rows whose ratio lies within ``RATIO_TIE_TOL`` of the minimum, the row
 whose basic column has the lowest index leaves.
+
+Cost model, for r rows and c standard columns (free variables split in two):
+
+* The tableau B^-1 [A | I | artificial | rhs], of size r x (r + c + 2),
+  is built in place and is the one array above O(r * c).
+* A pivot row is 0 in every basic column but the leaving one, so a pivot
+  changes only the nonbasic columns (at most c + 1), the leaving column
+  and rhs: O(r * c) work.  On the fit LP of n points and m basis
+  functions that is O(n * m) per pivot.
+* Pricing reads only the basic rows with nonzero cost.  The fit LP has at
+  most one: the bound variable's in phase 2, the artificial's in phase 1.
+* Extraction solves the k x k core of the final basis, its tight rows
+  against its non-slack columns, not two r x r systems.  k is at most the
+  number of variables plus one: m + 2 on the fit LP.
+
+When the nonbasic columns are more than about an eighth of the row
+(``ncols <= 8 * (ncols - r + 2)``, small or wide LPs), numpy's per-call
+overhead outweighs that saving, and each pivot updates the whole tableau
+instead, with an r x ncols temporary.  Either update gives the same
+tableau bit for bit.
 """
 
 from __future__ import annotations
@@ -113,21 +133,18 @@ class LpSolution:
 def _standard_columns(lp: LinearProgram):
     """Split free variables into nonnegative pairs.
 
-    Returns the column matrix, its costs, and a map from standard columns
-    back to (original variable, sign).
+    Returns, per standard column, the original variable it stands for and
+    its sign.
     """
-    cols = []
-    costs = []
-    col_map = []
+    var = []
+    sign = []
     for j, kind in enumerate(lp.variable_kinds):
-        cols.append(lp.constraint_matrix[:, j])
-        costs.append(lp.objective[j])
-        col_map.append((j, 1.0))
+        var.append(j)
+        sign.append(1.0)
         if kind == FREE:
-            cols.append(-lp.constraint_matrix[:, j])
-            costs.append(-lp.objective[j])
-            col_map.append((j, -1.0))
-    return np.column_stack(cols), np.array(costs), col_map
+            var.append(j)
+            sign.append(-1.0)
+    return np.array(var, dtype=int), np.array(sign)
 
 
 class _Simplex:
@@ -139,37 +156,57 @@ class _Simplex:
         self.iterations = 0
 
         r = lp.num_rows
-        a_struct, c_struct, self.col_map = _standard_columns(lp)
-        n_struct = a_struct.shape[1]
-        rhs = lp.rhs.astype(float)
-
-        self.needs_artificial = bool(np.any(rhs < 0))
-        blocks = [a_struct, np.eye(r)]
-        if self.needs_artificial:
-            blocks.append(np.where(rhs < 0, -1.0, 0.0)[:, None])
-        self.work = np.hstack(blocks)
+        self.col_var, self.col_sign = _standard_columns(lp)
+        n_struct = self.col_var.size
         self.n_struct = n_struct
+        self.needs_artificial = bool(np.any(lp.rhs < 0))
         self.art_col = n_struct + r if self.needs_artificial else -1
-        ncols = self.work.shape[1]
+        ncols = n_struct + r + int(self.needs_artificial)
+        # Column-sparse pivots once the ncols - r nonbasic columns are a
+        # small share of the row (see the module docstring).
+        self.sparse = ncols > 8 * (ncols - r + 2)
+
+        # Tableau rows hold B^-1 [A | I | artificial | rhs], built in place;
+        # slacks form the initial basis.  A sparse solve stores it by column,
+        # so that each column it updates or ratio-tests is contiguous.
+        t = np.zeros((r, ncols + 1), order="F" if self.sparse else "C")
+        t[:, :n_struct] = lp.constraint_matrix[:, self.col_var] * self.col_sign
+        t[np.arange(r), n_struct + np.arange(r)] = 1.0
+        if self.needs_artificial:
+            t[lp.rhs < 0, self.art_col] = -1.0
+        t[:, -1] = lp.rhs
+        self.tableau = t
+        self.basis = np.arange(n_struct, n_struct + r)
+        # One flag per tableau column, rhs included (never basic).
+        self.is_basic = np.zeros(ncols + 1, dtype=bool)
+        self.is_basic[self.basis] = True
 
         self.cost = np.zeros(ncols)
-        self.cost[:n_struct] = c_struct
+        self.cost[:n_struct] = lp.objective[self.col_var] * self.col_sign
         self.allowed = np.ones(ncols, dtype=bool)
-
-        # Tableau rows hold B^-1 [work | rhs]; slacks form the initial basis.
-        self.tableau = np.hstack([self.work, rhs[:, None]])
-        self.basis = np.arange(n_struct, n_struct + r)
 
     def _pivot(self, row: int, col: int):
         t = self.tableau
-        t[row] /= t[row, col]
-        factors = t[:, col].copy()
-        factors[row] = 0.0
-        t -= np.outer(factors, t[row])
+        self.is_basic[self.basis[row]] = False
+        if self.sparse:
+            # Only the nonbasic columns, the leaving one and rhs can be
+            # nonzero in the pivot row; every other column stays as it is.
+            # The tableau is stored by column, so t.T gathers whole columns.
+            reach = np.flatnonzero(~self.is_basic)
+            t[row, reach] /= t[row, col]
+            factors = t[:, col].copy()
+            factors[row] = 0.0
+            t.T[reach] -= np.outer(t[row, reach], factors)
+        else:
+            t[row] /= t[row, col]
+            factors = t[:, col].copy()
+            factors[row] = 0.0
+            t -= np.outer(factors, t[row])
         # Zero the pivot column explicitly; drift here corrupts later ratios.
         t[:, col] = 0.0
         t[row, col] = 1.0
         self.basis[row] = col
+        self.is_basic[col] = True
         self.iterations += 1
         if self.iterations > self.max_iterations:
             raise NumericFailure(
@@ -185,7 +222,10 @@ class _Simplex:
         """
         t = self.tableau
         while True:
-            reduced = cost - cost[self.basis] @ t[:, :-1]
+            # Only the basic rows with nonzero cost enter the reduced costs.
+            basic_cost = cost[self.basis]
+            costed = np.flatnonzero(basic_cost)
+            reduced = cost - basic_cost[costed] @ t[costed, :-1]
             reduced[self.basis] = 0.0
             improving = self.allowed & (reduced < -PIVOT_TOL)
             if not improving.any():
@@ -230,22 +270,34 @@ class _Simplex:
         return True
 
     def extract(self) -> LpSolution:
-        """Recompute the vertex and its multipliers from the final basis."""
+        """Recompute the vertex and its multipliers from the final basis.
+
+        A basic slack takes up its own row and fixes that row's multiplier
+        at 0, so the basis system reduces to its core: the tight rows (those
+        whose slack is nonbasic) against the other basic columns.  The core
+        is k x k, with k at most the number of variables plus one.
+        """
         lp = self.lp
-        basis_cols = self.work[:, self.basis]
+        n_struct = self.n_struct
+        rows = np.flatnonzero(~self.is_basic[n_struct : n_struct + lp.num_rows])
+        cols = np.flatnonzero(self.is_basic[:n_struct])
+        var, sign = self.col_var[cols], self.col_sign[cols]
+        core = lp.constraint_matrix[rows][:, var] * sign
+        core_cost = self.cost[cols]
+        if self.needs_artificial and self.is_basic[self.art_col]:
+            # Left basic at level zero, the artificial is a core column too.
+            core = np.column_stack([core, np.where(lp.rhs[rows] < 0, -1.0, 0.0)])
+            core_cost = np.append(core_cost, 0.0)
         try:
-            x_basic = np.linalg.solve(basis_cols, lp.rhs)
-            y = np.linalg.solve(basis_cols.T, self.cost[self.basis])
+            x_core = np.linalg.solve(core, lp.rhs[rows])
+            y_core = np.linalg.solve(core.T, core_cost)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by pivoting
             raise NumericFailure(f"singular final basis: {exc}", self.iterations)
 
-        primal = np.zeros(lp.num_vars)
-        for pos, col in enumerate(self.basis):
-            if col < self.n_struct:
-                var, sign = self.col_map[col]
-                primal[var] += sign * x_basic[pos]
+        primal = np.bincount(var, sign * x_core[: cols.size], minlength=lp.num_vars)
 
-        beta = -y
+        beta = np.zeros(lp.num_rows)
+        beta[rows] = -y_core
         if np.min(beta) < -1e-6:
             raise NumericFailure(
                 f"negative dual multiplier {np.min(beta):.3e}", self.iterations
@@ -303,7 +355,7 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     enter = state._optimize(state.cost)
     if enter is not None:
         if enter < state.n_struct:
-            var, sign = state.col_map[enter]
+            var, sign = state.col_var[enter], state.col_sign[enter]
             direction = f"variable {var} toward {'+' if sign > 0 else '-'}infinity"
         else:  # pragma: no cover - slack columns cannot be improving
             direction = f"column {enter}"

@@ -405,3 +405,23 @@ def test_options_do_not_carry_over_between_calls(tmp_path, capsys):
     assert "weighted_residuals" not in second
     assert "certificate" not in second
     assert "alternation" not in second
+
+
+def test_row_with_fewer_cells_than_the_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("x,y,w\n0,1\n1,2,1\n2,0,1\n")
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(path), "--basis", "1, x", "--weights", "w"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"E2: {path} line 2: 2 cells, but the header names 3 columns\n"
+
+
+def test_short_row_exits_2_when_the_missing_column_is_unused(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("x,y,w\n0,1,1\n\n1,2\n2,0,1\n")
+    code, out, err = run_cli(capsys, "fit", "--data", str(path), "--basis", "1, x")
+    assert code == 2
+    assert out == ""
+    assert err == f"E2: {path} line 4: 2 cells, but the header names 3 columns\n"

@@ -1,14 +1,18 @@
 """Tests for the dense simplex and its dual extraction."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equifit.basis import parse_basis_spec
 from equifit.errors import DimensionMismatch, NumericFailure
+from equifit.fitting import ProblemInstance, assemble_primal, fit
 from equifit.lp import (
+    FEAS_TOL,
     FREE,
     INFEASIBLE,
     NONNEGATIVE,
@@ -17,6 +21,8 @@ from equifit.lp import (
     RATIO_TIE_TOL,
     UNBOUNDED,
     LinearProgram,
+    LpSolution,
+    _Simplex,
     dual_of,
     solve_lp,
 )
@@ -341,3 +347,212 @@ def test_pivot_choices_match_a_loop_reference(monkeypatch):
             assert np.array_equal(ref.primal, sol.primal)
             assert np.array_equal(ref.dual, sol.dual)
     assert {sol.status for sol in solved} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def reference_solve(lp):
+    """The plain dense tableau simplex, as a reference for ``solve_lp``.
+
+    Every pivot updates the whole tableau, pricing is one product of the
+    basic costs with every tableau row, and the vertex and its multipliers
+    come from two r x r solves with the final basis.  The pivot rule and the
+    checks are the ones ``solve_lp`` documents.  Returns the solution and
+    the final basis.
+    """
+    r, v = lp.num_rows, lp.num_vars
+    cols, costs, col_map = [], [], []
+    for j, kind in enumerate(lp.variable_kinds):
+        for sign in (1.0, -1.0) if kind == FREE else (1.0,):
+            cols.append(sign * lp.constraint_matrix[:, j])
+            costs.append(sign * lp.objective[j])
+            col_map.append((j, sign))
+    n_struct = len(cols)
+    blocks = [np.column_stack(cols), np.eye(r)]
+    needs_artificial = bool(np.any(lp.rhs < 0))
+    if needs_artificial:
+        blocks.append(np.where(lp.rhs < 0, -1.0, 0.0)[:, None])
+    work = np.hstack(blocks)
+    t = np.hstack([work, lp.rhs[:, None]])
+    art = n_struct + r
+    cost = np.zeros(work.shape[1])
+    cost[:n_struct] = costs
+    allowed = np.ones(work.shape[1], dtype=bool)
+    basis = np.arange(n_struct, n_struct + r)
+    iterations = 0
+
+    def pivot(row, col):
+        nonlocal t, iterations
+        t[row] /= t[row, col]
+        factors = t[:, col].copy()
+        factors[row] = 0.0
+        t -= np.outer(factors, t[row])
+        t[:, col] = 0.0
+        t[row, col] = 1.0
+        basis[row] = col
+        iterations += 1
+        assert iterations <= 50 * (r + v)
+
+    def optimize(c):
+        while True:
+            reduced = c - c[basis] @ t[:, :-1]
+            reduced[basis] = 0.0
+            improving = allowed & (reduced < -PIVOT_TOL)
+            if not improving.any():
+                return None
+            enter = int(np.argmax(improving))
+            rows = np.flatnonzero(t[:, enter] > PIVOT_TOL)
+            if rows.size == 0:
+                return enter
+            ratios = t[rows, -1] / t[rows, enter]
+            ties = rows[ratios <= ratios.min() + RATIO_TIE_TOL]
+            pivot(int(ties[np.argmin(basis[ties])]), enter)
+
+    if needs_artificial:
+        pivot(int(np.argmin(t[:, -1])), art)
+        phase_cost = np.zeros_like(cost)
+        phase_cost[art] = 1.0
+        assert optimize(phase_cost) is None
+        where = np.flatnonzero(basis == art)
+        if where.size:
+            row = int(where[0])
+            if t[row, -1] > FEAS_TOL * max(1.0, float(np.max(np.abs(lp.rhs)))):
+                return LpSolution(status=INFEASIBLE, iterations=iterations), basis
+            real = np.abs(t[row, :art]) > PIVOT_TOL
+            if real.any():
+                pivot(row, int(np.argmax(real)))
+        allowed[art] = False
+    if optimize(cost) is not None:
+        return LpSolution(status=UNBOUNDED, iterations=iterations), basis
+
+    x_basic = np.linalg.solve(work[:, basis], lp.rhs)
+    beta = -np.linalg.solve(work[:, basis].T, cost[basis])
+    primal = np.zeros(v)
+    for pos, col in enumerate(basis):
+        if col < n_struct:
+            j, sign = col_map[col]
+            primal[j] += sign * x_basic[pos]
+    assert np.min(beta) >= -1e-6
+    beta = np.maximum(beta, 0.0)
+    slack = lp.rhs - lp.constraint_matrix @ primal
+    row_scale = np.maximum(1.0, np.abs(lp.rhs))
+    assert np.max(-slack / row_scale) <= 100 * FEAS_TOL
+    active = tuple(int(i) for i in np.flatnonzero(slack <= 1e-7 * row_scale))
+    solution = LpSolution(
+        status=OPTIMAL,
+        primal=primal,
+        objective_value=float(lp.objective @ primal),
+        dual=beta,
+        active_rows=active,
+        iterations=iterations,
+    )
+    return solution, basis
+
+
+def solve_keeping_state(lp, monkeypatch):
+    """``solve_lp`` plus the solver state it ended in."""
+    states = []
+    init = _Simplex.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        states.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Simplex, "__init__", recording_init)
+        solution = solve_lp(lp)
+    (state,) = states
+    return solution, state
+
+
+def assert_matches_reference(lp, monkeypatch):
+    solution, state = solve_keeping_state(lp, monkeypatch)
+    ref, ref_basis = reference_solve(lp)
+    assert (solution.status, solution.iterations) == (ref.status, ref.iterations)
+    assert np.array_equal(state.basis, ref_basis)
+    if ref.status == OPTIMAL:
+        assert solution.active_rows == ref.active_rows
+        for new, old in ((solution.primal, ref.primal), (solution.dual, ref.dual)):
+            scale = max(1.0, float(np.max(np.abs(old))))
+            assert np.max(np.abs(new - old)) <= 1e-12 * scale
+    return solution, state
+
+
+def seeded_lps():
+    """The 150 small integer LPs of the loop-reference test above."""
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        r, v = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        yield LinearProgram(
+            objective=rng.integers(-3, 4, v),
+            constraint_matrix=rng.integers(-2, 3, (r, v)),
+            rhs=rng.integers(-1, 3, r),
+            variable_kinds=tuple(rng.choice([FREE, NONNEGATIVE], v)),
+        )
+
+
+def test_seeded_lps_match_the_dense_reference(monkeypatch):
+    for lp in seeded_lps():
+        assert_matches_reference(lp, monkeypatch)
+
+
+def test_tall_lps_match_the_dense_reference(monkeypatch):
+    # Tall enough for the column-sparse pivot, with several basic columns
+    # that carry a cost, so that pricing sums more than one row.  Each LP
+    # holds a known integer point, and some have box rows.
+    rng = np.random.default_rng(12)
+    statuses = []
+    for _ in range(30):
+        r, v = int(rng.integers(90, 120)), int(rng.integers(2, 5))
+        kinds = tuple(rng.choice([FREE, NONNEGATIVE], v))
+        a = rng.integers(-3, 4, (r, v))
+        point = rng.integers(0, 3, v)
+        rhs = a @ point + rng.integers(0, 3, r)
+        box = int(rng.integers(0, 3)) * v
+        a = np.vstack([a, np.eye(v), -np.eye(v)])[: r + box]
+        rhs = np.concatenate([rhs, np.full(2 * v, 10)])[: r + box]
+        lp = LinearProgram(
+            objective=rng.integers(-3, 4, v),
+            constraint_matrix=a,
+            rhs=rhs,
+            variable_kinds=kinds,
+        )
+        solution, state = assert_matches_reference(lp, monkeypatch)
+        assert state.sparse
+        statuses.append(solution.status)
+    assert statuses.count(OPTIMAL) >= 20
+
+
+def fit_lp(n, weighted, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, n)
+    y = np.sin(rng.uniform(1.0, 6.0) * x + rng.uniform(0.0, np.pi))
+    y = y + rng.normal(0.0, 0.05, n)
+    weights = rng.uniform(0.1, 10.0, n) if weighted else None
+    basis = parse_basis_spec("1, x, x^2, x^3", 1)
+    instance = ProblemInstance(points=x[:, None], values=y, basis=basis, weights=weights)
+    return assemble_primal(instance)
+
+
+@pytest.mark.parametrize("n, sparse", [(12, False), (300, True)])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_fit_lps_match_the_dense_reference(n, sparse, weighted, monkeypatch):
+    for seed in range(3):
+        _, state = assert_matches_reference(fit_lp(n, weighted, seed), monkeypatch)
+        assert state.sparse == sparse
+
+
+def test_a_fit_allocates_little_beyond_its_tableau():
+    n, m = 1000, 4
+    x = np.linspace(0.0, 1.0, n)
+    y = np.sin(3.0 * x) + np.random.default_rng(0).normal(0.0, 0.01, n)
+    basis = parse_basis_spec("1, x, x^2, x^3", 1)
+    instance = ProblemInstance(points=x[:, None], values=y, basis=basis)
+    # 2n rows; m + 1 free variables split in two, 2n slacks, the artificial
+    # and rhs.
+    tableau_bytes = 2 * n * (2 * (m + 1) + 2 * n + 2) * 8
+    tracemalloc.start()
+    try:
+        fit(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * tableau_bytes
