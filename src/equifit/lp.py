@@ -18,25 +18,23 @@ runs over the rows whose entry in that column exceeds ``PIVOT_TOL``; among
 the rows whose ratio lies within ``RATIO_TIE_TOL`` of the minimum, the row
 whose basic column has the lowest index leaves.
 
-Cost model, for r rows and c standard columns (free variables split in two):
+Cost model, for r rows and k tableau columns (the standard columns, a
+free variable counted twice, plus the artificial when some rhs is
+negative):
 
-* The tableau B^-1 [A | I | artificial | rhs], of size r x (r + c + 2),
-  is built in place and is the one array above O(r * c).
-* A pivot row is 0 in every basic column but the leaving one, so a pivot
-  changes only the nonbasic columns (at most c + 1), the leaving column
-  and rhs: O(r * c) work.  On the fit LP of n points and m basis
-  functions that is O(n * m) per pivot.
+* The tableau is condensed: it keeps B^-1 times the nonbasic columns and
+  rhs, an r x (k + 1) array, and never the r basic columns, which are
+  identity columns.  A pivot exchanges a basic and a nonbasic label, and
+  the leaving column takes the entering one's place.  Time and memory are
+  O(r * k) per pivot: O(n * m) on the fit LP of n points and m basis
+  functions, whose tableau is 2n x (2m + 4).  The pivots and their
+  results are those of the full tableau B^-1 [A | I | artificial | rhs]
+  bit for bit.
 * Pricing reads only the basic rows with nonzero cost.  The fit LP has at
   most one: the bound variable's in phase 2, the artificial's in phase 1.
-* Extraction solves the k x k core of the final basis, its tight rows
-  against its non-slack columns, not two r x r systems.  k is at most the
-  number of variables plus one: m + 2 on the fit LP.
-
-When the nonbasic columns are more than about an eighth of the row
-(``ncols <= 8 * (ncols - r + 2)``, small or wide LPs), numpy's per-call
-overhead outweighs that saving, and each pivot updates the whole tableau
-instead, with an r x ncols temporary.  Either update gives the same
-tableau bit for bit.
+* Extraction solves the square core of the final basis, its tight rows
+  against its non-slack columns, not two r x r systems.  Its order is at
+  most the number of variables plus one: m + 2 on the fit LP.
 """
 
 from __future__ import annotations
@@ -148,7 +146,12 @@ def _standard_columns(lp: LinearProgram):
 
 
 class _Simplex:
-    """Tableau state for one solve.  Not shared between solves."""
+    """Condensed tableau state for one solve.  Not shared between solves.
+
+    Columns carry labels in the standard-form order: the standard columns,
+    one slack per row, then the artificial.  ``basis[i]`` is the label basic
+    in row i and ``nonbasic[j]`` the label of tableau column j.
+    """
 
     def __init__(self, lp: LinearProgram, max_iterations: int):
         self.lp = lp
@@ -162,51 +165,43 @@ class _Simplex:
         self.needs_artificial = bool(np.any(lp.rhs < 0))
         self.art_col = n_struct + r if self.needs_artificial else -1
         ncols = n_struct + r + int(self.needs_artificial)
-        # Column-sparse pivots once the ncols - r nonbasic columns are a
-        # small share of the row (see the module docstring).
-        self.sparse = ncols > 8 * (ncols - r + 2)
 
-        # Tableau rows hold B^-1 [A | I | artificial | rhs], built in place;
-        # slacks form the initial basis.  A sparse solve stores it by column,
-        # so that each column it updates or ratio-tests is contiguous.
-        t = np.zeros((r, ncols + 1), order="F" if self.sparse else "C")
-        t[:, :n_struct] = lp.constraint_matrix[:, self.col_var] * self.col_sign
-        t[np.arange(r), n_struct + np.arange(r)] = 1.0
+        # The slacks form the initial basis, so the tableau starts as the
+        # standard columns, the artificial and rhs.
+        self.basis = np.arange(n_struct, n_struct + r)
+        self.nonbasic = np.arange(n_struct + int(self.needs_artificial))
+        t = np.empty((r, self.nonbasic.size + 1))
+        np.multiply(
+            lp.constraint_matrix[:, self.col_var], self.col_sign, out=t[:, :n_struct]
+        )
         if self.needs_artificial:
-            t[lp.rhs < 0, self.art_col] = -1.0
+            self.nonbasic[-1] = self.art_col
+            t[:, n_struct] = np.where(lp.rhs < 0, -1.0, 0.0)
         t[:, -1] = lp.rhs
         self.tableau = t
-        self.basis = np.arange(n_struct, n_struct + r)
-        # One flag per tableau column, rhs included (never basic).
-        self.is_basic = np.zeros(ncols + 1, dtype=bool)
-        self.is_basic[self.basis] = True
+        # Reused by every pivot for the rank-one update, so that no pivot
+        # allocates a tableau-sized temporary.
+        self.update = np.empty_like(t)
 
         self.cost = np.zeros(ncols)
         self.cost[:n_struct] = lp.objective[self.col_var] * self.col_sign
         self.allowed = np.ones(ncols, dtype=bool)
 
-    def _pivot(self, row: int, col: int):
+    def _pivot(self, row: int, pos: int):
+        """Exchange the label basic in ``row`` with nonbasic column ``pos``."""
         t = self.tableau
-        self.is_basic[self.basis[row]] = False
-        if self.sparse:
-            # Only the nonbasic columns, the leaving one and rhs can be
-            # nonzero in the pivot row; every other column stays as it is.
-            # The tableau is stored by column, so t.T gathers whole columns.
-            reach = np.flatnonzero(~self.is_basic)
-            t[row, reach] /= t[row, col]
-            factors = t[:, col].copy()
-            factors[row] = 0.0
-            t.T[reach] -= np.outer(t[row, reach], factors)
-        else:
-            t[row] /= t[row, col]
-            factors = t[:, col].copy()
-            factors[row] = 0.0
-            t -= np.outer(factors, t[row])
-        # Zero the pivot column explicitly; drift here corrupts later ratios.
-        t[:, col] = 0.0
-        t[row, col] = 1.0
-        self.basis[row] = col
-        self.is_basic[col] = True
+        factors = t[:, pos].copy()
+        factors[row] = 0.0
+        pivot = t[row, pos]
+        # The leaving column is e_row; in the entering column's place the
+        # update gives it the full tableau's values (up to the sign of a
+        # zero, which no comparison sees).
+        t[:, pos] = 0.0
+        t[row, pos] = 1.0
+        t[row] /= pivot
+        np.multiply(factors[:, None], t[row], out=self.update)
+        t -= self.update
+        self.basis[row], self.nonbasic[pos] = self.nonbasic[pos], self.basis[row]
         self.iterations += 1
         if self.iterations > self.max_iterations:
             raise NumericFailure(
@@ -217,7 +212,7 @@ class _Simplex:
     def _optimize(self, cost: np.ndarray):
         """Pivot by Bland's rule until no allowed column improves ``cost``.
 
-        Returns None at the optimum, or the entering column when the
+        Returns None at the optimum, or the entering label when the
         objective decreases without bound along it.
         """
         t = self.tableau
@@ -225,28 +220,30 @@ class _Simplex:
             # Only the basic rows with nonzero cost enter the reduced costs.
             basic_cost = cost[self.basis]
             costed = np.flatnonzero(basic_cost)
-            reduced = cost - basic_cost[costed] @ t[costed, :-1]
-            reduced[self.basis] = 0.0
-            improving = self.allowed & (reduced < -PIVOT_TOL)
-            if not improving.any():
+            reduced = cost[self.nonbasic] - basic_cost[costed] @ t[costed, :-1]
+            improving = np.flatnonzero(
+                self.allowed[self.nonbasic] & (reduced < -PIVOT_TOL)
+            )
+            if improving.size == 0:
                 return None
-            enter = int(np.argmax(improving))
-            col = t[:, enter]
+            pos = int(improving[np.argmin(self.nonbasic[improving])])
+            col = t[:, pos]
             rows = np.flatnonzero(col > PIVOT_TOL)
             if rows.size == 0:
-                return enter
+                return int(self.nonbasic[pos])
             ratios = t[rows, -1] / col[rows]
             ties = rows[ratios <= ratios.min() + RATIO_TIE_TOL]
-            self._pivot(int(ties[np.argmin(self.basis[ties])]), enter)
+            self._pivot(int(ties[np.argmin(self.basis[ties])]), pos)
 
     def phase_one(self) -> bool:
         """Drive the single artificial variable to zero.  False if the
         constraints are inconsistent."""
         if not self.needs_artificial:
             return True
-        # One pivot on the most negative row makes the tableau feasible.
+        # One pivot of the artificial, the last tableau column, on the most
+        # negative row makes the tableau feasible.
         worst = int(np.argmin(self.tableau[:, -1]))
-        self._pivot(worst, self.art_col)
+        self._pivot(worst, self.n_struct)
         phase_cost = np.zeros_like(self.cost)
         phase_cost[self.art_col] = 1.0
         if self._optimize(phase_cost) is not None:  # pragma: no cover
@@ -262,10 +259,11 @@ class _Simplex:
             if self.tableau[row, -1] > FEAS_TOL * scale:
                 return False
             # Artificial stuck in the basis at level zero: pivot it out if
-            # any real column can take its place.
-            real = np.abs(self.tableau[row, : self.art_col]) > PIVOT_TOL
-            if real.any():
-                self._pivot(row, int(np.argmax(real)))
+            # any real column can take its place, the lowest label first.
+            # Every nonbasic label is real while the artificial is basic.
+            real = np.flatnonzero(np.abs(self.tableau[row, :-1]) > PIVOT_TOL)
+            if real.size:
+                self._pivot(row, int(real[np.argmin(self.nonbasic[real])]))
         self.allowed[self.art_col] = False
         return True
 
@@ -279,12 +277,14 @@ class _Simplex:
         """
         lp = self.lp
         n_struct = self.n_struct
-        rows = np.flatnonzero(~self.is_basic[n_struct : n_struct + lp.num_rows])
-        cols = np.flatnonzero(self.is_basic[:n_struct])
+        is_basic = np.zeros(self.cost.size, dtype=bool)
+        is_basic[self.basis] = True
+        rows = np.flatnonzero(~is_basic[n_struct : n_struct + lp.num_rows])
+        cols = np.flatnonzero(is_basic[:n_struct])
         var, sign = self.col_var[cols], self.col_sign[cols]
         core = lp.constraint_matrix[rows][:, var] * sign
         core_cost = self.cost[cols]
-        if self.needs_artificial and self.is_basic[self.art_col]:
+        if self.needs_artificial and is_basic[self.art_col]:
             # Left basic at level zero, the artificial is a core column too.
             core = np.column_stack([core, np.where(lp.rhs[rows] < 0, -1.0, 0.0)])
             core_cost = np.append(core_cost, 0.0)

@@ -19,3 +19,11 @@ def test_demo_parabola(tmp_path, capsys):
 def test_one_sided_demo(capsys):
     runpy.run_path(str(SCRIPTS / "one_sided_demo.py"), run_name="__main__")
     assert "equioscillates: False" in capsys.readouterr().out
+
+
+def test_large_fit_reports_and_certifies(capsys):
+    script = runpy.run_path(str(SCRIPTS / "large_fit.py"))
+    assert script["main"](["--n", "2000", "--m", "4", "--max-peak-mb", "100"]) == 0
+    out = capsys.readouterr().out
+    assert "certificate identities: ok" in out
+    assert script["main"](["--n", "2000", "--m", "4", "--max-peak-mb", "0"]) == 1
