@@ -273,7 +273,7 @@ class _Simplex:
         A basic slack takes up its own row and fixes that row's multiplier
         at 0, so the basis system reduces to its core: the tight rows (those
         whose slack is nonbasic) against the other basic columns.  The core
-        is k x k, with k at most the number of variables plus one.
+        is square, of order at most the number of variables plus one.
         """
         lp = self.lp
         n_struct = self.n_struct
