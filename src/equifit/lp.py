@@ -193,9 +193,8 @@ class _Simplex:
         factors = t[:, pos].copy()
         factors[row] = 0.0
         pivot = t[row, pos]
-        # The leaving column is e_row; in the entering column's place the
-        # update gives it the full tableau's values (up to the sign of a
-        # zero, which no comparison sees).
+        # The leaving column e_row takes the entering column's place; the
+        # update gives it the full tableau's values, up to a zero's sign.
         t[:, pos] = 0.0
         t[row, pos] = 1.0
         t[row] /= pivot
@@ -258,9 +257,8 @@ class _Simplex:
             row = int(where[0])
             if self.tableau[row, -1] > FEAS_TOL * scale:
                 return False
-            # Artificial stuck in the basis at level zero: pivot it out if
-            # any real column can take its place, the lowest label first.
-            # Every nonbasic label is real while the artificial is basic.
+            # Artificial stuck in the basis at level zero: pivot it out for
+            # the lowest nonbasic (hence real) label that can take its place.
             real = np.flatnonzero(np.abs(self.tableau[row, :-1]) > PIVOT_TOL)
             if real.size:
                 self._pivot(row, int(real[np.argmin(self.nonbasic[real])]))
