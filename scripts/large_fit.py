@@ -3,14 +3,14 @@
 
 The data are n evenly spaced points in [0, 1] with values sin(3x) plus
 N(0, 0.01^2) noise from a seeded generator, fitted by the monomials
-1, x, ..., x^(m-1).  Prints the fit time, the pivot count and the
+1, x, ..., x^(m-1), with n = 100 000 and m = 6 unless run() is given
+others.  Prints the fit time, the pivot count and the
 tracemalloc peak of a second, traced fit, and exits 1 unless the
-certificate identities hold and the peak stays within --max-peak-mb.
+certificate identities hold and the peak stays within 120 MB.
 
-    PYTHONPATH=src python scripts/large_fit.py --n 100000 --m 6 --max-peak-mb 120
+    PYTHONPATH=src python scripts/large_fit.py
 """
 
-import argparse
 import sys
 import time
 import tracemalloc
@@ -26,7 +26,7 @@ from equifit import (
 )
 
 
-def run(n, m, max_peak_mb):
+def run(n=100_000, m=6, max_peak_mb=120.0):
     x = np.linspace(0.0, 1.0, n)
     y = np.sin(3.0 * x) + np.random.default_rng(0).normal(0.0, 0.01, n)
     spec = ", ".join(["1"] + [f"x^{j}" for j in range(1, m)])
@@ -52,16 +52,5 @@ def run(n, m, max_peak_mb):
     return report.identities_ok and peak_mb <= max_peak_mb
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=100_000, help="number of points")
-    parser.add_argument("--m", type=int, default=6, help="number of monomials")
-    parser.add_argument(
-        "--max-peak-mb", type=float, default=120.0, help="tracemalloc peak limit"
-    )
-    args = parser.parse_args(argv)
-    return 0 if run(args.n, args.m, args.max_peak_mb) else 1
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(0 if run() else 1)

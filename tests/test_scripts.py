@@ -23,7 +23,6 @@ def test_one_sided_demo(capsys):
 
 def test_large_fit_reports_and_certifies(capsys):
     script = runpy.run_path(str(SCRIPTS / "large_fit.py"))
-    assert script["main"](["--n", "2000", "--m", "4", "--max-peak-mb", "100"]) == 0
-    out = capsys.readouterr().out
-    assert "certificate identities: ok" in out
-    assert script["main"](["--n", "2000", "--m", "4", "--max-peak-mb", "0"]) == 1
+    assert script["run"](2000, 4, 100)
+    assert "certificate identities: ok" in capsys.readouterr().out
+    assert not script["run"](2000, 4, 0)
