@@ -9,6 +9,7 @@ unary functions ``exp``, ``cos``, ``sin``.  Example::
 
 Evaluation is vectorized: a basis function maps an (n, p) array of points
 to an n-vector, and ``design_matrix`` stacks those columns.
+``matrix_rank_estimate`` reads a design's numerical rank from one SVD.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EvaluationError, ParseError
+from .tolerances import RANK_TOL
 
 _FUNCTIONS = {"exp": np.exp, "cos": np.cos, "sin": np.sin}
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 _ALIASES = {"x": 1, "y": 2, "z": 3}
-
-RANK_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -37,11 +38,7 @@ class Num:
         return np.full(pts.shape[0], self.value)
 
     def to_string(self, prec=0):
-        if self.value < 0:
-            text = f"({self.value!r})"
-        else:
-            text = repr(self.value)
-        return text
+        return f"({self.value!r})" if self.value < 0 else repr(self.value)
 
 
 @dataclass(frozen=True)
@@ -74,15 +71,7 @@ class BinOp:
     right: object
 
     def evaluate(self, pts):
-        a = self.left.evaluate(pts)
-        b = self.right.evaluate(pts)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
+        return _BINARY[self.op](self.left.evaluate(pts), self.right.evaluate(pts))
 
     def to_string(self, prec=0):
         mine = 1 if self.op in "+-" else 2
@@ -224,10 +213,10 @@ class _Parser:
         return self.advance()
 
     def parse_list(self):
-        exprs = [(self.pos_start(), self.parse_expr())]
+        exprs = [(self.peek().pos, self.parse_expr())]
         while self.peek().kind == "COMMA":
             self.advance()
-            exprs.append((self.pos_start(), self.parse_expr()))
+            exprs.append((self.peek().pos, self.parse_expr()))
         if self.peek().kind != "END":
             self.fail(("','", "end of input"))
         spans = []
@@ -236,9 +225,6 @@ class _Parser:
             label = self.text[start:end].strip().rstrip(",").strip()
             spans.append((expr, label))
         return spans
-
-    def pos_start(self):
-        return self.peek().pos
 
     def parse_expr(self):
         node = self.parse_term()
@@ -431,30 +417,10 @@ def design_matrix(basis: BasisSet, points: np.ndarray) -> np.ndarray:
 
 
 def matrix_rank_estimate(matrix: np.ndarray) -> int:
-    """Numerical rank via Gram-Schmidt with column pivoting.
-
-    At each step the column with the largest remaining norm is chosen; its
-    norm is the pivot.  Columns stop counting once the pivot falls below
-    ``RANK_TOL`` times the first (largest) pivot.
-    """
-    work = np.array(matrix, dtype=float, copy=True)
-    if work.ndim != 2:
+    """Numerical rank: the number of singular values above ``RANK_TOL``
+    times the largest one."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2:
         raise DimensionError("rank estimation expects a matrix")
-    n, m = work.shape
-    rank = 0
-    first_pivot = None
-    for _ in range(min(n, m)):
-        norms = np.linalg.norm(work, axis=0)
-        j = int(np.argmax(norms))
-        pivot = norms[j]
-        if first_pivot is None:
-            if pivot == 0.0:
-                break
-            first_pivot = pivot
-        if pivot <= RANK_TOL * first_pivot:
-            break
-        rank += 1
-        q = work[:, j] / pivot
-        work -= np.outer(q, q @ work)
-        work[:, j] = 0.0
-    return rank
+    sigma = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.count_nonzero(sigma > RANK_TOL * sigma.max(initial=0.0)))

@@ -26,19 +26,15 @@ import numpy as np
 
 from .errors import DegenerateCase, PreconditionError
 from .fitting import FitResult, ProblemInstance
-from .lp import FEAS_TOL, OPTIMAL, LpSolution
-
-# Multipliers below this are treated as zero in complementarity checks.
-BETA_NONZERO_TOL = 1e-9
-# A nonzero multiplier must sit on a row tight within this (scaled) slack.
-TIGHT_ROW_TOL = 1e-7
-# Sum-to-one and half/half checks.
-SUM_TOL = 1e-9
-
-
-def _certificate_tolerance(discrepancy: float) -> float:
-    # Identity residuals are sums of n products of order-one quantities.
-    return 1e-8 * max(1.0, discrepancy)
+from .lp import OPTIMAL, LpSolution
+from .tolerances import (
+    BETA_NONZERO_TOL,
+    CONSTANT_COLUMN_TOL,
+    IDENTITY_TOL,
+    SUM_TOL,
+    interpolates_exactly,
+    tight_rows,
+)
 
 
 @dataclass
@@ -80,7 +76,7 @@ class CertificateReport:
 
 
 def _require_analyzable(discrepancy: float, instance: ProblemInstance):
-    if discrepancy <= FEAS_TOL:
+    if interpolates_exactly(discrepancy):
         raise DegenerateCase(
             "exact interpolation (discrepancy ~ 0): certificates are not "
             "defined for this case"
@@ -135,7 +131,7 @@ def verify_identities(
     b_over = cert.beta[0::2]
     b_under = cert.beta[1::2]
     residual = y - g @ alpha
-    tol = _certificate_tolerance(d)
+    tol = IDENTITY_TOL * max(1.0, d)
 
     strong_duality_gap = abs(cert.dual_objective - d)
     beta_sum_residual = abs(float(np.sum(cert.beta)) - 1.0)
@@ -153,10 +149,10 @@ def verify_identities(
 
     # Slacks of the fit LP's rows, interleaved per point like the rows:
     # d + residual on the overshoot row, d - residual on the undershoot row.
+    # Their rhs is y and -y, of which tight_rows reads only the magnitude.
     slack = d + np.column_stack((residual, -residual)).ravel()
-    row_scale = np.repeat(np.maximum(1.0, np.abs(y)), 2)
     violations = int(
-        np.sum((cert.beta > BETA_NONZERO_TOL) & (slack > TIGHT_ROW_TOL * row_scale))
+        np.sum((cert.beta > BETA_NONZERO_TOL) & ~tight_rows(slack, np.repeat(y, 2)))
     )
 
     active_count = len(fit_result.active_points)
@@ -227,7 +223,7 @@ def check_two_sided(fit_result: FitResult, cert: DualCertificate) -> bool:
     """
     instance = fit_result.instance
     g, _ = instance.scaled_design_and_values()
-    if np.max(np.abs(g[:, 0] - 1.0)) > 1e-12:
+    if np.max(np.abs(g[:, 0] - 1.0)) > CONSTANT_COLUMN_TOL:
         raise PreconditionError(
             "the two-sided check needs the first basis function to be "
             "identically 1 on the evaluation points"

@@ -24,10 +24,7 @@ from .errors import (
     PreconditionError,
 )
 from .fitting import FitResult, ProblemInstance, fit
-
-# Relative agreement required between the direct interpolant difference and
-# the closed-form product.
-PRODUCT_AGREE_TOL = 1e-8
+from .tolerances import NODE_GAP_TOL, PRODUCT_AGREE_TOL
 
 
 @dataclass
@@ -63,7 +60,6 @@ class LagrangePolynomial:
     def __call__(self, x):
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         diff = xv[:, None] - self.nodes[None, :]
-        out = np.empty(len(xv))
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = self.weights[None, :] / diff
             out = (terms @ self.node_values) / np.sum(terms, axis=1)
@@ -86,7 +82,7 @@ def lagrange_interpolate(nodes, values) -> LagrangePolynomial:
         span = float(np.max(nodes) - np.min(nodes))
         order = np.sort(nodes)
         min_gap = float(np.min(np.diff(order)))
-        if min_gap <= 1e-12 * max(span, 1e-300):
+        if min_gap <= NODE_GAP_TOL * span:
             raise DuplicateNodeError(
                 f"nodes are not distinct: minimum gap {min_gap!r} over span {span!r}"
             )
@@ -173,7 +169,7 @@ def one_sided_construction(instance: ProblemInstance, j: int) -> ProblemInstance
     )
 
 
-def _reference_geometry(reference: ReferenceSet, instance: ProblemInstance):
+def _reference_geometry(reference: ReferenceSet, instance: ProblemInstance, j: int):
     idx = list(reference.indices)
     if instance.dimension != 1:
         raise DimensionError("perturbation analysis is one-dimensional")
@@ -188,6 +184,13 @@ def _reference_geometry(reference: ReferenceSet, instance: ProblemInstance):
     s = np.asarray(reference.signs, dtype=float)
     if s.shape != z.shape or not np.all(np.abs(s) == 1.0):
         raise PreconditionError("reference signs must be +-1, one per point")
+    if not 0 <= j < len(z) - 1:
+        raise PreconditionError(f"pair position {j} out of range")
+    if reference.signs[j] != reference.signs[j + 1]:
+        raise PreconditionError(
+            "the pair must sit on the same side of the candidate; alternating "
+            "signs are the expected pattern, there is nothing to refute"
+        )
     # The reference pins the candidate's values at its nodes: the data sits
     # at signed distance d from the candidate.
     f_vals = q - reference.discrepancy * s
@@ -222,14 +225,7 @@ def perturbation_step(
     z[j+1], so every factor is positive.  Returns the directly computed
     difference, the closed form, and whether they agree to 1e-8 relative.
     """
-    z, _, s, f_vals = _reference_geometry(reference, instance)
-    if not 0 <= j < len(z) - 1:
-        raise PreconditionError(f"pair position {j} out of range")
-    if reference.signs[j] != reference.signs[j + 1]:
-        raise PreconditionError(
-            "the pair must sit on the same side of the candidate; alternating "
-            "signs are the expected pattern, there is nothing to refute"
-        )
+    z, _, s, f_vals = _reference_geometry(reference, instance, j)
     if not 0.0 <= epsilon <= 0.1 * reference.discrepancy:
         raise PreconditionError(
             f"epsilon must lie in [0, 0.1 * discrepancy], got {epsilon!r}"
@@ -286,11 +282,7 @@ def strict_improvement_check(
     when the interpolation transfer onto node j+1 would otherwise eat its
     freshly won margin.  PreconditionError when no positive step is left.
     """
-    z, q, s, f_vals = _reference_geometry(reference, instance)
-    if not 0 <= j < len(z) - 1:
-        raise PreconditionError(f"pair position {j} out of range")
-    if reference.signs[j] != reference.signs[j + 1]:
-        raise PreconditionError("the pair must sit on the same side of the candidate")
+    z, q, s, f_vals = _reference_geometry(reference, instance, j)
     d = reference.discrepancy
     if not 0.0 < epsilon <= 0.1 * d:
         raise PreconditionError(

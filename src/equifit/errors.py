@@ -66,4 +66,4 @@ class TooLarge(EquifitError):
 
 
 class NoCandidate(EquifitError):
-    """Every witness system was singular; the instance is rank deficient."""
+    """No optimal witness candidate: a rank-deficient or ill-conditioned design."""

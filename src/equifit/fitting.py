@@ -16,12 +16,8 @@ import numpy as np
 
 from .basis import BasisSet, design_matrix, matrix_rank_estimate
 from .errors import DimensionMismatch, EquifitError, SolverError
-from .lp import FEAS_TOL, FREE, OPTIMAL, LinearProgram, LpSolution, solve_lp
-
-# Membership slack for the active set, relative to max(1, discrepancy);
-# residuals are recomputed in floating point so exact tightness is not
-# testable.
-ACTIVE_TOL_FACTOR = 1e-7
+from .lp import FREE, OPTIMAL, LinearProgram, LpSolution, solve_lp
+from .tolerances import ACTIVE_TOL_FACTOR, VERTEX_SLACK, interpolates_exactly
 
 
 @dataclass
@@ -186,13 +182,11 @@ def fit(instance: ProblemInstance) -> FitResult:
     coefficients = solution.primal[:m].copy()
     discrepancy = float(solution.objective_value)
     residuals = instance.values - instance.design() @ coefficients
-    if instance.weights is None:
-        scaled = residuals.copy()
-    else:
-        scaled = instance.weights * residuals
+    w = instance.weights
+    scaled = residuals.copy() if w is None else w * residuals
 
     max_scaled = float(np.max(np.abs(scaled)))
-    if abs(max_scaled - discrepancy) > 100 * FEAS_TOL * max(1.0, discrepancy):
+    if abs(max_scaled - discrepancy) > VERTEX_SLACK * max(1.0, discrepancy):
         raise SolverError(
             f"recomputed residual bound {max_scaled!r} is inconsistent with "
             f"the LP optimum {discrepancy!r}"
@@ -200,8 +194,8 @@ def fit(instance: ProblemInstance) -> FitResult:
 
     active_tol = ACTIVE_TOL_FACTOR * max(1.0, discrepancy)
     active = np.abs(scaled) >= discrepancy - active_tol
-    if instance.weights is not None:
-        active &= instance.weights > 0
+    if w is not None:
+        active &= w > 0
     return FitResult(
         instance=instance,
         coefficients=coefficients,
@@ -209,7 +203,7 @@ def fit(instance: ProblemInstance) -> FitResult:
         residuals=residuals,
         scaled_residuals=scaled,
         active_points=tuple(int(i) for i in np.flatnonzero(active)),
-        exact_interpolation=discrepancy <= FEAS_TOL,
+        exact_interpolation=interpolates_exactly(discrepancy),
         low_rank=instance.rank < m,
         lp_solution=solution,
     )

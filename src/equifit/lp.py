@@ -30,6 +30,9 @@ negative):
   functions, whose tableau is 2n x (2m + 4).  The pivots and their
   results are those of the full tableau B^-1 [A | I | artificial | rhs]
   bit for bit.
+* The tableau is stored column-major, so the passes over one column that
+  each pivot makes (its copy and zeroing, the ratio test's gathers) read
+  contiguous memory, not every cache line of the tableau.
 * Pricing reads only the basic rows with nonzero cost.  The fit LP has at
   most one: the bound variable's in phase 2, the artificial's in phase 1.
 * Extraction solves the square core of the final basis, its tight rows
@@ -44,6 +47,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NumericFailure
+from .tolerances import (
+    DUAL_CLAMP_TOL,
+    FEAS_TOL,
+    PIVOT_TOL,
+    RATIO_TIE_TOL,
+    VERTEX_SLACK,
+    tight_rows,
+)
 
 FREE = "free"
 NONNEGATIVE = "nonnegative"
@@ -51,12 +62,6 @@ NONNEGATIVE = "nonnegative"
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-FEAS_TOL = 1e-9
-# Entries smaller than this are treated as zero during pivot selection.
-PIVOT_TOL = 1e-10
-# Ratios within this of the minimum ratio count as tied in the ratio test.
-RATIO_TIE_TOL = 1e-12
 
 
 @dataclass
@@ -132,17 +137,11 @@ def _standard_columns(lp: LinearProgram):
     """Split free variables into nonnegative pairs.
 
     Returns, per standard column, the original variable it stands for and
-    its sign.
+    its sign: a free variable's two columns are adjacent, + then -.
     """
-    var = []
-    sign = []
-    for j, kind in enumerate(lp.variable_kinds):
-        var.append(j)
-        sign.append(1.0)
-        if kind == FREE:
-            var.append(j)
-            sign.append(-1.0)
-    return np.array(var, dtype=int), np.array(sign)
+    free = np.array([kind == FREE for kind in lp.variable_kinds])
+    var = np.repeat(np.arange(free.size), 1 + free)
+    return var, np.where(np.diff(var, prepend=-1) == 0, -1.0, 1.0)
 
 
 class _Simplex:
@@ -170,7 +169,7 @@ class _Simplex:
         # standard columns, the artificial and rhs.
         self.basis = np.arange(n_struct, n_struct + r)
         self.nonbasic = np.arange(n_struct + int(self.needs_artificial))
-        t = np.empty((r, self.nonbasic.size + 1))
+        t = np.empty((r, self.nonbasic.size + 1), order="F")
         np.multiply(
             lp.constraint_matrix[:, self.col_var], self.col_sign, out=t[:, :n_struct]
         )
@@ -296,7 +295,7 @@ class _Simplex:
 
         beta = np.zeros(lp.num_rows)
         beta[rows] = -y_core
-        if np.min(beta) < -1e-6:
+        if np.min(beta) < -DUAL_CLAMP_TOL:
             raise NumericFailure(
                 f"negative dual multiplier {np.min(beta):.3e}", self.iterations
             )
@@ -304,13 +303,12 @@ class _Simplex:
 
         activity = lp.constraint_matrix @ primal
         slack = lp.rhs - activity
-        row_scale = np.maximum(1.0, np.abs(lp.rhs))
-        worst = float(np.max(-slack / row_scale))
-        if worst > 100 * FEAS_TOL:
+        worst = float(np.max(-slack / np.maximum(1.0, np.abs(lp.rhs))))
+        if worst > VERTEX_SLACK:
             raise NumericFailure(
                 f"optimal basis violates feasibility by {worst:.3e}", self.iterations
             )
-        active = tuple(int(i) for i in np.flatnonzero(slack <= 1e-7 * row_scale))
+        active = tuple(int(i) for i in np.flatnonzero(tight_rows(slack, lp.rhs)))
 
         objective = float(lp.objective @ primal)
         dual_objective = -float(lp.rhs @ beta)
@@ -375,20 +373,13 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
     original program is the *negation* of the emitted optimum; two
     applications restore the original optimal value.
     """
-    at = lp.constraint_matrix.T
-    rows = []
-    rhs = []
-    for j, kind in enumerate(lp.variable_kinds):
-        if kind == FREE:
-            rows.append(at[j])
-            rhs.append(-lp.objective[j])
-        # A_j^T beta >= -c_j, stated as a <= row.  For free variables this
-        # pairs with the row above to form the equality.
-        rows.append(-at[j])
-        rhs.append(lp.objective[j])
+    var, sign = _standard_columns(lp)
+    # A_j^T beta >= -objective_j is stated as a <= row of sign -1; a free
+    # variable's + row before it makes the pair an equality.
+    sign[np.array(lp.variable_kinds)[var] != FREE] = -1.0
     return LinearProgram(
         objective=lp.rhs.copy(),
-        constraint_matrix=np.array(rows),
-        rhs=np.array(rhs),
+        constraint_matrix=sign[:, None] * lp.constraint_matrix.T[var],
+        rhs=-sign * lp.objective[var],
         variable_kinds=(NONNEGATIVE,) * lp.num_rows,
     )

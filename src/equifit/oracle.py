@@ -24,11 +24,12 @@ la Vallee Poussin bound h_S = |lam^T y_S| / ||lam||_1: every coefficient
 vector has a residual of at least h_S on S, so no candidate of d below the
 floor H = max_S h_S is feasible, and at full rank the optimum is H itself
 (Stiefel 1959; Cheney, *Introduction to Approximation Theory*, 1966,
-ch. 2).  The scan therefore skips the candidates below the floor, scores
-those within rounding of it (the band) in ascending (d, enumeration) order
-and stops at the first feasible one; only if the band holds none does it
-go on to the candidates above it, in the same order.  Either way the
-answer is the full scan's first minimum, exactly.
+ch. 2).  The scan therefore scores only the candidates within rounding of
+the floor (the band), in ascending (d, enumeration) order, and stops at the
+first feasible one, which is the full scan's first minimum, exactly.  A
+candidate above the band would not be optimal, so when the band holds no
+feasible candidate (witness blocks too ill-conditioned for any to pass the
+feasibility test) the oracle raises NoCandidate.
 """
 
 from __future__ import annotations
@@ -41,21 +42,14 @@ import numpy as np
 
 from .errors import NoCandidate, TooLarge
 from .fitting import FitResult, ProblemInstance, objective_value
+from .tolerances import (
+    AGREE_COEFFICIENT_TOL,
+    AGREE_DISCREPANCY_TOL,
+    FEASIBILITY_SLACK,
+)
 
 MAX_POINTS = 15
 MAX_BASIS = 4
-
-# Slack for global feasibility of a candidate, relative to the scale
-# max(1, max |y|) of the (weighted) values: square solves at this scale
-# are accurate to machine precision.
-FEASIBILITY_SLACK = 1e-9
-
-# A fit agrees with the oracle when the discrepancies match to
-# AGREE_DISCREPANCY_TOL * max(1, d); coefficients that differ are accepted
-# if the oracle's achieve their discrepancy too (the optimum need not be
-# unique).
-AGREE_DISCREPANCY_TOL = 1e-8
-AGREE_COEFFICIENT_TOL = 1e-7
 
 # Candidates are scored this many at a time, so that memory stays bounded
 # when many of them share the floor (data the basis interpolates exactly).
@@ -193,13 +187,13 @@ def _enumeration(n: int, m: int):
 
 def brute_force_fit(instance: ProblemInstance) -> OracleResult:
     """Return the first best feasible (witness subset, sign pattern)
-    candidate, scoring only those at or above the de la Vallee Poussin
-    floor.
+    candidate, scoring only those within rounding of the de la Vallee
+    Poussin floor.
 
     Requires n <= 15 and m <= 4 (raises TooLarge otherwise).  Weights are
     folded in by pre-scaling rows and values.  Raises NoCandidate when the
     design's rank is below m (its optimum need not have an (m+1)-point
-    witness) or when no witness system yields a feasible candidate.
+    witness) or when no candidate at the floor is feasible.
     """
     n, m = instance.n, instance.m
     if n > MAX_POINTS or m > MAX_BASIS:
@@ -235,68 +229,63 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
             np.abs(lam_y) / np.sum(np.abs(lam), axis=1), where=full_rank, initial=0.0
         )
 
-    # The allowance.  For any alpha and any subset T, G_T^T lam_T = 0 gives
-    # lam_T^T (y_T - G_T alpha) = lam_T^T y_T, so the residual r of alpha
-    # has max |r| >= h_T, hence max |r| >= H.  A candidate passes the
-    # feasibility test only when max |r| <= d_s + slack, so only when
-    # d_s >= H - slack.  In floating point lam_T is a null vector of G_T^T
-    # only to O(eps |G_T|), as Householder QR is backward stable, and h_T,
-    # d_s and max |r| carry a few ulps of |y| + |G| |alpha|; for a feasible
-    # alpha, whose G alpha is within max |y| + d of zero, that is some
-    # 1e-15 * max(1, max |y|) with a moderate condition number, far below
-    # a second slack.  So no candidate with d_s < H - 2 slack can pass, and
-    # the skip changes no answer.
+    # The band: 2 slack on either side of the floor.  For any alpha and any
+    # subset T, G_T^T lam_T = 0 gives lam_T^T (y_T - G_T alpha) = lam_T^T y_T,
+    # so the residual r of alpha has max |r| >= h_T, hence max |r| >= H.  A
+    # candidate passes the feasibility test only when max |r| <= d_s + slack,
+    # so only when d_s >= H - slack.  In floating point lam_T is a null
+    # vector of G_T^T only to O(eps |G_T|), as Householder QR is backward
+    # stable, and h_T, d_s and max |r| carry a few ulps of |y| + |G| |alpha|;
+    # for a feasible alpha, whose G alpha is within max |y| + d of zero, that
+    # is some 1e-15 * max(1, max |y|) with a moderate condition number, far
+    # below a second slack.  So no candidate with d_s < H - 2 slack can pass,
+    # and skipping them changes no answer.
     slack = FEASIBILITY_SLACK * max(1.0, float(np.max(np.abs(y))))
-    allowance = 2.0 * slack
+    low, high = floor - 2.0 * slack, floor + 2.0 * slack
     flat_ds = ds.ravel()
-
-    # The tier above the band is selected only if the band holds no
-    # feasible candidate.
-    def tiers():
-        yield np.flatnonzero(
-            (flat_ds >= floor - allowance) & (flat_ds <= floor + allowance)
+    band = np.flatnonzero((flat_ds >= low) & (flat_ds <= high))
+    # A stable sort keeps enumeration order among equal d.
+    band = band[np.argsort(flat_ds[band], kind="stable")]
+    for start in range(0, band.size, SCORE_CHUNK):
+        chunk = band[start : start + SCORE_CHUNK]
+        si, gi = np.divmod(chunk, signs.shape[0])
+        d = flat_ds[chunk]
+        # The same matmul shapes as a full scan, so that alpha is
+        # bit-identical to it.  The residuals take at least two columns: a
+        # one-column product runs through BLAS gemv, which rounds otherwise
+        # than the matrix-matrix kernel of a full scan.
+        with np.errstate(all="ignore"):
+            block_pinv = _pseudo_inverses(factors, diagonal, si)
+            base = (block_pinv @ y_s[si][:, :, None])[:, :, 0]
+            step = (block_pinv @ signs.T)[np.arange(chunk.size), :, gi]
+            alphas = base - d[:, None] * step
+            columns = alphas.T
+            if chunk.size == 1:
+                columns = np.repeat(columns, 2, axis=1)
+            residuals = g @ np.ascontiguousarray(columns)
+            residuals -= y[:, None]
+            max_abs = np.max(np.abs(residuals, out=residuals), axis=0)
+        max_abs = max_abs[: chunk.size]
+        feasible = (
+            full_rank[si]
+            & np.isfinite(d)
+            & np.isfinite(max_abs)
+            & (d >= -slack)
+            & (max_abs <= d + slack)
         )
-        yield np.flatnonzero(flat_ds > floor + allowance)
-
-    for flat in tiers():
-        # A stable sort keeps enumeration order among equal d.
-        flat = flat[np.argsort(flat_ds[flat], kind="stable")]
-        for start in range(0, flat.size, SCORE_CHUNK):
-            chunk = flat[start : start + SCORE_CHUNK]
-            si, gi = np.divmod(chunk, signs.shape[0])
-            d = flat_ds[chunk]
-            # The same matmul shapes as a full scan, so that alpha is
-            # bit-identical to it.  The residuals take at least two columns:
-            # a one-column product runs through BLAS gemv, which rounds
-            # otherwise than the matrix-matrix kernel of a full scan.
-            with np.errstate(all="ignore"):
-                block_pinv = _pseudo_inverses(factors, diagonal, si)
-                base = (block_pinv @ y_s[si][:, :, None])[:, :, 0]
-                step = (block_pinv @ signs.T)[np.arange(chunk.size), :, gi]
-                alphas = base - d[:, None] * step
-                columns = alphas.T
-                if chunk.size == 1:
-                    columns = np.repeat(columns, 2, axis=1)
-                residuals = g @ np.ascontiguousarray(columns)
-                residuals -= y[:, None]
-                max_abs = np.max(np.abs(residuals, out=residuals), axis=0)
-            max_abs = max_abs[: chunk.size]
-            feasible = (
-                full_rank[si]
-                & np.isfinite(d)
-                & np.isfinite(max_abs)
-                & (d >= -slack)
-                & (max_abs <= d + slack)
+        if np.any(feasible):
+            k = int(np.argmax(feasible))
+            return OracleResult(
+                coefficients=alphas[k].copy(),
+                discrepancy=float(max(d[k], 0.0)),
+                witness_subset=tuple(int(i) for i in subsets[si[k]]),
+                witness_signs=tuple(int(s) for s in signs[gi[k]]),
             )
-            if np.any(feasible):
-                k = int(np.argmax(feasible))
-                return OracleResult(
-                    coefficients=alphas[k].copy(),
-                    discrepancy=float(max(d[k], 0.0)),
-                    witness_subset=tuple(int(i) for i in subsets[si[k]]),
-                    witness_signs=tuple(int(s) for s in signs[gi[k]]),
-                )
-    raise NoCandidate("no witness system yields a feasible candidate")
+    # At full rank the optimum is the floor: no candidate above it is optimal.
+    raise NoCandidate(
+        "no witness system at the de la Vallee Poussin floor passes the "
+        "feasibility test: the witness blocks are too ill-conditioned"
+    )
 
 
 def compare_with_oracle(result: FitResult) -> OracleComparison:

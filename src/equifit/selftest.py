@@ -21,6 +21,7 @@ from .generators import (
     same_sided_reference_config,
 )
 from .oracle import compare_with_oracle, discrepancy_tolerance
+from .tolerances import RESCALE_COEFFICIENT_TOL, RESCALE_DISCREPANCY_TOL
 
 
 @dataclass
@@ -161,9 +162,10 @@ def _weighted_property(rng, count):
                 design_override=instance.weights[:, None] * g,
             )
         )
-        if abs(weighted.discrepancy - prescaled.discrepancy) > 1e-9:
+        if abs(weighted.discrepancy - prescaled.discrepancy) > RESCALE_DISCREPANCY_TOL:
             return False, "weighted and pre-scaled discrepancies differ"
-        if np.max(np.abs(weighted.coefficients - prescaled.coefficients)) > 1e-8:
+        coefficient_gap = np.max(np.abs(weighted.coefficients - prescaled.coefficients))
+        if coefficient_gap > RESCALE_COEFFICIENT_TOL:
             return False, "weighted and pre-scaled coefficients differ"
         return True, ""
 

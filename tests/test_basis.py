@@ -170,3 +170,23 @@ def test_vandermonde_full_rank_on_distinct_points():
     )
     assert abs(det) > 1e-12
     assert matrix_rank_estimate(g) == 3
+
+
+def _design_with_singular_values(rng, n, sigma):
+    """U diag(sigma) V^T with random orthonormal U (n x m) and V (m x m)."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, sigma.size)))
+    v, _ = np.linalg.qr(rng.standard_normal((sigma.size, sigma.size)))
+    return (u * sigma) @ v.T
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 7])
+def test_rank_counts_singular_values_above_the_threshold(m):
+    # RANK_TOL is 1e-10: a smallest singular value 1e-9 of the largest
+    # counts, one of 1e-11 does not.
+    rng = np.random.default_rng(m)
+    for n in (m, m + 1, 40):
+        for last, rank in ((1e-9, m), (1e-11, m - 1)):
+            sigma = 3.0 * np.geomspace(1.0, last, m)
+            g = _design_with_singular_values(rng, n, sigma)
+            assert matrix_rank_estimate(g) == rank
+            assert matrix_rank_estimate(g.T) == rank

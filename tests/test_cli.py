@@ -277,6 +277,38 @@ def test_verify_on_a_rank_deficient_basis_is_skipped(tmp_path, capsys):
         assert "rank-deficient" in report["oracle"]["skipped"]
 
 
+def test_verify_on_ill_conditioned_witness_blocks_is_skipped(tmp_path, capsys):
+    # Both used to exit 4: the oracle answered from above the de la Vallee
+    # Poussin floor, with a candidate that is not optimal.
+    cluster = tmp_path / "cluster.csv"
+    cluster_x = [-1.189366533870768, -1.1893675973699462, -1.1893575314804548,
+                 -1.189394763190756, -1.1893667830363301]
+    cluster.write_text("x,y\n" + "".join(f"{a!r},-0.9\n" for a in cluster_x))
+    # A cubic on a window of width 0.015, full rank: no candidate at the
+    # floor passes the feasibility test.
+    cubic = tmp_path / "cubic.csv"
+    cubic.write_text("x,y\n" + "".join(
+        f"{a!r},{b!r}\n" for a, b in zip(
+            [-1.6509514766112707, -1.6457447478262937, -1.6528384762528707,
+             -1.6471325116662507, -1.6605600195852483, -1.647835403796264,
+             -1.6595419659003983, -1.6624768732740762, -1.6557736539851227,
+             -1.66131535799234],
+            [0.29694375038898274, 0.18391863530155175, 0.23115015924921078,
+             0.2080454924062576, 0.25065961064799736, 0.2316800161999709,
+             0.3162679779190855, 0.36333230053453075, 0.23542497347901778,
+             0.25803283980754815],
+        )
+    ))
+    for path, spec in ((cluster, "1, x^2, x^4"), (cubic, "1, x, x^2, x^3")):
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--basis", spec,
+            "--certify", "--verify",
+        )
+        assert code == 0, (spec, err)
+        assert json.loads(out)["oracle"]["skipped"]
+    assert "floor" in json.loads(out)["oracle"]["skipped"]
+
+
 def test_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "bytes.csv"
     path.write_bytes(b"x,y\n0,\xff\xfe\n1,1\n")

@@ -1,0 +1,63 @@
+"""Invariance of the fit: transformations of the data or of the basis that
+leave the minimax problem the same must leave its discrepancy and its
+active set the same."""
+
+import numpy as np
+import pytest
+
+from equifit.basis import parse_basis_spec
+from equifit.fitting import ProblemInstance, fit
+
+
+def _monomials(m, variable="x"):
+    return ", ".join(["1"] + [f"{variable}^{j}" for j in range(1, m)])
+
+
+def _instances(seed, count=150):
+    """Noisy sine samples, n 10-64 and m 3-6; every other one weighted."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n, m = int(rng.integers(10, 65)), int(rng.integers(3, 7))
+        x = np.sort(rng.uniform(0.0, 1.0, n))
+        y = np.sin(rng.uniform(1.0, 6.0) * x) + 0.05 * rng.standard_normal(n)
+        w = rng.uniform(0.2, 5.0, n) if k % 2 else None
+        yield x, y, w, m
+
+
+def _fit(x, y, w, spec):
+    result = fit(
+        ProblemInstance(
+            points=x[:, None], values=y, basis=parse_basis_spec(spec, 1), weights=w
+        )
+    )
+    return result.discrepancy, result.active_points
+
+
+def _permuted(x, y, w, m):
+    order = np.random.default_rng(x.size).permutation(x.size)
+    d, active = _fit(x[order], y[order], None if w is None else w[order], _monomials(m))
+    return d, tuple(sorted(int(order[i]) for i in active)), 1.0
+
+
+def _shifted_values(x, y, w, m):
+    return (*_fit(x, y + 3.7, w, _monomials(m)), 1.0)
+
+
+def _scaled_values(x, y, w, m):
+    return (*_fit(x, 1e3 * y, w, _monomials(m)), 1e3)
+
+
+def _shifted_basis(x, y, w, m):
+    return (*_fit(x, y, w, _monomials(m, "(x - 0.5)")), 1.0)
+
+
+@pytest.mark.parametrize(
+    "transform", [_permuted, _shifted_values, _scaled_values, _shifted_basis]
+)
+def test_fit_is_invariant(transform):
+    for x, y, w, m in _instances(17):
+        d, active = _fit(x, y, w, _monomials(m))
+        d_new, active_new, factor = transform(x, y, w, m)
+        expected = factor * d
+        assert abs(d_new - expected) <= 1e-9 * max(1.0, expected)
+        assert active_new == active

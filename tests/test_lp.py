@@ -583,3 +583,6 @@ def test_a_large_fit_allocates_a_few_condensed_tableaux():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * tableau_bytes
+    # Column-major, so that a pivot's passes over one column are contiguous.
+    state = _Simplex(assemble_primal(instance), max_iterations=1)
+    assert state.tableau.flags.f_contiguous
