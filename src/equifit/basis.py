@@ -1,4 +1,4 @@
-"""Basis-function lists: a small expression grammar and design-matrix evaluation.
+"""Basis-function lists: a small expression grammar compiled to numpy.
 
 A basis spec is a comma-separated list of expressions over the coordinates
 ``x1..xp`` (with aliases ``x, y, z`` when the dimension is at most 3),
@@ -7,14 +7,21 @@ unary functions ``exp``, ``cos``, ``sin``.  Example::
 
     parse_basis_spec("1, x, x^2, cos(y - x)", dimension=2)
 
-Evaluation is vectorized: a basis function maps an (n, p) array of points
-to an n-vector, and ``design_matrix`` stacks those columns.
-``matrix_rank_estimate`` reads a design's numerical rank from one SVD.
+The parser compiles each expression straight to its evaluator, a
+module-level function bound with ``functools.partial`` that maps an (n, p)
+array of points to an n-vector; a parsed basis therefore pickles.  Each
+function's label is its source text, which is also how a basis renders.
+``design_matrix`` stacks the columns, and ``matrix_rank_estimate`` reads a
+design's numerical rank from one SVD.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,86 +34,36 @@ _ALIASES = {"x": 1, "y": 2, "z": 3}
 
 
 # ---------------------------------------------------------------------------
-# Expression tree
+# Evaluators: bound with partial, each maps (n, p) points to an n-vector
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-    def evaluate(self, pts):
-        return np.full(pts.shape[0], self.value)
-
-    def to_string(self, prec=0):
-        return f"({self.value!r})" if self.value < 0 else repr(self.value)
+def _number(value, pts):
+    return np.full(pts.shape[0], value)
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 0-based coordinate
-
-    def evaluate(self, pts):
-        return pts[:, self.index].copy()
-
-    def to_string(self, prec=0):
-        return f"x{self.index + 1}"
+def _variable(index, pts):
+    return pts[:, index].copy()
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: object
-
-    def evaluate(self, pts):
-        return -self.child.evaluate(pts)
-
-    def to_string(self, prec=0):
-        inner = self.child.to_string(3)
-        return f"(-{inner})" if prec > 1 else f"-{inner}"
+def _power(base, exponent, pts):
+    return base(pts) ** exponent
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: object
-    right: object
-
-    def evaluate(self, pts):
-        return _BINARY[self.op](self.left.evaluate(pts), self.right.evaluate(pts))
-
-    def to_string(self, prec=0):
-        mine = 1 if self.op in "+-" else 2
-        left = self.left.to_string(mine)
-        # Right operand binds one level tighter so that a - (b - c) and
-        # a / (b * c) keep their parentheses.
-        right = self.right.to_string(mine + 1)
-        text = f"{left} {self.op} {right}"
-        return f"({text})" if prec > mine else text
+def _apply(function, arg, pts):
+    return function(arg(pts))
 
 
-@dataclass(frozen=True)
-class Power:
-    base: object
-    exponent: int
-
-    def evaluate(self, pts):
-        return self.base.evaluate(pts) ** self.exponent
-
-    def to_string(self, prec=0):
-        text = f"{self.base.to_string(5)}^{self.exponent}"
-        # A power cannot be the base of another power without parentheses.
-        return f"({text})" if prec > 4 else text
+def _fold(first, rest, pts):
+    """A chain ``a op b op c ...`` applied left to right, as the grammar
+    groups it, without a level of nesting per term."""
+    out = first(pts)
+    for op, operand in rest:
+        out = op(out, operand(pts))
+    return out
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    arg: object
-
-    def evaluate(self, pts):
-        return _FUNCTIONS[self.name](self.arg.evaluate(pts))
-
-    def to_string(self, prec=0):
-        return f"{self.name}({self.arg.to_string(0)})"
+def _chain(first, rest):
+    return partial(_fold, first, tuple(rest)) if rest else first
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +73,17 @@ _OPERATORS = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH", "^": "CARET"
               "(": "LPAREN", ")": "RPAREN", ",": "COMMA"}
 
 
-@dataclass(frozen=True)
-class _Token:
+# Blanks, then a number, a name or an operator; any other character is an
+# error.  \d is a decimal digit, exactly what int() and float() accept
+# (str.isdigit would also take '²'), and a name starts with a letter and goes
+# on with letters, digits and _.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<NUMBER>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)|(?P<NAME>[^\W\d_]\w*)"
+    r"|(?P<OPERATOR>[-+*/^(),])|(?P<BAD>\S))"
+)
+
+
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -125,50 +91,18 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPERATORS:
-            tokens.append(_Token(_OPERATORS[ch], ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            if i < n and text[i] in "eE":
-                mark = i
-                i += 1
-                if i < n and text[i] in "+-":
-                    i += 1
-                if i < n and text[i].isdigit():
-                    while i < n and text[i].isdigit():
-                        i += 1
-                else:
-                    i = mark  # the e belongs to a following name, not the number
-            tokens.append(_Token("NUMBER", text[start:i], start))
-            continue
-        if ch.isalpha():
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("NAME", text[start:i], start))
-            continue
-        raise ParseError(
-            f"unexpected character {ch!r} at position {i}",
-            position=i,
-            expected=("number", "name", "operator"),
-            found=ch,
-        )
-    tokens.append(_Token("END", "", n))
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        word, pos = match[kind], match.start(kind)
+        if kind == "BAD":
+            raise ParseError(
+                f"unexpected character {word!r} at position {pos}",
+                position=pos,
+                expected=("number", "name", "operator"),
+                found=word,
+            )
+        tokens.append(_Token(_OPERATORS.get(word, kind), word, pos))
+    tokens.append(_Token("END", "", len(text)))
     return tokens
 
 
@@ -213,37 +147,38 @@ class _Parser:
         return self.advance()
 
     def parse_list(self):
-        exprs = [(self.peek().pos, self.parse_expr())]
+        functions = [self.parse_function()]
         while self.peek().kind == "COMMA":
             self.advance()
-            exprs.append((self.peek().pos, self.parse_expr()))
+            functions.append(self.parse_function())
         if self.peek().kind != "END":
             self.fail(("','", "end of input"))
-        spans = []
-        for idx, (start, expr) in enumerate(exprs):
-            end = exprs[idx + 1][0] if idx + 1 < len(exprs) else len(self.text)
-            label = self.text[start:end].strip().rstrip(",").strip()
-            spans.append((expr, label))
-        return spans
+        return functions
+
+    def parse_function(self):
+        start = self.peek().pos
+        evaluator = self.parse_expr()
+        last = self.tokens[self.pos - 1]
+        return BasisFunction(evaluator, self.text[start:last.pos + len(last.text)])
 
     def parse_expr(self):
-        node = self.parse_term()
+        first, rest = self.parse_term(), []
         while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_term())
-        return node
+            op = _BINARY[self.advance().text]
+            rest.append((op, self.parse_term()))
+        return _chain(first, rest)
 
     def parse_term(self):
-        node = self.parse_unary()
+        first, rest = self.parse_unary(), []
         while self.peek().kind in ("STAR", "SLASH"):
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_unary())
-        return node
+            op = _BINARY[self.advance().text]
+            rest.append((op, self.parse_unary()))
+        return _chain(first, rest)
 
     def parse_unary(self):
         if self.peek().kind == "MINUS":
             self.advance()
-            return Neg(self.parse_unary())
+            return partial(_apply, np.negative, self.parse_unary())
         if self.peek().kind == "PLUS":
             self.advance()
             return self.parse_unary()
@@ -258,21 +193,25 @@ class _Parser:
                 self.advance()
                 sign = -1
             tok = self.expect("NUMBER", ("integer exponent",))
-            if any(c in tok.text for c in ".eE"):
+            try:
+                exponent = sign * int(tok.text)
+                float(exponent)  # numpy converts the exponent to float64
+            except (ValueError, OverflowError):
                 raise ParseError(
-                    f"exponent must be an integer, got {tok.text} at position {tok.pos}",
+                    f"exponent must be an integer within the float range, got "
+                    f"{tok.text} at position {tok.pos}",
                     position=tok.pos,
                     expected=("integer exponent",),
                     found=tok.text,
-                )
-            node = Power(node, sign * int(tok.text))
+                ) from None
+            node = partial(_power, node, exponent)
         return node
 
     def parse_atom(self):
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return Num(float(tok.text))
+            return partial(_number, float(tok.text))
         if tok.kind == "LPAREN":
             self.advance()
             node = self.parse_expr()
@@ -284,8 +223,8 @@ class _Parser:
                 self.expect("LPAREN", ("'(' after function name",))
                 arg = self.parse_expr()
                 self.expect("RPAREN", ("')'",))
-                return Call(tok.text, arg)
-            return Var(self.variable_index(tok))
+                return partial(_apply, _FUNCTIONS[tok.text], arg)
+            return partial(_variable, self.variable_index(tok))
         self.fail(("number", "variable", "'('"))
 
     def variable_index(self, tok: _Token) -> int:
@@ -300,8 +239,11 @@ class _Parser:
                     found=name,
                 )
             index = _ALIASES[name]
-        elif name.startswith("x") and name[1:].isdigit():
-            index = int(name[1:])
+            digits = str(index)
+        elif name.startswith("x") and name[1:].isdecimal():
+            digits = name[1:].lstrip("0") or "0"
+            # No dimension has 19 digits, and int() refuses over 4300.
+            index = int(digits) if len(digits) < 19 else sys.maxsize
             if index == 0:
                 raise ParseError(
                     f"variables are numbered from x1 (position {tok.pos})",
@@ -318,7 +260,7 @@ class _Parser:
             )
         if index > self.dimension:
             raise DimensionError(
-                f"{name!r} references coordinate {index} but the dimension is "
+                f"{name!r} references coordinate {digits} but the dimension is "
                 f"{self.dimension}"
             )
         return index - 1
@@ -330,20 +272,28 @@ class _Parser:
 
 @dataclass(frozen=True)
 class BasisFunction:
-    """One member of a basis list: an expression tree plus a display label."""
+    """One member of a basis list: its compiled evaluator and its source
+    text, the label."""
 
-    root: object
+    evaluator: Callable[[np.ndarray], np.ndarray]
     label: str
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (n, p) array of points, returning an n-vector.
 
         Raises EvaluationError when any point yields a non-finite value
-        (division by zero, overflow, ...), identifying the point.
+        (division by zero, overflow, ...), identifying the point, or when
+        the expression nests deeper than the recursion limit allows here.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         with np.errstate(all="ignore"):
-            out = self.root.evaluate(pts)
+            try:
+                out = self.evaluator(pts)
+            except RecursionError:
+                raise EvaluationError(
+                    f"basis function {self.label!r} is nested too deeply to evaluate",
+                    label=self.label,
+                ) from None
         out = np.asarray(out, dtype=float)
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
@@ -355,10 +305,6 @@ class BasisFunction:
                 label=self.label,
             )
         return out
-
-    def to_string(self) -> str:
-        """Canonical, re-parseable rendering of the expression tree."""
-        return self.root.to_string(0)
 
 
 @dataclass(frozen=True)
@@ -386,22 +332,30 @@ class BasisSet:
 def parse_basis_spec(text: str, dimension: int) -> BasisSet:
     """Parse a comma-separated basis spec into a BasisSet.
 
-    Raises ParseError (with position and expected tokens) on bad syntax and
-    DimensionError when an expression references a coordinate beyond
-    ``dimension``.
+    Raises ParseError (with position and expected tokens) on bad syntax or
+    nesting deeper than Python's recursion limit, and DimensionError when an
+    expression references a coordinate beyond ``dimension``.
     """
     if dimension < 1:
         raise DimensionError("dimension must be at least 1")
     parser = _Parser(text, dimension)
-    spans = parser.parse_list()
-    functions = tuple(BasisFunction(expr, label) for expr, label in spans)
-    return BasisSet(functions=functions, dimension=dimension)
+    try:
+        functions = parser.parse_list()
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError(
+            f"expression nested too deeply at position {tok.pos}",
+            position=tok.pos,
+            found=tok.text,
+        ) from None
+    return BasisSet(functions=tuple(functions), dimension=dimension)
 
 
 def format_basis_spec(basis: BasisSet) -> str:
-    """Render a basis back to spec syntax; parsing the result reproduces the
-    same functions."""
-    return ", ".join(f.to_string() for f in basis.functions)
+    """Render a basis back to spec syntax: its labels, which are each
+    expression's source text, so parsing the result reproduces the same
+    functions."""
+    return ", ".join(basis.labels)
 
 
 def design_matrix(basis: BasisSet, points: np.ndarray) -> np.ndarray:

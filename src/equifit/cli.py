@@ -340,6 +340,8 @@ def cmd_fit(args) -> int:
 def cmd_selftest(args) -> int:
     if args.instances < 1:
         _fail(EXIT_VALIDATION, f"--instances must be at least 1, got {args.instances}")
+    if args.seed < 0:
+        _fail(EXIT_VALIDATION, f"--seed must be non-negative, got {args.seed}")
     ok = run_battery(args.seed, args.instances, out=print)
     return EXIT_OK if ok else 1
 

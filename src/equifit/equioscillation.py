@@ -313,13 +313,9 @@ def strict_improvement_check(
     f_prime_at = f_prime(z)
     margins = q - f_prime_at
     delta = 0.25 * min(epsilon, gap)
-    # Transfer of the node bumps onto the uninterpolated node j+1.
-    basis_rows = []
-    for pos in range(len(keep)):
-        unit = np.zeros(len(keep))
-        unit[pos] = 1.0
-        basis_rows.append(lagrange_interpolate(z[keep], unit)(z[j + 1]))
-    transfer = float(np.dot(np.sign(margins[keep]), np.asarray(basis_rows)))
+    # Transfer of the node bumps onto the uninterpolated node j+1: the
+    # interpolant of their signs, read there.
+    transfer = float(lagrange_interpolate(z[keep], np.sign(margins[keep]))(z[j + 1]))
     own_margin = d - abs(margins[j + 1])
     if np.sign(margins[j + 1]) * transfer < 0 and abs(transfer) > 0:
         delta = min(delta, 0.5 * own_margin / abs(transfer))

@@ -1,8 +1,11 @@
 """Tests for the basis grammar, design matrices, and rank estimation."""
 
+import pickle
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equifit.basis import (
@@ -140,6 +143,79 @@ def test_parse_format_round_trip(source):
     again = design_matrix(reparsed, pts)
     scale = np.maximum(1.0, np.abs(original))
     assert np.all(np.abs(original - again) <= 1e-12 * scale)
+
+
+@given(random_expression())
+@settings(max_examples=120, deadline=None)
+def test_compiled_evaluation_matches_python_eval(source):
+    # Python's own parser and numpy evaluate the same source independently:
+    # its precedence and associativity agree with the grammar's for + - * ^,
+    # unary minus and calls.
+    pts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(100, 1))
+    names = {"x": pts[:, 0], "x1": pts[:, 0], "sin": np.sin, "cos": np.cos}
+    with np.errstate(all="ignore"):
+        expected = eval(source.replace("^", "**"), {"__builtins__": {}}, names)
+    compiled = design_matrix(parse_basis_spec(source, 1), pts)[:, 0]
+    scale = np.maximum(1.0, np.abs(expected))
+    assert np.all(np.abs(compiled - expected) <= 1e-12 * scale)
+
+
+_SPEC_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet="xyz1290.eE+-*/^(), \u00b2\u0663", max_size=40),
+)
+
+
+@given(_SPEC_TEXT)
+@example("x\u00b2")
+@example("1, \u00b2")
+@example("(" * 200 + "x" + ")" * 200)
+@example("-" * 1000 + "x")
+@example("+".join(["1"] * 1000))
+@example("x^" + "9" * 400)
+@example("x^" + "9" * 5000)
+@example("x" + "1" * 5000)
+@settings(max_examples=300, deadline=None)
+def test_any_text_parses_or_raises_a_package_error(text):
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, size=(5, 2))
+    try:
+        g = design_matrix(parse_basis_spec(text, 2), pts)
+    except (ParseError, DimensionError, EvaluationError):
+        return
+    assert g.shape[0] == 5 and np.all(np.isfinite(g))
+
+
+def test_long_chains_fold_left_to_right():
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, size=(50, 1))
+    x = pts[:, 0]
+    total, quotient = x.copy(), x.copy()
+    for k in range(1, 1000):
+        total = total + x if k % 2 else total - 0.5 * x
+        quotient = quotient / x if k % 2 else quotient * x
+    spec = "".join(" + x" if k % 2 else " - 0.5 * x" for k in range(1, 1000))
+    product = "".join(" / x" if k % 2 else " * x" for k in range(1, 1000))
+    g = design_matrix(parse_basis_spec(f"x{spec}, x{product}", 1), pts)
+    assert np.array_equal(g[:, 0], total)
+    assert np.array_equal(g[:, 1], quotient)
+
+
+def test_a_parsed_basis_pickles():
+    basis = parse_basis_spec("1, x, cos(y - x)^2, -x/3", 2)
+    pts = np.random.default_rng(11).uniform(-2.0, 2.0, size=(20, 2))
+    again = pickle.loads(pickle.dumps(basis))
+    assert again.labels == basis.labels
+    assert np.array_equal(design_matrix(again, pts), design_matrix(basis, pts))
+
+
+def test_evaluation_too_deep_for_the_stack_is_an_evaluation_error():
+    basis = parse_basis_spec("-" * 300 + "x", 1)
+    assert design_matrix(basis, [[2.0]])[0, 0] == 2.0
+
+    def evaluate_at_depth(k):
+        return evaluate_at_depth(k - 1) if k else design_matrix(basis, [[2.0]])
+
+    with pytest.raises(EvaluationError, match="nested too deeply"):
+        evaluate_at_depth(sys.getrecursionlimit() - 250)
 
 
 def test_design_matrix_deterministic():

@@ -216,6 +216,35 @@ def test_selftest_zero_instances_exits_2(capsys):
     assert err.startswith("E2: ")
 
 
+def test_selftest_negative_seed_exits_2(capsys):
+    code, out, err = run_cli(capsys, "selftest", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "E2: --seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "x\u00b2",
+        "1, \u00b2",
+        "(" * 200 + "x" + ")" * 200,
+        "x^" + "9" * 400,
+        "x^" + "9" * 5000,
+    ],
+    ids=["superscript-name", "superscript-number", "deep-parens",
+         "exponent-beyond-float", "exponent-beyond-int-conversion"],
+)
+def test_malformed_basis_exits_2_with_one_line(tmp_path, capsys, spec):
+    path = tmp_path / "data.csv"
+    path.write_text("x,y\n0,1\n1,2\n2,0\n3,1\n")
+    code, out, err = run_cli(capsys, "fit", "--data", str(path), "--basis", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("E2: ")
+    assert err.count("\n") == 1
+
+
 def test_basis_not_finite_on_the_data_exits_2(tmp_path, capsys):
     path = tmp_path / "zero.csv"
     path.write_text("x,y\n0,1\n1,2\n2,0\n3,1\n")
