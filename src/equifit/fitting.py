@@ -186,7 +186,8 @@ def fit(instance: ProblemInstance) -> FitResult:
     scaled = residuals.copy() if w is None else w * residuals
 
     max_scaled = float(np.max(np.abs(scaled)))
-    if abs(max_scaled - discrepancy) > VERTEX_SLACK * max(1.0, discrepancy):
+    # Written so that a NaN bound or optimum fails the check.
+    if not abs(max_scaled - discrepancy) <= VERTEX_SLACK * max(1.0, discrepancy):
         raise SolverError(
             f"recomputed residual bound {max_scaled!r} is inconsistent with "
             f"the LP optimum {discrepancy!r}"

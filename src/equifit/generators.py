@@ -8,21 +8,19 @@ rank.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .basis import parse_basis_spec
 from .equioscillation import ReferenceSet
 from .fitting import ProblemInstance
 
-_MONOMIAL_CACHE: dict[int, object] = {}
-
-
+@functools.cache
 def monomial_basis(m: int):
     """The basis 1, x, ..., x^(m-1)."""
-    if m not in _MONOMIAL_CACHE:
-        terms = ["1"] + [f"x^{k}" if k > 1 else "x" for k in range(1, m)]
-        _MONOMIAL_CACHE[m] = parse_basis_spec(", ".join(terms), 1)
-    return _MONOMIAL_CACHE[m]
+    terms = ["1"] + [f"x^{k}" if k > 1 else "x" for k in range(1, m)]
+    return parse_basis_spec(", ".join(terms), 1)
 
 
 # Rejection rounds before the fallback.  A round succeeds with probability

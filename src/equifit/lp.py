@@ -231,6 +231,12 @@ class _Simplex:
                 return int(self.nonbasic[pos])
             ratios = t[rows, -1] / col[rows]
             ties = rows[ratios <= ratios.min() + RATIO_TIE_TOL]
+            if ties.size == 0:
+                # A NaN ratio makes the minimum NaN, and no row compares to it.
+                raise NumericFailure(
+                    "ratio test kept no row: the tableau is not finite",
+                    iterations=self.iterations,
+                )
             self._pivot(int(ties[np.argmin(self.basis[ties])]), pos)
 
     def phase_one(self) -> bool:
@@ -295,7 +301,8 @@ class _Simplex:
 
         beta = np.zeros(lp.num_rows)
         beta[rows] = -y_core
-        if np.min(beta) < -DUAL_CLAMP_TOL:
+        # Each check is written so that a NaN fails it.
+        if not np.min(beta) >= -DUAL_CLAMP_TOL:
             raise NumericFailure(
                 f"negative dual multiplier {np.min(beta):.3e}", self.iterations
             )
@@ -304,7 +311,7 @@ class _Simplex:
         activity = lp.constraint_matrix @ primal
         slack = lp.rhs - activity
         worst = float(np.max(-slack / np.maximum(1.0, np.abs(lp.rhs))))
-        if worst > VERTEX_SLACK:
+        if not worst <= VERTEX_SLACK:
             raise NumericFailure(
                 f"optimal basis violates feasibility by {worst:.3e}", self.iterations
             )

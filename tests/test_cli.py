@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,8 @@ import pytest
 from equifit.cli import build_parser, main
 from equifit.fitting import ProblemInstance, objective_value
 from equifit.basis import parse_basis_spec
+from equifit.generators import random_instance
+import equifit.selftest as selftest
 
 
 HAT_CSV = "x,y\n0,0\n1,1\n2,0\n"
@@ -221,6 +224,49 @@ def test_selftest_negative_seed_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "E2: --seed must be non-negative, got -1\n"
+
+
+def test_selftest_failure_prints_the_first_failing_instance(monkeypatch, capsys):
+    real = selftest.verify_identities
+
+    def violated(cert, result, instance):
+        return dataclasses.replace(real(cert, result, instance), identities_ok=False)
+
+    monkeypatch.setattr(selftest, "verify_identities", violated)
+    lines = []
+    assert selftest.run_battery(42, 3, lines.append) is False
+    at = next(i for i, line in enumerate(lines) if line.startswith("FAIL"))
+    assert lines[at].startswith("FAIL certificate identities (3/3): duality gap ")
+    assert sum(line.startswith("  failing instance: ") for line in lines) == 1
+    payload = json.loads(lines[at + 1].removeprefix("  failing instance: "))
+    first = random_instance(np.random.default_rng(42), n=50, m=5)
+    assert payload == selftest.serialize_instance(first)
+    assert lines[-1] == "6/7 properties passed"
+
+    code, out, _ = run_cli(capsys, "selftest", "--seed", "42", "--instances", "3")
+    assert code == 1
+    assert "FAIL certificate identities (3/3)" in out
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "0,4.5e307\n0.25,0\n0.5,5e307\n0.75,-4e307\n1,1e307\n",
+        "0,0\n0.5,4.5e307\n1,-3.5e307\n",
+    ],
+    ids=["nan-ratios", "nan-optimum"],
+)
+def test_values_near_the_float_limit_exit_3_with_one_line(tmp_path, capsys, rows):
+    path = tmp_path / "huge.csv"
+    path.write_text("x,y\n" + rows)
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--basis", "1, x, x^2"
+        )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("E3: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
