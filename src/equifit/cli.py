@@ -54,6 +54,24 @@ def _fail(code, message):
     raise _CliError(code, message)
 
 
+def _cell(path, line, name, raw):
+    """The finite float in one CSV cell; E2 names the cell otherwise."""
+    raw = raw.strip()
+    try:
+        value = float(raw)
+    except ValueError:
+        _fail(
+            EXIT_VALIDATION,
+            f"{path} line {line}: column {name!r} has non-numeric value {raw!r}",
+        )
+    if not math.isfinite(value):
+        _fail(
+            EXIT_VALIDATION,
+            f"{path} line {line}: column {name!r} is not finite ({raw})",
+        )
+    return value
+
+
 def _read_csv(path, dim, weight_column):
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -64,7 +82,7 @@ def _read_csv(path, dim, weight_column):
             if not fieldnames:
                 _fail(EXIT_VALIDATION, f"{path} line 1: blank, header row required")
             header = [name.strip() for name in fieldnames]
-            # (line, row) pairs; blank lines are skipped, so a row's line is
+            # (line, cells) pairs; blank lines are skipped, so a row's line is
             # the reader's count, not its position among the rows.
             rows = []
             for cells in reader:
@@ -76,7 +94,7 @@ def _read_csv(path, dim, weight_column):
                         f"{path} line {reader.line_num}: {len(cells)} cells, but "
                         f"the header names {len(header)} columns",
                     )
-                rows.append((reader.line_num, dict(zip(header, cells))))
+                rows.append((reader.line_num, cells))
     except OSError as exc:
         _fail(EXIT_VALIDATION, f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -113,33 +131,14 @@ def _read_csv(path, dim, weight_column):
     if not rows:
         _fail(EXIT_VALIDATION, f"{path}: no data rows")
 
-    def cell(row, name, line):
-        raw = row[name].strip()
-        try:
-            value = float(raw)
-        except ValueError:
-            _fail(
-                EXIT_VALIDATION,
-                f"{path} line {line}: column {name!r} has non-numeric value {raw!r}",
-            )
-        if not math.isfinite(value):
-            _fail(
-                EXIT_VALIDATION,
-                f"{path} line {line}: column {name!r} is not finite ({raw})",
-            )
-        return value
-
-    points = []
-    values = []
-    weights = [] if weight_column else None
-    for line, row in rows:
-        points.append([cell(row, name, line) for name in coord_names])
-        values.append(cell(row, "y", line))
-        if weight_column:
-            weights.append(cell(row, weight_column, line))
-    return np.array(points), np.array(values), (
-        np.array(weights) if weights is not None else None
-    ), dim
+    # One row per data row: the coordinates, the value, then the weight.
+    names = coord_names + ["y"] + ([weight_column] if weight_column else [])
+    columns = [(name, header.index(name)) for name in names]
+    table = np.array(
+        [[_cell(path, line, name, row[k]) for name, k in columns] for line, row in rows]
+    )
+    p = len(coord_names)
+    return table[:, :p], table[:, p], table[:, p + 1] if weight_column else None, dim
 
 
 def _certificate_block(result, instance):

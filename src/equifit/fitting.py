@@ -167,8 +167,20 @@ def fit(instance: ProblemInstance) -> FitResult:
     The discrepancy is the LP optimum; residuals are recomputed from the
     coefficients rather than read off LP slacks.  Raises SolverError when
     the LP layer fails.
+
+    The solver's tolerances are absolute, so the LP sees each coefficient
+    column multiplied by the power of two that puts its largest magnitude
+    in [1, 2): a fit does not depend on the scale of a basis function, and
+    the scaling is exact.  ``lp_solution.primal`` holds the coefficients of
+    the scaled columns; ``coefficients`` are those of the basis.
     """
     lp = assemble_primal(instance)
+    m = instance.m
+    columns = lp.constraint_matrix[:, :m]
+    exponent = np.frexp(np.max(np.abs(columns), axis=0))[1]
+    # A column below 2^-1023 would need a factor beyond the float range.
+    scale = np.ldexp(1.0, np.minimum(1 - exponent, 1023))
+    columns *= scale
     try:
         solution = solve_lp(lp)
     except EquifitError as exc:
@@ -178,8 +190,7 @@ def fit(instance: ProblemInstance) -> FitResult:
             f"fit LP ended with status {solution.status}: {solution.reason}"
         )
 
-    m = instance.m
-    coefficients = solution.primal[:m].copy()
+    coefficients = solution.primal[:m] * scale
     discrepancy = float(solution.objective_value)
     residuals = instance.values - instance.design() @ coefficients
     w = instance.weights

@@ -330,6 +330,7 @@ class _Simplex:
         )
 
 
+@np.errstate(all="ignore")
 def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     """Solve an inequality-form LP with Bland's rule.
 
@@ -343,7 +344,9 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     Returns an optimal vertex plus complementary duals, or a solution with
     status ``infeasible`` / ``unbounded`` and a reason string.  Raises
     NumericFailure when pivoting exceeds the iteration budget (default
-    ``50 * (rows + vars)``).
+    ``50 * (rows + vars)``), and when the tableau stops being finite: the
+    ratio test's NaN guard and extraction's NaN-failing checks catch that,
+    so numpy's floating-point warnings are silenced on the way.
     """
     if max_iterations is None:
         max_iterations = 50 * (lp.num_rows + lp.num_vars)

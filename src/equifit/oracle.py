@@ -125,15 +125,18 @@ def _apply_q(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _null_vectors(a: np.ndarray) -> np.ndarray:
-    """lam = Q e_(m+1), the last column of each Q, shape (k, m+1)."""
+def _factor(a: np.ndarray):
+    """Factor the blocks of a, laid out (column, row, block), in place by
+    ``_householder``.  Returns R's diagonal, shape (m, k); the null vectors
+    lam = Q e_(m+1) of the G_S^T, shape (k, m+1); and the mask of the
+    blocks whose R has no zero on its diagonal."""
     m = a.shape[0]
-    # H_(m-1) e_(m+1) = e_(m+1) - u u_1, where u has two entries.
-    u = a[m - 1, m - 1 :]
-    z = np.zeros((1, m + 1, a.shape[2]))
-    np.multiply(u, -u[1], out=z[0, m - 1 :])
-    z[0, m] += 1.0
-    return np.ascontiguousarray(_apply_q(a[: m - 1], z)[0].T)
+    with np.errstate(all="ignore"):
+        diagonal = _householder(a)
+        z = np.zeros((1, m + 1, a.shape[2]))
+        z[0, m] = 1.0
+        lam = np.ascontiguousarray(_apply_q(a, z)[0].T)
+    return diagonal, lam, np.all(diagonal != 0.0, axis=0)
 
 
 def _pseudo_inverses(a: np.ndarray, diagonal: np.ndarray, index) -> np.ndarray:
@@ -164,13 +167,9 @@ def factor_witness_subsets(blocks: np.ndarray):
     factors do not depend on the other blocks of the stack.
     """
     a = np.transpose(np.asarray(blocks, dtype=float), (2, 1, 0)).copy()
+    diagonal, lam, full_rank = _factor(a)
     with np.errstate(all="ignore"):
-        diagonal = _householder(a)
-        return (
-            _null_vectors(a),
-            _pseudo_inverses(a, diagonal, slice(None)),
-            np.all(diagonal != 0.0, axis=0),
-        )
+        return lam, _pseudo_inverses(a, diagonal, slice(None)), full_rank
 
 
 @functools.cache
@@ -215,10 +214,8 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
     factors = np.take(np.ascontiguousarray(g.T), subsets.T, axis=1)
     y_s = y[subsets]
 
+    diagonal, lam, full_rank = _factor(factors)
     with np.errstate(all="ignore"):
-        diagonal = _householder(factors)
-        lam = _null_vectors(factors)
-        full_rank = np.all(diagonal != 0.0, axis=0)
         # One row per subset, one column per sign pattern.  d is not finite
         # where lam^T s = 0 (the system is singular) or the quotient
         # overflows; either way that candidate is never feasible.

@@ -270,6 +270,34 @@ def test_values_near_the_float_limit_exit_3_with_one_line(tmp_path, capsys, rows
 
 
 @pytest.mark.parametrize(
+    "rows",
+    [
+        "0,4.5e307\n0.25,0\n0.5,5e307\n0.75,-4e307\n1,1e307\n",
+        "0,0\n0.5,4.5e307\n1,-3.5e307\n",
+    ],
+    ids=["nan-ratios", "nan-optimum"],
+)
+def test_values_near_the_float_limit_warn_nothing_before_e3(tmp_path, rows):
+    # Run as a program with warnings as errors: a numpy RuntimeWarning on
+    # the way to the E3 line would end in a traceback and exit 1.
+    path = tmp_path / "huge.csv"
+    path.write_text("x,y\n" + rows)
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["-W", "error::RuntimeWarning", "-m", "equifit", "fit", "--data", str(path)]
+    done = subprocess.run(
+        [sys.executable, *argv, "--basis", "1, x, x^2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("E3: ")
+    assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         "x\u00b2",

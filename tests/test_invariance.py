@@ -51,8 +51,25 @@ def _shifted_basis(x, y, w, m):
     return (*_fit(x, y, w, _monomials(m, "(x - 0.5)")), 1.0)
 
 
+def _scaled_points(x, y, w, m):
+    return (*_fit(1e-4 * x, y, w, _monomials(m)), 1.0)
+
+
+def _scaled_basis(x, y, w, m):
+    spec = ", ".join(["1e-6"] + [f"1e-6*x^{j}" for j in range(1, m)])
+    return (*_fit(x, y, w, spec), 1.0)
+
+
 @pytest.mark.parametrize(
-    "transform", [_permuted, _shifted_values, _scaled_values, _shifted_basis]
+    "transform",
+    [
+        _permuted,
+        _shifted_values,
+        _scaled_values,
+        _shifted_basis,
+        _scaled_points,
+        _scaled_basis,
+    ],
 )
 def test_fit_is_invariant(transform):
     for x, y, w, m in _instances(17):
