@@ -7,7 +7,8 @@ optimality:
 
 * ``beta >= 0`` and ``sum(beta) = 1`` (the bound column of the LP);
 * each basis function is ``beta``-orthogonal to the data: the overshoot
-  and undershoot sums of ``beta * basis(x)`` cancel;
+  and undershoot sums of ``beta * basis(x)`` cancel (judged on the columns
+  multiplied by ``ProblemInstance.column_scale``);
 * nonzero multipliers sit only on tight rows (complementary slackness);
 * pairing ``beta`` with the signed residuals reproduces the discrepancy,
   matching the maximized dual functional ``-rhs . beta``.
@@ -141,8 +142,10 @@ def verify_identities(
     value_sum = float(b_under @ y - b_over @ y)
     value_sum_gap = abs(value_sum - d)
 
-    orthogonality = g.T @ (b_over - b_under)
-    combined = float(alpha @ orthogonality)
+    # Judged on the scaled columns; the combined residual is scale-free.
+    raw_orthogonality = g.T @ (b_over - b_under)
+    orthogonality = instance.column_scale * raw_orthogonality
+    combined = float(alpha @ raw_orthogonality)
 
     pairing = float(b_under @ residual - b_over @ residual)
     residual_pairing_gap = abs(pairing - d)

@@ -252,7 +252,8 @@ def _text_report(report):
             verdict = "agrees" if oracle["agrees"] else "DISAGREES"
             lines.append(
                 f"brute-force check: {verdict} "
-                f"(discrepancy gap {oracle['discrepancy_gap']!r})"
+                f"(discrepancy gap {oracle['discrepancy_gap']!r}, "
+                f"coefficient gap {oracle['coefficient_gap']!r})"
             )
     residuals = report["residuals"]
     lines.append("residuals:")

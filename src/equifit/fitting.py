@@ -30,9 +30,15 @@ class ProblemInstance:
     design (row sign flips, row rescaling) that no closed-form basis list
     expresses.
 
-    The design, its weighted form and its rank are derived once, here, and
-    every later step reads them; a basis function that is not finite at
-    some point raises EvaluationError from the constructor.
+    The design, its weighted form, its column scale and its rank are derived
+    once, here, and every later step reads them; a basis function that is
+    not finite at some point raises EvaluationError from the constructor.
+
+    ``column_scale`` holds, per weighted design column, the power of two (at
+    most 2^1023) that puts its largest magnitude in [1, 2).  The tolerances
+    are absolute, so the fit LP, the rank and the certificate's orthogonality
+    residuals read the columns times this exact scale, which a basis
+    function's coefficient absorbs: none depends on that function's scale.
     """
 
     points: np.ndarray
@@ -40,6 +46,7 @@ class ProblemInstance:
     basis: BasisSet
     weights: np.ndarray | None = None
     design_override: np.ndarray | None = None
+    column_scale: np.ndarray = field(init=False, repr=False)
     rank: int = field(init=False)
 
     def __post_init__(self):
@@ -86,7 +93,9 @@ class ProblemInstance:
             self._scaled = (self._design, self.values)
         else:
             self._scaled = (w[:, None] * self._design, w * self.values)
-        self.rank = matrix_rank_estimate(self._scaled[0])
+        exponent = np.frexp(np.max(np.abs(self._scaled[0]), axis=0))[1]
+        self.column_scale = np.ldexp(1.0, np.minimum(1 - exponent, 1023))
+        self.rank = matrix_rank_estimate(self._scaled[0] * self.column_scale)
 
     @property
     def n(self) -> int:
@@ -140,9 +149,11 @@ def assemble_primal(instance: ProblemInstance) -> LinearProgram:
 
     Row 2i holds "combination(x_i) - z <= y_i", row 2i+1 holds
     "-combination(x_i) - z <= -y_i"; with weights, design row and value are
-    pre-multiplied by the point's weight.
+    pre-multiplied by the point's weight.  The coefficient columns are
+    multiplied by ``instance.column_scale``.
     """
     g, y = instance.scaled_design_and_values()
+    g = g * instance.column_scale
     n, m = g.shape
     matrix = np.zeros((2 * n, m + 1))
     rhs = np.zeros(2 * n)
@@ -168,21 +179,12 @@ def fit(instance: ProblemInstance) -> FitResult:
     coefficients rather than read off LP slacks.  Raises SolverError when
     the LP layer fails.
 
-    The solver's tolerances are absolute, so the LP sees each coefficient
-    column multiplied by the power of two that puts its largest magnitude
-    in [1, 2): a fit does not depend on the scale of a basis function, and
-    the scaling is exact.  ``lp_solution.primal`` holds the coefficients of
-    the scaled columns; ``coefficients`` are those of the basis.
+    ``lp_solution.primal`` holds the coefficients of ``assemble_primal``'s
+    scaled columns; ``coefficients`` are those of the basis.
     """
-    lp = assemble_primal(instance)
     m = instance.m
-    columns = lp.constraint_matrix[:, :m]
-    exponent = np.frexp(np.max(np.abs(columns), axis=0))[1]
-    # A column below 2^-1023 would need a factor beyond the float range.
-    scale = np.ldexp(1.0, np.minimum(1 - exponent, 1023))
-    columns *= scale
     try:
-        solution = solve_lp(lp)
+        solution = solve_lp(assemble_primal(instance))
     except EquifitError as exc:
         raise SolverError(f"fit LP failed: {exc}") from exc
     if solution.status != OPTIMAL:
@@ -190,7 +192,7 @@ def fit(instance: ProblemInstance) -> FitResult:
             f"fit LP ended with status {solution.status}: {solution.reason}"
         )
 
-    coefficients = solution.primal[:m] * scale
+    coefficients = solution.primal[:m] * instance.column_scale
     discrepancy = float(solution.objective_value)
     residuals = instance.values - instance.design() @ coefficients
     w = instance.weights

@@ -24,17 +24,18 @@ def monomial_basis(m: int):
 
 
 # Rejection rounds before the fallback.  A round succeeds with probability
-# about (1 - (n - 1) * min_gap)^n: at least 0.78 for n <= 50, so those sizes
+# about (1 - (n - 1) * _MIN_GAP)^n: at least 0.78 for n <= 50, so those sizes
 # keep their seeded streams, and below 1e-7 for n >= 400.
 _SEPARATION_ATTEMPTS = 1000
+_MIN_GAP = 1e-4
 
 
-def _separated_points(rng: np.random.Generator, n: int, min_gap: float = 1e-4):
-    """Sorted uniform points in [0, 1] with gaps above min_gap; past the bound,
+def _separated_points(rng: np.random.Generator, n: int):
+    """Sorted uniform points in [0, 1] with gaps above _MIN_GAP; past the bound,
     one point jittered in the middle half of each 1/n cell (gaps >= 1/(2n))."""
     for _ in range(_SEPARATION_ATTEMPTS):
         pts = np.sort(rng.uniform(0.0, 1.0, n))
-        if n == 1 or np.min(np.diff(pts)) > min_gap:
+        if n == 1 or np.min(np.diff(pts)) > _MIN_GAP:
             return pts
     return (np.arange(n) + 0.5 + rng.uniform(-0.25, 0.25, n)) / n
 

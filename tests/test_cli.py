@@ -14,6 +14,7 @@ from equifit.cli import build_parser, main
 from equifit.fitting import ProblemInstance, objective_value
 from equifit.basis import parse_basis_spec
 from equifit.generators import random_instance
+import equifit.cli as cli
 import equifit.selftest as selftest
 
 
@@ -410,6 +411,51 @@ def test_verify_on_ill_conditioned_witness_blocks_is_skipped(tmp_path, capsys):
         assert code == 0, (spec, err)
         assert json.loads(out)["oracle"]["skipped"]
     assert "floor" in json.loads(out)["oracle"]["skipped"]
+
+
+def test_verify_certifies_a_design_on_shrunk_abscissae(tmp_path, capsys):
+    # x^2 is near 1e-10 here: read from the raw columns, the rank was 2 and
+    # both checks were skipped as rank-deficient.
+    rng = np.random.default_rng(0)
+    u = np.sort(rng.uniform(-1.0, 1.0, 12))
+    y = np.sin(3 * u) + 0.1 * rng.standard_normal(12)
+    path = tmp_path / "shrunk.csv"
+    path.write_text(
+        "x,y\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(1e-5 * u, y))
+    )
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(path), "--basis", "1, x, x^2",
+        "--certify", "--verify",
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["low_rank"] is False
+    assert report["certificate"]["identities_ok"] is True
+    assert report["oracle"]["agrees"] is True
+    assert report["discrepancy"] == pytest.approx(0.5714744107964222, rel=1e-12)
+
+
+def test_text_report_names_the_coefficient_gap_of_a_disagreement(
+    hat_csv, monkeypatch, capsys
+):
+    real = cli.compare_with_oracle
+
+    def disagreeing(result):
+        comparison = real(result)
+        return dataclasses.replace(
+            comparison, discrepancy_gap=0.0, coefficient_gap=2.5, agrees=False
+        )
+
+    monkeypatch.setattr(cli, "compare_with_oracle", disagreeing)
+    code, out, _ = run_cli(
+        capsys, "fit", "--data", hat_csv, "--basis", "1, x", "--verify",
+        "--format", "text",
+    )
+    assert code == 4
+    assert (
+        "brute-force check: DISAGREES (discrepancy gap 0.0, coefficient gap 2.5)"
+        in out
+    )
 
 
 def test_csv_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -76,13 +76,13 @@ def test_weight_scales_one_row_pair():
         weights=[2.0, 1.0],
     )
     lp = assemble_primal(instance)
-    # Point 0's pair is doubled in the design entries and the rhs; the bound
-    # column stays -1.
+    # Point 0's pair is doubled in the design entries and the rhs; the
+    # weighted column [2, 1] is scaled by 1/2, and the bound column stays -1.
     assert lp.constraint_matrix.tolist() == [
-        [2.0, -1.0],
-        [-2.0, -1.0],
         [1.0, -1.0],
         [-1.0, -1.0],
+        [0.5, -1.0],
+        [-0.5, -1.0],
     ]
     assert lp.rhs.tolist() == [2.0, -2.0, 2.0, -2.0]
 

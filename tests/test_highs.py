@@ -9,7 +9,7 @@ optimum to 1e-6 relative.
 import numpy as np
 import pytest
 
-from equifit.basis import parse_basis_spec
+from equifit.basis import design_matrix, parse_basis_spec
 from equifit.certificates import extract_certificate, verify_identities
 from equifit.fitting import ProblemInstance, fit
 
@@ -73,3 +73,20 @@ def test_large_fit_agrees_with_highs(name):
     assert report.identities_ok
     d = result.discrepancy
     assert abs(d - highs_discrepancy(instance.design(), y, w)) <= 1e-6 * max(1.0, d)
+
+
+def test_shrunk_abscissae_fit_agrees_with_highs_on_the_unshrunk_design():
+    # x * 1e-5 spans the same space as x.  The reference is HiGHS on the
+    # unshrunk design: its tolerances are absolute too, and on the shrunk
+    # design it returns a discrepancy far above the optimum.
+    x, y, _ = family("smooth", seed=5)
+    basis = parse_basis_spec(BASIS, 1)
+    instance = ProblemInstance(points=1e-5 * x[:, None], values=y, basis=basis)
+    result = fit(instance)
+    report = verify_identities(
+        extract_certificate(result.lp_solution, instance), result, instance
+    )
+    assert report.identities_ok
+    d = result.discrepancy
+    reference = highs_discrepancy(design_matrix(basis, x[:, None]), y, None)
+    assert abs(d - reference) <= 1e-6 * max(1.0, d)

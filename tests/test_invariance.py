@@ -1,11 +1,13 @@
 """Invariance of the fit: transformations of the data or of the basis that
-leave the minimax problem the same must leave its discrepancy and its
-active set the same."""
+leave the minimax problem the same must leave its discrepancy, its active
+set, its rank and its certificate's verdicts the same."""
 
 import numpy as np
 import pytest
 
 from equifit.basis import parse_basis_spec
+from equifit.certificates import extract_certificate, verify_identities
+from equifit.errors import DegenerateCase
 from equifit.fitting import ProblemInstance, fit
 
 
@@ -78,3 +80,36 @@ def test_fit_is_invariant(transform):
         expected = factor * d
         assert abs(d_new - expected) <= 1e-9 * max(1.0, expected)
         assert active_new == active
+
+
+def _verdicts(x, y, w, spec):
+    instance = ProblemInstance(
+        points=x[:, None], values=y, basis=parse_basis_spec(spec, 1), weights=w
+    )
+    result = fit(instance)
+    try:
+        cert = extract_certificate(result.lp_solution, instance)
+    except DegenerateCase:
+        return instance.rank, result.low_rank, None, None
+    report = verify_identities(cert, result, instance)
+    return instance.rank, result.low_rank, report.identities_ok, report.active_count_ok
+
+
+def _basis_times(factor):
+    return lambda m: ", ".join([factor] + [f"{factor}*x^{j}" for j in range(1, m)])
+
+
+@pytest.mark.parametrize(
+    "point_factor, spec",
+    [
+        (1e-4, _monomials),
+        (1e-5, _monomials),
+        (1.0, _basis_times("1e-6")),
+        (1.0, _basis_times("1e9")),
+    ],
+    ids=["points-1e-4", "points-1e-5", "basis-1e-6", "basis-1e9"],
+)
+def test_rank_and_certificate_do_not_depend_on_scale(point_factor, spec):
+    for x, y, w, m in _instances(17):
+        expected = _verdicts(x, y, w, _monomials(m))
+        assert _verdicts(point_factor * x, y, w, spec(m)) == expected
