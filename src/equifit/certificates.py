@@ -76,13 +76,13 @@ class CertificateReport:
         return out
 
 
-def _require_analyzable(discrepancy: float, instance: ProblemInstance):
-    if interpolates_exactly(discrepancy):
+def _require_analyzable(exact_interpolation: bool, low_rank: bool):
+    if exact_interpolation:
         raise DegenerateCase(
             "exact interpolation (discrepancy ~ 0): certificates are not "
             "defined for this case"
         )
-    if instance.rank < instance.m:
+    if low_rank:
         raise DegenerateCase("rank-deficient design: certificates are not defined")
 
 
@@ -100,13 +100,14 @@ def extract_certificate(
         )
     if solution.dual is None or len(solution.dual) != 2 * instance.n:
         raise PreconditionError("solution does not belong to this instance")
-    _require_analyzable(float(solution.objective_value), instance)
+    exact = interpolates_exactly(solution.objective_value)  # lifted, like fit's
+    _require_analyzable(exact, instance.rank < instance.m)
     beta = solution.dual.copy()
     return DualCertificate(
         beta=beta,
         overshoot_sum=float(np.sum(beta[0::2])),
         undershoot_sum=float(np.sum(beta[1::2])),
-        dual_objective=float(solution.dual_objective),
+        dual_objective=float(solution.dual_objective) / instance.value_scale,
     )
 
 
@@ -124,7 +125,7 @@ def verify_identities(
         raise PreconditionError("certificate does not match the instance size")
     if len(fit_result.coefficients) != instance.m:
         raise PreconditionError("fit does not match the instance size")
-    _require_analyzable(fit_result.discrepancy, instance)
+    _require_analyzable(fit_result.exact_interpolation, fit_result.low_rank)
 
     g, y = instance.scaled_design_and_values()
     alpha = fit_result.coefficients
@@ -132,7 +133,9 @@ def verify_identities(
     b_over = cert.beta[0::2]
     b_under = cert.beta[1::2]
     residual = y - g @ alpha
-    tol = IDENTITY_TOL * max(1.0, d)
+    # Value-sized residuals are reported in data units and judged lifted.
+    lift = instance.value_scale
+    tol = IDENTITY_TOL * max(1.0, d * lift)
 
     strong_duality_gap = abs(cert.dual_objective - d)
     beta_sum_residual = abs(float(np.sum(cert.beta)) - 1.0)
@@ -154,9 +157,8 @@ def verify_identities(
     # d + residual on the overshoot row, d - residual on the undershoot row.
     # Their rhs is y and -y, of which tight_rows reads only the magnitude.
     slack = d + np.column_stack((residual, -residual)).ravel()
-    violations = int(
-        np.sum((cert.beta > BETA_NONZERO_TOL) & ~tight_rows(slack, np.repeat(y, 2)))
-    )
+    tight = tight_rows(slack * lift, np.repeat(y * lift, 2))
+    violations = int(np.sum((cert.beta > BETA_NONZERO_TOL) & ~tight))
 
     active_count = len(fit_result.active_points)
     active_count_ok = check_active_point_count(fit_result, instance.m)
@@ -168,12 +170,12 @@ def verify_identities(
         two_sided = None
 
     identities_ok = (
-        strong_duality_gap <= tol
+        strong_duality_gap * lift <= tol
         and beta_sum_residual <= SUM_TOL
-        and value_sum_gap <= tol
+        and value_sum_gap * lift <= tol
         and float(np.max(np.abs(orthogonality))) <= tol
-        and abs(combined) <= tol
-        and residual_pairing_gap <= tol
+        and abs(combined) * lift <= tol
+        and residual_pairing_gap * lift <= tol
         and violations == 0
         and np.all(cert.beta >= -BETA_NONZERO_TOL)
     )
@@ -205,8 +207,7 @@ def check_active_point_count(fit_result: FitResult, m: int) -> bool:
     This is the vertex structure of the fit: with m + 1 unknowns, an
     optimal basic solution pins that many rows.
     """
-    instance = fit_result.instance
-    _require_analyzable(fit_result.discrepancy, instance)
+    _require_analyzable(fit_result.exact_interpolation, fit_result.low_rank)
     active = fit_result.active_points
     if len(active) < m + 1:
         return False
@@ -224,14 +225,13 @@ def check_two_sided(fit_result: FitResult, cert: DualCertificate) -> bool:
     (the constant lets the fit slide vertically until both sides touch);
     raises PreconditionError otherwise.
     """
-    instance = fit_result.instance
-    g, _ = instance.scaled_design_and_values()
+    g, _ = fit_result.instance.scaled_design_and_values()
     if np.max(np.abs(g[:, 0] - 1.0)) > CONSTANT_COLUMN_TOL:
         raise PreconditionError(
             "the two-sided check needs the first basis function to be "
             "identically 1 on the evaluation points"
         )
-    _require_analyzable(fit_result.discrepancy, instance)
+    _require_analyzable(fit_result.exact_interpolation, fit_result.low_rank)
 
     d = fit_result.discrepancy
     tol = fit_result.active_tol

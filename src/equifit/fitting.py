@@ -39,6 +39,12 @@ class ProblemInstance:
     are absolute, so the fit LP, the rank and the certificate's orthogonality
     residuals read the columns times this exact scale, which a basis
     function's coefficient absorbs: none depends on that function's scale.
+
+    ``value_scale`` is 1 unless max |w y| is below one; then it is the power
+    of two (at most 2^1023) that lifts it into [1, 2).  The fit LP, the
+    fit's checks, the certificate and the oracle read the values times this
+    exact scale, which d and the coefficients absorb, and divide back what
+    they return.
     """
 
     points: np.ndarray
@@ -47,6 +53,7 @@ class ProblemInstance:
     weights: np.ndarray | None = None
     design_override: np.ndarray | None = None
     column_scale: np.ndarray = field(init=False, repr=False)
+    value_scale: float = field(init=False, repr=False)
     rank: int = field(init=False)
 
     def __post_init__(self):
@@ -95,6 +102,8 @@ class ProblemInstance:
             self._scaled = (w[:, None] * self._design, w * self.values)
         exponent = np.frexp(np.max(np.abs(self._scaled[0]), axis=0))[1]
         self.column_scale = np.ldexp(1.0, np.minimum(1 - exponent, 1023))
+        exponent = np.frexp(np.max(np.abs(self._scaled[1])) or 1.0)[1]
+        self.value_scale = float(np.ldexp(1.0, np.clip(1 - exponent, 0, 1023)))
         self.rank = matrix_rank_estimate(self._scaled[0] * self.column_scale)
 
     @property
@@ -113,7 +122,7 @@ class ProblemInstance:
         return self._design
 
     def scaled_design_and_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Design rows and values with the weights folded in."""
+        """Design rows and values with the weights folded in, in data units."""
         return self._scaled
 
 
@@ -124,8 +133,9 @@ class FitResult:
     ``residuals`` are the raw gaps value - combination; ``scaled_residuals``
     fold in the weights and are what the discrepancy bounds.  ``active_points``
     lists the indices whose scaled residual magnitude reaches the
-    discrepancy (zero-weight points never qualify).  The LP solution is kept
-    for certificate extraction.
+    discrepancy, less the band ``active_tol`` (zero-weight points never
+    qualify).  The LP solution is kept for certificate extraction; it holds
+    lifted values, times ``instance.value_scale``.
     """
 
     instance: ProblemInstance
@@ -134,13 +144,10 @@ class FitResult:
     residuals: np.ndarray
     scaled_residuals: np.ndarray
     active_points: tuple[int, ...]
+    active_tol: float
     exact_interpolation: bool
     low_rank: bool
     lp_solution: LpSolution = field(repr=False)
-
-    @property
-    def active_tol(self) -> float:
-        return ACTIVE_TOL_FACTOR * max(1.0, self.discrepancy)
 
 
 def assemble_primal(instance: ProblemInstance) -> LinearProgram:
@@ -149,11 +156,11 @@ def assemble_primal(instance: ProblemInstance) -> LinearProgram:
 
     Row 2i holds "combination(x_i) - z <= y_i", row 2i+1 holds
     "-combination(x_i) - z <= -y_i"; with weights, design row and value are
-    pre-multiplied by the point's weight.  The coefficient columns are
-    multiplied by ``instance.column_scale``.
+    pre-multiplied by the point's weight, then by ``instance.column_scale``
+    (coefficient columns) and ``instance.value_scale`` (values).
     """
     g, y = instance.scaled_design_and_values()
-    g = g * instance.column_scale
+    g, y = g * instance.column_scale, y * instance.value_scale
     n, m = g.shape
     matrix = np.zeros((2 * n, m + 1))
     rhs = np.zeros(2 * n)
@@ -177,10 +184,11 @@ def fit(instance: ProblemInstance) -> FitResult:
 
     The discrepancy is the LP optimum; residuals are recomputed from the
     coefficients rather than read off LP slacks.  Raises SolverError when
-    the LP layer fails.
+    the LP layer fails, or ends other than optimal, which for this feasible,
+    bounded LP is a numeric failure.
 
-    ``lp_solution.primal`` holds the coefficients of ``assemble_primal``'s
-    scaled columns; ``coefficients`` are those of the basis.
+    ``lp_solution.primal`` holds the lifted coefficients of
+    ``assemble_primal``'s scaled columns; ``coefficients`` those of the basis.
     """
     m = instance.m
     try:
@@ -189,24 +197,27 @@ def fit(instance: ProblemInstance) -> FitResult:
         raise SolverError(f"fit LP failed: {exc}") from exc
     if solution.status != OPTIMAL:
         raise SolverError(
-            f"fit LP ended with status {solution.status}: {solution.reason}"
+            f"numeric failure: the fit LP is feasible and bounded, but the "
+            f"solver ended with status {solution.status}: {solution.reason}"
         )
 
-    coefficients = solution.primal[:m] * instance.column_scale
-    discrepancy = float(solution.objective_value)
+    lift = instance.value_scale
+    coefficients = solution.primal[:m] * instance.column_scale / lift
+    lifted_d = float(solution.objective_value)
+    discrepancy = lifted_d / lift
     residuals = instance.values - instance.design() @ coefficients
     w = instance.weights
     scaled = residuals.copy() if w is None else w * residuals
 
     max_scaled = float(np.max(np.abs(scaled)))
     # Written so that a NaN bound or optimum fails the check.
-    if not abs(max_scaled - discrepancy) <= VERTEX_SLACK * max(1.0, discrepancy):
+    if not abs(max_scaled * lift - lifted_d) <= VERTEX_SLACK * max(1.0, lifted_d):
         raise SolverError(
             f"recomputed residual bound {max_scaled!r} is inconsistent with "
             f"the LP optimum {discrepancy!r}"
         )
 
-    active_tol = ACTIVE_TOL_FACTOR * max(1.0, discrepancy)
+    active_tol = ACTIVE_TOL_FACTOR * max(1.0, lifted_d) / lift
     active = np.abs(scaled) >= discrepancy - active_tol
     if w is not None:
         active &= w > 0
@@ -217,7 +228,8 @@ def fit(instance: ProblemInstance) -> FitResult:
         residuals=residuals,
         scaled_residuals=scaled,
         active_points=tuple(int(i) for i in np.flatnonzero(active)),
-        exact_interpolation=interpolates_exactly(discrepancy),
+        active_tol=active_tol,
+        exact_interpolation=interpolates_exactly(lifted_d),
         low_rank=instance.rank < m,
         lp_solution=solution,
     )

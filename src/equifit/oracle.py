@@ -78,11 +78,6 @@ class OracleComparison:
     agrees: bool
 
 
-def discrepancy_tolerance(discrepancy: float) -> float:
-    """How far two optimal discrepancies near ``discrepancy`` may differ."""
-    return AGREE_DISCREPANCY_TOL * max(1.0, discrepancy)
-
-
 def _householder(a: np.ndarray) -> np.ndarray:
     """Householder QR of a stack of blocks laid out (column, row, block),
     shape (m, m+1, k).  Overwrites a with R above the diagonal (R[i, j] in
@@ -192,7 +187,8 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
     Requires n <= 15 and m <= 4 (raises TooLarge otherwise).  Weights are
     folded in by pre-scaling rows and values.  Raises NoCandidate when the
     design's rank is below m (its optimum need not have an (m+1)-point
-    witness) or when no candidate at the floor is feasible.
+    witness) or when no candidate at the floor is feasible.  The scan reads
+    values lifted by ``instance.value_scale``; its answer is divided back.
     """
     n, m = instance.n, instance.m
     if n > MAX_POINTS or m > MAX_BASIS:
@@ -208,6 +204,8 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
         )
 
     g, y = instance.scaled_design_and_values()
+    lift = instance.value_scale
+    y = y * lift
     subsets, signs = _enumeration(n, m)
     # Every block G_S, laid out (column, row, subset); the sweep overwrites
     # them with their factors.
@@ -273,8 +271,8 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
         if np.any(feasible):
             k = int(np.argmax(feasible))
             return OracleResult(
-                coefficients=alphas[k].copy(),
-                discrepancy=float(max(d[k], 0.0)),
+                coefficients=alphas[k] / lift,
+                discrepancy=float(max(d[k], 0.0)) / lift,
                 witness_subset=tuple(int(i) for i in subsets[si[k]]),
                 witness_signs=tuple(int(s) for s in signs[gi[k]]),
             )
@@ -286,14 +284,15 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
 
 
 def compare_with_oracle(result: FitResult) -> OracleComparison:
-    """Brute-force the fit's instance and compare the two optima; raises
-    what ``brute_force_fit`` raises (TooLarge, NoCandidate)."""
+    """Brute-force the fit's instance and compare the optima on lifted
+    values; raises what ``brute_force_fit`` raises (TooLarge, NoCandidate)."""
     oracle = brute_force_fit(result.instance)
     discrepancy_gap = abs(result.discrepancy - oracle.discrepancy)
     coefficient_gap = float(np.max(np.abs(result.coefficients - oracle.coefficients)))
-    tolerance = discrepancy_tolerance(oracle.discrepancy)
+    lift = result.instance.value_scale
+    tolerance = AGREE_DISCREPANCY_TOL * max(1.0, oracle.discrepancy * lift) / lift
     agrees = discrepancy_gap <= tolerance and (
-        coefficient_gap <= AGREE_COEFFICIENT_TOL
+        coefficient_gap * lift <= AGREE_COEFFICIENT_TOL
         or objective_value(result.instance, oracle.coefficients)
         <= oracle.discrepancy + tolerance
     )

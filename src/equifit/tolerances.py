@@ -1,7 +1,10 @@
 """Every tolerance the package applies, with the reason for its value.
 
 Modules import the tolerances they apply from here; a rule that two modules
-apply is decided once, by a function below.
+apply is decided once, by a function below.  Rules on values, residuals and
+coefficients read them times ``ProblemInstance.value_scale``, which lifts
+data below one so that max |w y| >= 1: each floor of 1 below is in the
+data's unit, and none has an absolute regime for small data.
 """
 
 import numpy as np
@@ -43,8 +46,8 @@ PRODUCT_AGREE_TOL = 1e-8
 NODE_GAP_TOL = 1e-12
 
 # The oracle's slack for global feasibility of a candidate, relative to the
-# scale max(1, max |y|) of the (weighted) values: square solves at this
-# scale are accurate to machine precision.
+# scale max(1, max |y|) of the lifted (weighted) values: square solves at
+# this scale are accurate to machine precision.
 FEASIBILITY_SLACK = 1e-9
 # A fit agrees with the oracle when the discrepancies match to
 # AGREE_DISCREPANCY_TOL * max(1, d); coefficients that differ are accepted

@@ -15,7 +15,9 @@ from equifit.fitting import ProblemInstance, objective_value
 from equifit.basis import parse_basis_spec
 from equifit.generators import random_instance
 import equifit.cli as cli
+import equifit.fitting as fitting
 import equifit.selftest as selftest
+from equifit.lp import INFEASIBLE, LpSolution
 
 
 HAT_CSV = "x,y\n0,0\n1,1\n2,0\n"
@@ -606,3 +608,50 @@ def test_short_row_exits_2_when_the_missing_column_is_unused(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == f"E2: {path} line 4: 2 cells, but the header names 3 columns\n"
+
+
+def test_a_solver_failure_of_the_fit_lp_exits_3_with_one_line(
+    hat_csv, monkeypatch, capsys
+):
+    def failing(lp):
+        return LpSolution(status=INFEASIBLE, reason="constraints are inconsistent")
+
+    monkeypatch.setattr(fitting, "solve_lp", failing)
+    code, out, err = run_cli(capsys, "fit", "--data", hat_csv, "--basis", "1, x")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("E3: ")
+    assert "numeric failure: the fit LP is feasible and bounded" in err
+    assert err.count("\n") == 1
+
+
+def test_values_times_two_to_the_minus_40_scale_the_report_exactly(tmp_path, capsys):
+    # Four points and a line: three of them touch the band.  At 2^-40 the
+    # values are far below one; they are lifted before the LP and the checks
+    # read them, so only d, the coefficients and the residuals change, by
+    # exactly 2^-40.
+    x = [0.0, 0.3, 0.7, 1.0]
+    y = [0.2, 1.1, 0.4, 0.9]
+    reports = []
+    for k in (0, -40):
+        path = tmp_path / f"four{k}.csv"
+        rows = "".join(f"{a!r},{float(np.ldexp(b, k))!r}\n" for a, b in zip(x, y))
+        path.write_text("x,y\n" + rows)
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--basis", "1, x",
+            "--certify", "--verify",
+        )
+        assert code == 0, err
+        reports.append(json.loads(out))
+    plain, shrunk = reports
+    assert shrunk["discrepancy"] == np.ldexp(plain["discrepancy"], -40)
+    for entry, scaled in zip(plain["coefficients"], shrunk["coefficients"]):
+        assert scaled["value"] == np.ldexp(entry["value"], -40)
+    assert shrunk["active_points"] == plain["active_points"]
+    assert len(plain["active_points"]) == 3
+    assert shrunk["exact_interpolation"] is plain["exact_interpolation"] is False
+    for key in ("identities_ok", "active_count_ok", "two_sided_ok"):
+        assert shrunk["certificate"][key] is plain["certificate"][key] is True
+    assert shrunk["alternation"] == plain["alternation"]
+    assert plain["alternation"]["equioscillates"] is True
+    assert shrunk["oracle"]["agrees"] is plain["oracle"]["agrees"] is True

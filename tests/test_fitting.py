@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 from equifit.basis import BasisFunction, parse_basis_spec
 from equifit.certificates import extract_certificate, verify_identities
 from equifit.equioscillation import alternation_pattern
+from equifit.errors import SolverError
 from equifit.fitting import (
     ProblemInstance,
     assemble_primal,
     fit,
     objective_value,
 )
+from equifit.lp import INFEASIBLE, LpSolution
+import equifit.fitting as fitting
 
 
 def constant_instance():
@@ -292,3 +295,58 @@ def test_instance_rank_is_the_weighted_design_rank():
     )
     assert single.rank == 1
     assert fit(single).low_rank
+
+
+@pytest.mark.parametrize(
+    "values, weights, expected",
+    [
+        ([0.0, 0.0, 0.0], None, 1.0),
+        ([0.5, -1.0, 0.25], None, 1.0),
+        ([0.5, -0.75, 0.25], None, 2.0),
+        ([0.1, 0.2, 0.3], [3.0, 1.0, 2.0], 2.0),
+        ([0.3, 5.0, 0.25], [0.5, 0.0, 1.0], 4.0),
+        ([7.0, -3.0, 0.5], None, 1.0),
+    ],
+    ids=["zeros", "max-one", "max-0.75", "weighted", "zero-weight", "above-one"],
+)
+def test_value_scale_lifts_values_below_one(values, weights, expected):
+    instance = ProblemInstance(
+        points=[[0.0], [1.0], [2.0]],
+        values=values,
+        basis=parse_basis_spec("1, x", 1),
+        weights=weights,
+    )
+    assert instance.value_scale == expected
+    _, y = instance.scaled_design_and_values()
+    rhs = assemble_primal(instance).rhs
+    assert np.array_equal(rhs[0::2], y * expected)
+
+
+def test_subnormal_values_are_lifted_and_fit():
+    # Without the lift, 1e-310 reads as zero: the hat was an exact
+    # interpolation with d = 0.
+    instance = ProblemInstance(
+        points=[[0.0], [1.0], [2.0]],
+        values=[0.0, 1e-310, 0.0],
+        basis=parse_basis_spec("1, x", 1),
+    )
+    assert instance.value_scale == 2.0**1023
+    result = fit(instance)
+    assert not result.exact_interpolation
+    assert result.discrepancy == pytest.approx(5e-311, rel=1e-9)
+    assert np.all(np.isfinite(result.coefficients))
+    assert result.active_points == (0, 1, 2)
+
+
+def test_a_fit_lp_that_ends_other_than_optimal_is_a_numeric_failure(monkeypatch):
+    # The fit LP is feasible (alpha = 0, z = max |w y|) and bounded below by
+    # z >= 0, so an "infeasible" verdict can only come from rounding.
+    def failing(lp):
+        return LpSolution(status=INFEASIBLE, reason="constraints are inconsistent")
+
+    monkeypatch.setattr(fitting, "solve_lp", failing)
+    with pytest.raises(SolverError) as info:
+        fit(hat_instance())
+    message = str(info.value)
+    assert message.startswith("numeric failure: the fit LP is feasible and bounded")
+    assert "status infeasible: constraints are inconsistent" in message

@@ -49,6 +49,14 @@ def _scaled_values(x, y, w, m):
     return (*_fit(x, 1e3 * y, w, _monomials(m)), 1e3)
 
 
+def _values_times_1e_6(x, y, w, m):
+    return (*_fit(x, 1e-6 * y, w, _monomials(m)), 1e-6)
+
+
+def _values_times_1e_9(x, y, w, m):
+    return (*_fit(x, 1e-9 * y, w, _monomials(m)), 1e-9)
+
+
 def _shifted_basis(x, y, w, m):
     return (*_fit(x, y, w, _monomials(m, "(x - 0.5)")), 1.0)
 
@@ -71,6 +79,8 @@ def _scaled_basis(x, y, w, m):
         _shifted_basis,
         _scaled_points,
         _scaled_basis,
+        _values_times_1e_6,
+        _values_times_1e_9,
     ],
 )
 def test_fit_is_invariant(transform):
@@ -78,13 +88,16 @@ def test_fit_is_invariant(transform):
         d, active = _fit(x, y, w, _monomials(m))
         d_new, active_new, factor = transform(x, y, w, m)
         expected = factor * d
-        assert abs(d_new - expected) <= 1e-9 * max(1.0, expected)
+        assert abs(d_new - expected) <= 1e-9 * expected
         assert active_new == active
 
 
-def _verdicts(x, y, w, spec):
+def _verdicts(x, y, w, spec, value_factor=1.0):
     instance = ProblemInstance(
-        points=x[:, None], values=y, basis=parse_basis_spec(spec, 1), weights=w
+        points=x[:, None],
+        values=value_factor * y,
+        basis=parse_basis_spec(spec, 1),
+        weights=w,
     )
     result = fit(instance)
     try:
@@ -100,16 +113,54 @@ def _basis_times(factor):
 
 
 @pytest.mark.parametrize(
-    "point_factor, spec",
+    "point_factor, spec, value_factor",
     [
-        (1e-4, _monomials),
-        (1e-5, _monomials),
-        (1.0, _basis_times("1e-6")),
-        (1.0, _basis_times("1e9")),
+        (1e-4, _monomials, 1.0),
+        (1e-5, _monomials, 1.0),
+        (1.0, _basis_times("1e-6"), 1.0),
+        (1.0, _basis_times("1e9"), 1.0),
+        (1.0, _monomials, 1e-6),
+        (1.0, _monomials, 1e-9),
     ],
-    ids=["points-1e-4", "points-1e-5", "basis-1e-6", "basis-1e9"],
+    ids=[
+        "points-1e-4",
+        "points-1e-5",
+        "basis-1e-6",
+        "basis-1e9",
+        "values-1e-6",
+        "values-1e-9",
+    ],
 )
-def test_rank_and_certificate_do_not_depend_on_scale(point_factor, spec):
+def test_rank_and_certificate_do_not_depend_on_scale(point_factor, spec, value_factor):
     for x, y, w, m in _instances(17):
         expected = _verdicts(x, y, w, _monomials(m))
-        assert _verdicts(point_factor * x, y, w, spec(m)) == expected
+        assert _verdicts(point_factor * x, y, w, spec(m), value_factor) == expected
+
+
+def _exact_fit(x, y, w, m):
+    instance = ProblemInstance(
+        points=x[:, None], values=y, basis=parse_basis_spec(_monomials(m), 1), weights=w
+    )
+    result = fit(instance)
+    try:
+        report = verify_identities(
+            extract_certificate(result.lp_solution, instance), result, instance
+        )
+        verdicts = (report.identities_ok, report.active_count_ok, report.two_sided_ok)
+    except DegenerateCase as exc:
+        verdicts = str(exc)
+    flags = (result.exact_interpolation, result.low_rank)
+    return result, (result.lp_solution.iterations, result.active_points, flags, verdicts)
+
+
+@pytest.mark.parametrize("k", [10, 20, 30, 40])
+def test_values_times_two_to_the_minus_k_scale_the_fit_exactly(k):
+    # Values below one are lifted by a power of two before the LP and every
+    # check read them, so d and the coefficients scale exactly, and the
+    # pivots, the active set, the flags and the verdicts do not change.
+    for x, y, w, m in _instances(17):
+        result, facts = _exact_fit(x, y, w, m)
+        shrunk, shrunk_facts = _exact_fit(x, np.ldexp(y, -k), w, m)
+        assert shrunk.discrepancy == np.ldexp(result.discrepancy, -k)
+        assert np.array_equal(shrunk.coefficients, np.ldexp(result.coefficients, -k))
+        assert shrunk_facts == facts
