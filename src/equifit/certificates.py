@@ -29,10 +29,9 @@ from .errors import DegenerateCase, PreconditionError
 from .fitting import FitResult, ProblemInstance
 from .lp import OPTIMAL, LpSolution
 from .tolerances import (
-    BETA_NONZERO_TOL,
     CONSTANT_COLUMN_TOL,
-    IDENTITY_TOL,
-    SUM_TOL,
+    MULTIPLIER_TOL,
+    agreement_tol,
     interpolates_exactly,
     tight_rows,
 )
@@ -135,7 +134,7 @@ def verify_identities(
     residual = y - g @ alpha
     # Value-sized residuals are reported in data units and judged lifted.
     lift = instance.value_scale
-    tol = IDENTITY_TOL * max(1.0, d * lift)
+    tol = agreement_tol(d * lift)
 
     strong_duality_gap = abs(cert.dual_objective - d)
     beta_sum_residual = abs(float(np.sum(cert.beta)) - 1.0)
@@ -158,7 +157,7 @@ def verify_identities(
     # Their rhs is y and -y, of which tight_rows reads only the magnitude.
     slack = d + np.column_stack((residual, -residual)).ravel()
     tight = tight_rows(slack * lift, np.repeat(y * lift, 2))
-    violations = int(np.sum((cert.beta > BETA_NONZERO_TOL) & ~tight))
+    violations = int(np.sum((cert.beta > MULTIPLIER_TOL) & ~tight))
 
     active_count = len(fit_result.active_points)
     active_count_ok = check_active_point_count(fit_result, instance.m)
@@ -171,13 +170,13 @@ def verify_identities(
 
     identities_ok = (
         strong_duality_gap * lift <= tol
-        and beta_sum_residual <= SUM_TOL
+        and beta_sum_residual <= MULTIPLIER_TOL
         and value_sum_gap * lift <= tol
         and float(np.max(np.abs(orthogonality))) <= tol
         and abs(combined) * lift <= tol
         and residual_pairing_gap * lift <= tol
         and violations == 0
-        and np.all(cert.beta >= -BETA_NONZERO_TOL)
+        and np.all(cert.beta >= -MULTIPLIER_TOL)
     )
 
     notes = (
@@ -239,7 +238,7 @@ def check_two_sided(fit_result: FitResult, cert: DualCertificate) -> bool:
     has_undershoot = bool(np.any(scaled >= d - tol))
     has_overshoot = bool(np.any(scaled <= -d + tol))
     halves = (
-        abs(cert.overshoot_sum - 0.5) <= SUM_TOL
-        and abs(cert.undershoot_sum - 0.5) <= SUM_TOL
+        abs(cert.overshoot_sum - 0.5) <= MULTIPLIER_TOL
+        and abs(cert.undershoot_sum - 0.5) <= MULTIPLIER_TOL
     )
     return has_overshoot and has_undershoot and halves

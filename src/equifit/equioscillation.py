@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
 )
 from .fitting import FitResult, ProblemInstance, fit
-from .tolerances import NODE_GAP_TOL, PRODUCT_AGREE_TOL
+from .tolerances import AGREE_TOL, NODE_GAP_TOL
 
 
 @dataclass
@@ -244,7 +244,7 @@ def perturbation_step(
     formula = epsilon * product
 
     denom = max(abs(difference), abs(formula))
-    agrees = denom == 0.0 or abs(difference - formula) <= PRODUCT_AGREE_TOL * denom
+    agrees = denom == 0.0 or abs(difference - formula) <= AGREE_TOL * denom
     return PerturbationStep(
         new_value=new_value,
         difference=difference,

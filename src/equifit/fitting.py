@@ -17,7 +17,7 @@ import numpy as np
 from .basis import BasisSet, design_matrix, matrix_rank_estimate
 from .errors import DimensionMismatch, EquifitError, SolverError
 from .lp import FREE, OPTIMAL, LinearProgram, LpSolution, solve_lp
-from .tolerances import ACTIVE_TOL_FACTOR, VERTEX_SLACK, interpolates_exactly
+from .tolerances import BAND_TOL, interpolates_exactly
 
 
 @dataclass
@@ -99,7 +99,13 @@ class ProblemInstance:
         if w is None:
             self._scaled = (self._design, self.values)
         else:
-            self._scaled = (w[:, None] * self._design, w * self.values)
+            with np.errstate(over="ignore"):
+                self._scaled = (w[:, None] * self._design, w * self.values)
+            if not all(np.all(np.isfinite(a)) for a in self._scaled):
+                raise DimensionMismatch(
+                    "weighted design and values must be finite: a weight "
+                    "times a design entry or value overflows"
+                )
         exponent = np.frexp(np.max(np.abs(self._scaled[0]), axis=0))[1]
         self.column_scale = np.ldexp(1.0, np.minimum(1 - exponent, 1023))
         exponent = np.frexp(np.max(np.abs(self._scaled[1])) or 1.0)[1]
@@ -179,13 +185,16 @@ def assemble_primal(instance: ProblemInstance) -> LinearProgram:
     )
 
 
+@np.errstate(all="ignore")
 def fit(instance: ProblemInstance) -> FitResult:
     """Solve the minimax fit for an instance.
 
     The discrepancy is the LP optimum; residuals are recomputed from the
     coefficients rather than read off LP slacks.  Raises SolverError when
     the LP layer fails, or ends other than optimal, which for this feasible,
-    bounded LP is a numeric failure.
+    bounded LP is a numeric failure.  Like ``solve_lp``, it runs with
+    numpy's floating-point warnings silenced: a residual that overflows
+    fails the residual-bound check, which fails on inf and NaN.
 
     ``lp_solution.primal`` holds the lifted coefficients of
     ``assemble_primal``'s scaled columns; ``coefficients`` those of the basis.
@@ -202,7 +211,8 @@ def fit(instance: ProblemInstance) -> FitResult:
         )
 
     lift = instance.value_scale
-    coefficients = solution.primal[:m] * instance.column_scale / lift
+    # One exact factor, so that no intermediate product overflows.
+    coefficients = solution.primal[:m] * (instance.column_scale / lift)
     lifted_d = float(solution.objective_value)
     discrepancy = lifted_d / lift
     residuals = instance.values - instance.design() @ coefficients
@@ -210,14 +220,15 @@ def fit(instance: ProblemInstance) -> FitResult:
     scaled = residuals.copy() if w is None else w * residuals
 
     max_scaled = float(np.max(np.abs(scaled)))
+    band = BAND_TOL * max(1.0, lifted_d)
     # Written so that a NaN bound or optimum fails the check.
-    if not abs(max_scaled * lift - lifted_d) <= VERTEX_SLACK * max(1.0, lifted_d):
+    if not abs(max_scaled * lift - lifted_d) <= band:
         raise SolverError(
             f"recomputed residual bound {max_scaled!r} is inconsistent with "
             f"the LP optimum {discrepancy!r}"
         )
 
-    active_tol = ACTIVE_TOL_FACTOR * max(1.0, lifted_d) / lift
+    active_tol = band / lift
     active = np.abs(scaled) >= discrepancy - active_tol
     if w is not None:
         active &= w > 0

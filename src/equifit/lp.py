@@ -48,12 +48,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericFailure
 from .tolerances import (
+    BAND_TOL,
     DUAL_CLAMP_TOL,
-    FEAS_TOL,
     PIVOT_TOL,
     RATIO_TIE_TOL,
-    VERTEX_SLACK,
     tight_rows,
+    value_slack,
 )
 
 FREE = "free"
@@ -256,11 +256,10 @@ class _Simplex:
                 iterations=self.iterations,
             )
 
-        scale = max(1.0, float(np.max(np.abs(self.lp.rhs))))
         where = np.flatnonzero(self.basis == self.art_col)
         if where.size:
             row = int(where[0])
-            if self.tableau[row, -1] > FEAS_TOL * scale:
+            if self.tableau[row, -1] > value_slack(self.lp.rhs):
                 return False
             # Artificial stuck in the basis at level zero: pivot it out for
             # the lowest nonbasic (hence real) label that can take its place.
@@ -311,7 +310,7 @@ class _Simplex:
         activity = lp.constraint_matrix @ primal
         slack = lp.rhs - activity
         worst = float(np.max(-slack / np.maximum(1.0, np.abs(lp.rhs))))
-        if not worst <= VERTEX_SLACK:
+        if not worst <= BAND_TOL:
             raise NumericFailure(
                 f"optimal basis violates feasibility by {worst:.3e}", self.iterations
             )
@@ -331,7 +330,7 @@ class _Simplex:
 
 
 @np.errstate(all="ignore")
-def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve an inequality-form LP with Bland's rule.
 
     The entering column is the lowest-index column with reduced cost below
@@ -343,14 +342,12 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
 
     Returns an optimal vertex plus complementary duals, or a solution with
     status ``infeasible`` / ``unbounded`` and a reason string.  Raises
-    NumericFailure when pivoting exceeds the iteration budget (default
-    ``50 * (rows + vars)``), and when the tableau stops being finite: the
+    NumericFailure when pivoting exceeds the iteration budget of
+    ``50 * (rows + vars)`` pivots, and when the tableau stops being finite: the
     ratio test's NaN guard and extraction's NaN-failing checks catch that,
     so numpy's floating-point warnings are silenced on the way.
     """
-    if max_iterations is None:
-        max_iterations = 50 * (lp.num_rows + lp.num_vars)
-    state = _Simplex(lp, max_iterations)
+    state = _Simplex(lp, 50 * (lp.num_rows + lp.num_vars))
     if not state.phase_one():
         return LpSolution(
             status=INFEASIBLE,

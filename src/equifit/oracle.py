@@ -42,11 +42,7 @@ import numpy as np
 
 from .errors import NoCandidate, TooLarge
 from .fitting import FitResult, ProblemInstance, objective_value
-from .tolerances import (
-    AGREE_COEFFICIENT_TOL,
-    AGREE_DISCREPANCY_TOL,
-    FEASIBILITY_SLACK,
-)
+from .tolerances import AGREE_COEFFICIENT_TOL, agreement_tol, value_slack
 
 MAX_POINTS = 15
 MAX_BASIS = 4
@@ -235,7 +231,7 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
     # is some 1e-15 * max(1, max |y|) with a moderate condition number, far
     # below a second slack.  So no candidate with d_s < H - 2 slack can pass,
     # and skipping them changes no answer.
-    slack = FEASIBILITY_SLACK * max(1.0, float(np.max(np.abs(y))))
+    slack = value_slack(y)
     low, high = floor - 2.0 * slack, floor + 2.0 * slack
     flat_ds = ds.ravel()
     band = np.flatnonzero((flat_ds >= low) & (flat_ds <= high))
@@ -290,7 +286,7 @@ def compare_with_oracle(result: FitResult) -> OracleComparison:
     discrepancy_gap = abs(result.discrepancy - oracle.discrepancy)
     coefficient_gap = float(np.max(np.abs(result.coefficients - oracle.coefficients)))
     lift = result.instance.value_scale
-    tolerance = AGREE_DISCREPANCY_TOL * max(1.0, oracle.discrepancy * lift) / lift
+    tolerance = agreement_tol(oracle.discrepancy * lift) / lift
     agrees = discrepancy_gap <= tolerance and (
         coefficient_gap * lift <= AGREE_COEFFICIENT_TOL
         or objective_value(result.instance, oracle.coefficients)

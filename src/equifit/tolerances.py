@@ -1,73 +1,76 @@
-"""Every tolerance the package applies, with the reason for its value.
+"""Every tolerance the package applies, one per numerical question.
 
 Modules import the tolerances they apply from here; a rule that two modules
 apply is decided once, by a function below.  Rules on values, residuals and
 coefficients read them times ``ProblemInstance.value_scale``, which lifts
 data below one so that max |w y| >= 1: each floor of 1 below is in the
-data's unit, and none has an absolute regime for small data.
+data's unit, and none has an absolute regime for small data.  Each constant
+is given as its question; the quantity it is relative to; its readers.
 """
 
 import numpy as np
 
-# The phase-1 artificial counts as zero at FEAS_TOL * max(1, max |rhs|), and
-# a fit whose optimum is at most FEAS_TOL interpolates its data.
+# A value-sized quantity that counts as zero; max(1, max |lifted values|)
+# (``value_slack``), or the lifted optimum itself; LP phase 1, the oracle's
+# candidate slack, exact interpolation (``interpolates_exactly``).
 FEAS_TOL = 1e-9
-# Entries smaller than this are treated as zero during pivot selection.
+# A tableau entry too small to pivot on; absolute; the simplex.
 PIVOT_TOL = 1e-10
-# Ratios within this of the minimum ratio count as tied in the ratio test.
+# Ratios that tie with the minimum in the ratio test; absolute; the simplex.
 RATIO_TIE_TOL = 1e-12
-# A multiplier recomputed from the final basis may round this far below zero,
-# and is then clamped to zero; further below, the solve fails.
+# How far below zero a multiplier recomputed from the final basis may round
+# (it is then clamped to zero; further below, the solve fails); absolute;
+# LP extraction.
 DUAL_CLAMP_TOL = 1e-6
-# How far, relative to max(1, scale), the vertex recomputed from the final
-# basis may violate a row, or its residual bound differ from the LP optimum.
-VERTEX_SLACK = 100 * FEAS_TOL
-# A row is tight when its slack is at most this times max(1, |rhs|).
-TIGHT_ROW_TOL = 1e-7
-# Singular values at or below this times the largest do not count to the rank.
+# How far rounding may move a recomputed row or residual from its bound;
+# max(1, |bound|); the LP's vertex check and tight rows (``tight_rows``),
+# fit's residual-bound check and active band.
+BAND_TOL = 100 * FEAS_TOL
+# A singular value that does not count to the rank; the largest singular
+# value; the rank estimate.
 RANK_TOL = 1e-10
-# Active-set membership slack, relative to max(1, discrepancy): residuals
-# are recomputed in floating point, so exact tightness is not testable.
-ACTIVE_TOL_FACTOR = 1e-7
-
-# Certificates: multipliers below BETA_NONZERO_TOL count as zero; SUM_TOL
-# bounds the sum-to-one and half/half checks; identity residuals, sums of n
-# products of order-one quantities, pass at IDENTITY_TOL * max(1, d); the
-# first basis function is the constant if within CONSTANT_COLUMN_TOL of 1.
-BETA_NONZERO_TOL = 1e-9
-SUM_TOL = 1e-9
-IDENTITY_TOL = 1e-8
+# The multipliers' zero level, and how exactly they sum to one and split
+# into halves; absolute; the certificate.
+MULTIPLIER_TOL = 1e-9
+# Agreement of two computations of one number (for the certificate
+# identities, sums of n products of order-one quantities); max(1, lifted d)
+# (``agreement_tol``), or the larger of the two; the certificate identities,
+# the LP-vs-oracle discrepancy, the perturbation product formula.
+AGREE_TOL = 1e-8
+# A first basis column that counts as the constant; absolute; the two-sided
+# check.
 CONSTANT_COLUMN_TOL = 1e-12
-
-# The perturbation check's direct difference and closed-form product agree
-# to PRODUCT_AGREE_TOL, relatively; interpolation nodes closer than
-# NODE_GAP_TOL times their span are not distinct.
-PRODUCT_AGREE_TOL = 1e-8
+# Interpolation nodes that are not distinct; their span; Lagrange
+# interpolation.
 NODE_GAP_TOL = 1e-12
-
-# The oracle's slack for global feasibility of a candidate, relative to the
-# scale max(1, max |y|) of the lifted (weighted) values: square solves at
-# this scale are accurate to machine precision.
-FEASIBILITY_SLACK = 1e-9
-# A fit agrees with the oracle when the discrepancies match to
-# AGREE_DISCREPANCY_TOL * max(1, d); coefficients that differ are accepted
-# if the oracle's achieve their discrepancy too (the optimum need not be
-# unique).
-AGREE_DISCREPANCY_TOL = 1e-8
+# Coefficients that agree with the oracle's (beyond it, the oracle's must
+# achieve their discrepancy too: the optimum need not be unique); absolute,
+# on lifted coefficients; the oracle comparison.
 AGREE_COEFFICIENT_TOL = 1e-7
-
-# The selftest's absolute agreement of a weighted fit with the same fit whose
-# weights are folded into the design and values.
+# A weighted fit against the same fit whose weights are folded into the
+# design and values; absolute; the selftest.
 RESCALE_DISCREPANCY_TOL = 1e-9
 RESCALE_COEFFICIENT_TOL = 1e-8
 
 
 def tight_rows(slack, rhs):
-    """Mask of the rows whose slack is at most TIGHT_ROW_TOL * max(1, |rhs|):
-    an LP vertex's active rows, and where a certificate's multipliers sit."""
-    return slack <= TIGHT_ROW_TOL * np.maximum(1.0, np.abs(rhs))
+    """Mask of the rows whose slack is at most BAND_TOL * max(1, |rhs|): an
+    LP vertex's active rows, and where a certificate's multipliers sit."""
+    return slack <= BAND_TOL * np.maximum(1.0, np.abs(rhs))
 
 
 def interpolates_exactly(discrepancy):
     """A fit of discrepancy at most FEAS_TOL interpolates its data."""
     return discrepancy <= FEAS_TOL
+
+
+def value_slack(values):
+    """FEAS_TOL * max(1, max |values|), for lifted values: the level below
+    which a value-sized quantity counts as zero (LP phase 1, the oracle)."""
+    return FEAS_TOL * max(1.0, float(np.max(np.abs(values))))
+
+
+def agreement_tol(lifted_d):
+    """AGREE_TOL * max(1, lifted d): how far two computations of a
+    discrepancy-sized number may differ (certificate, oracle)."""
+    return AGREE_TOL * max(1.0, lifted_d)

@@ -1,14 +1,20 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equifit.cli import build_parser, main
 from equifit.fitting import ProblemInstance, objective_value
@@ -655,3 +661,92 @@ def test_values_times_two_to_the_minus_40_scale_the_report_exactly(tmp_path, cap
     assert shrunk["alternation"] == plain["alternation"]
     assert plain["alternation"]["equioscillates"] is True
     assert shrunk["oracle"]["agrees"] is plain["oracle"]["agrees"] is True
+
+
+# A weight times a value overflows; a weighted point's coefficient maps back
+# through a column scale near 2^1023 and a value scale near 2^970; a
+# residual overflows after the LP.
+OVERFLOWING_WEIGHT_CSV = "x,y,w\n0,7e9,1e300\n1,1,1\n2,0,1\n"
+HUGE_COEFFICIENT_CSV = "x,y,w\n1e8,1e8,1e-300\n0.001,5,0\n"
+OVERFLOWING_RESIDUAL_CSV = "x1,x2,y,w\n0,1e-300,-0,0.5\n1e-300,7e9,1e8,1\n2,1e8,1e8,0\n"
+
+
+@pytest.mark.parametrize(
+    "text, spec, expected",
+    [(OVERFLOWING_WEIGHT_CSV, "1, x", 2), (OVERFLOWING_RESIDUAL_CSV, "1, x, y", 3)],
+    ids=["weight-times-value", "residual"],
+)
+def test_an_overflow_exits_with_one_line(tmp_path, capsys, text, spec, expected):
+    path = tmp_path / "overflow.csv"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(path), "--basis", spec, "--weights", "w"
+    )
+    assert code == expected
+    assert out == ""
+    assert err.startswith(f"E{expected}: ")
+    assert err.count("\n") == 1
+
+
+def test_a_huge_coefficient_maps_back_without_overflow(tmp_path, capsys):
+    # alpha = 1e16 interpolates the one weighted point.
+    path = tmp_path / "huge.csv"
+    path.write_text(HUGE_COEFFICIENT_CSV)
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(path), "--basis", "1/x", "--weights", "w"
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["coefficients"][0]["value"] == pytest.approx(1e16, rel=1e-15)
+    assert report["exact_interpolation"] is True
+
+
+NUMBERS = ["0", "1", "-2.5", "7e9", "1e300", "1e-300", "1e-320"]
+
+
+@st.composite
+def csv_texts(draw):
+    """Small CSVs: a header of coordinate, value and weight columns, cells
+    from a few awkward numbers, some ragged rows and blank lines, and in a
+    quarter of them empty and text cells."""
+    coords = draw(st.sampled_from([["x"], ["x1", "x2"]]))
+    header = draw(st.permutations(coords + ["y"] + draw(st.sampled_from([[], ["w"]]))))
+    cells = st.sampled_from(NUMBERS + draw(st.sampled_from([[]] * 3 + [["", "text"]])))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+        width = len(header) + draw(st.sampled_from([0] * 18 + [-1, 1]))
+        lines.append(",".join(draw(st.lists(cells, min_size=width, max_size=width))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=csv_texts(),
+    spec=st.sampled_from(["1", "1, x", "1/x", "1, x, y"]),
+    weighted=st.booleans(),
+)
+@example(text=OVERFLOWING_WEIGHT_CSV, spec="1, x", weighted=True)
+@example(text=HUGE_COEFFICIENT_CSV, spec="1/x", weighted=True)
+@example(text=OVERFLOWING_RESIDUAL_CSV, spec="1, x, y", weighted=True)
+def test_any_csv_exits_0_2_or_3_without_warnings(text, spec, weighted):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w") as handle:
+            handle.write(text)
+        argv = ["fit", "--data", path, "--basis", spec]
+        argv += ["--weights", "w"] if weighted else []
+        argv += ["--out", os.path.join(tmp, "report.json")]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith(f"E{code}: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

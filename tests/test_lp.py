@@ -216,9 +216,10 @@ def test_determinism():
 
 
 def test_iteration_budget_reported():
-    lp = constant_basis_lp()
+    state = _Simplex(constant_basis_lp(), max_iterations=1)
     with pytest.raises(NumericFailure) as err:
-        solve_lp(lp, max_iterations=1)
+        state.phase_one()
+        state._optimize(state.cost)
     assert err.value.iterations is not None
 
 

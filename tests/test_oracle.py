@@ -11,12 +11,11 @@ from equifit.errors import NoCandidate, SolverError, TooLarge
 from equifit.fitting import ProblemInstance, fit, objective_value
 from equifit.oracle import (
     AGREE_COEFFICIENT_TOL,
-    AGREE_DISCREPANCY_TOL,
-    FEASIBILITY_SLACK,
     brute_force_fit,
     compare_with_oracle,
     factor_witness_subsets,
 )
+from equifit.tolerances import AGREE_TOL, FEAS_TOL
 
 
 def test_constant_two_points():
@@ -173,9 +172,9 @@ def test_compare_with_oracle_judges_optimality_not_the_coefficients():
     assert comparison.coefficient_gap > AGREE_COEFFICIENT_TOL
     assert comparison.agrees
 
-    worse = replace(result, discrepancy=result.discrepancy + 10 * AGREE_DISCREPANCY_TOL)
+    worse = replace(result, discrepancy=result.discrepancy + 10 * AGREE_TOL)
     comparison = compare_with_oracle(worse)
-    assert comparison.discrepancy_gap > AGREE_DISCREPANCY_TOL
+    assert comparison.discrepancy_gap > AGREE_TOL
     assert not comparison.agrees
 
 
@@ -265,7 +264,7 @@ def test_a_block_with_a_zero_column_is_never_a_witness():
     result = brute_force_fit(instance)
     assert result.witness_subset != (0, 1, 2)
     assert result.discrepancy == pytest.approx(1.0, abs=1e-12)
-    assert objective_value(instance, result.coefficients) <= 1.0 + FEASIBILITY_SLACK
+    assert objective_value(instance, result.coefficients) <= 1.0 + FEAS_TOL
 
 
 def _plain_loop_oracle(instance):
@@ -285,7 +284,7 @@ def _plain_loop_oracle(instance):
                 continue
             alpha, d = solution[:m], solution[m]
             max_abs = np.max(np.abs(y - g @ alpha))
-            if d >= -FEASIBILITY_SLACK and max_abs <= d + FEASIBILITY_SLACK:
+            if d >= -FEAS_TOL and max_abs <= d + FEAS_TOL:
                 feasible.append(d)
                 if best is None or d < best[0]:
                     best = (d, subset, signs)
@@ -331,7 +330,7 @@ def test_oracle_matches_a_plain_loop_over_every_witness_system():
         scale = max(1.0, d)
         assert abs(result.discrepancy - max(d, 0.0)) <= 1e-12 * scale
         assert objective_value(instance, result.coefficients) <= (
-            result.discrepancy + FEASIBILITY_SLACK
+            result.discrepancy + FEAS_TOL
         )
         compared += 1
         if np.sum(feasible <= d + 1e-9 * scale) == 1:
@@ -360,7 +359,7 @@ def _full_scan(instance):
         residuals = g @ alphas.reshape(m, -1)
         residuals -= y[:, None]
         max_abs = np.max(np.abs(residuals), axis=0).reshape(ds.shape)
-    slack = FEASIBILITY_SLACK * max(1.0, float(np.max(np.abs(y))))
+    slack = FEAS_TOL * max(1.0, float(np.max(np.abs(y))))
     feasible = (
         solvable & np.isfinite(max_abs) & (ds >= -slack) & (max_abs <= ds + slack)
     )
