@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Digest the benchmark's fits, so that two versions of equifit compare in
+one command.
+
+Imports ``equifit`` from SRC (default: this checkout's ``src``) and the
+seeded workloads from this checkout's ``perfbench/workloads.py``, runs a
+fixed slice of each workload's ops, and prints one line per slice: the
+workload, the seed, the op count, the count of ops that raised, and a
+SHA-256 of every op's outcome.
+
+* The fit workloads (``many_small``, ``grid_smooth``, ``large_1d``) run
+  through ``workloads.certified_fit``.  An op's outcome is d's repr; the
+  bytes of the coefficients, residuals and scaled residuals; the active
+  set; the pivots; the flags; ``active_tol``; the certificate report as
+  sorted JSON; the alternation pattern; or the raised exception's class
+  and message.
+* ``verify_cli`` runs ``equifit fit --certify --verify`` in process; an
+  op's outcome is its exit code, its JSON report without ``timing``, and
+  its stderr.
+
+Equal digests mean byte-identical fits, reports and verdicts:
+
+    python scripts/fit_digest.py > new.txt
+    python scripts/fit_digest.py ../parent/src > old.txt
+    diff old.txt new.txt
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# (workload, seed, number of blocks): 2696 ops in all.
+SLICES = (
+    ("many_small", 7, 40),
+    ("many_small", 11, 40),
+    ("many_small", 23, 40),
+    ("grid_smooth", 1, 6),
+    ("large_1d", 7, 2),
+    ("verify_cli", 7, 25),
+    ("verify_cli", 11, 25),
+)
+
+
+def _load(src):
+    """Import equifit from src, then the checkout's workloads module."""
+    src = pathlib.Path(src).resolve()
+    sys.path.insert(0, str(src))
+    import equifit
+
+    if not pathlib.Path(equifit.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"equifit is already imported from {equifit.__file__}")
+    spec = importlib.util.spec_from_file_location(
+        "fit_digest_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _fit_record(out):
+    result, report, pattern = out
+    parts = [
+        repr(result.discrepancy),
+        result.coefficients.tobytes(),
+        result.residuals.tobytes(),
+        result.scaled_residuals.tobytes(),
+        repr(result.active_points),
+        repr(result.lp_solution.iterations),
+        repr((result.exact_interpolation, result.low_rank)),
+        repr(result.active_tol),
+        "" if report is None else json.dumps(report.to_dict(), sort_keys=True),
+        repr(pattern),
+    ]
+    return b"|".join(p if isinstance(p, bytes) else p.encode() for p in parts)
+
+
+def _cli_record(code, report_path, stderr):
+    report = ""
+    if os.path.exists(report_path):
+        with open(report_path) as handle:
+            data = json.load(handle)
+        os.remove(report_path)
+        data.pop("timing", None)
+        report = json.dumps(data, sort_keys=True)
+    return f"{code}|{report}|{stderr}".encode()
+
+
+def digest(workloads, name, seed, blocks, workdir):
+    """(op count, raise count, SHA-256) of the first ``blocks`` blocks."""
+    workload = workloads.WORKLOADS[name](seed, workdir)
+    sha = hashlib.sha256()
+    ops = raises = 0
+    for index in range(blocks):
+        for inp in workload.block(index):
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                out, exc = workload.execute(inp)
+            ops += 1
+            if exc is not None:
+                raises += 1
+                record = f"{type(exc).__name__}: {exc}".encode()
+            elif name == "verify_cli":
+                record = _cli_record(out, inp.report_path, stderr.getvalue())
+            else:
+                record = _fit_record(out)
+            sha.update(len(record).to_bytes(8, "little") + record)
+    return ops, raises, sha.hexdigest()
+
+
+def run(src=ROOT / "src", blocks=None):
+    """Print and return one line per slice; ``blocks`` caps each slice's
+    block count."""
+    workloads = _load(src)
+    lines = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, seed, count in SLICES:
+            count = count if blocks is None else min(count, blocks)
+            ops, raises, sha = digest(workloads, name, seed, count, workdir)
+            lines.append(f"{name} seed {seed}: {ops} ops, {raises} raised, {sha}")
+            print(lines[-1])
+    return lines
+
+
+if __name__ == "__main__":
+    run(*sys.argv[1:2])

@@ -7,8 +7,7 @@ optimality:
 
 * ``beta >= 0`` and ``sum(beta) = 1`` (the bound column of the LP);
 * each basis function is ``beta``-orthogonal to the data: the overshoot
-  and undershoot sums of ``beta * basis(x)`` cancel (judged on the columns
-  multiplied by ``ProblemInstance.column_scale``);
+  and undershoot sums of ``beta * basis(x)`` cancel;
 * nonzero multipliers sit only on tight rows (complementary slackness);
 * pairing ``beta`` with the signed residuals reproduces the discrepancy,
   matching the maximized dual functional ``-rhs . beta``.
@@ -17,6 +16,10 @@ Note on orientation: the overshoot-minus-undershoot sum of ``beta * value``
 equals *minus* the discrepancy; the identity holds with the undershoot sum
 first.  ``verify_identities`` records this in its notes rather than
 silently flipping a sign.
+
+Every identity is judged on ``ProblemInstance.lifted_design_and_values()``
+against the tolerance of the lifted d; value-sized gaps are reported in
+data units.
 """
 
 from __future__ import annotations
@@ -126,17 +129,17 @@ def verify_identities(
         raise PreconditionError("fit does not match the instance size")
     _require_analyzable(fit_result.exact_interpolation, fit_result.low_rank)
 
-    g, y = instance.scaled_design_and_values()
-    alpha = fit_result.coefficients
-    d = fit_result.discrepancy
+    # Value-sized gaps are judged lifted and reported in data units.
+    g, y = instance.lifted_design_and_values()
+    lift = instance.value_scale
+    alpha = fit_result.coefficients / (instance.column_scale / lift)
+    d = fit_result.discrepancy * lift
     b_over = cert.beta[0::2]
     b_under = cert.beta[1::2]
     residual = y - g @ alpha
-    # Value-sized residuals are reported in data units and judged lifted.
-    lift = instance.value_scale
-    tol = agreement_tol(d * lift)
+    tol = agreement_tol(d)
 
-    strong_duality_gap = abs(cert.dual_objective - d)
+    strong_duality_gap = abs(cert.dual_objective * lift - d)
     beta_sum_residual = abs(float(np.sum(cert.beta)) - 1.0)
 
     # Optimal-value identity; holds with the undershoot sum leading.  The
@@ -144,10 +147,8 @@ def verify_identities(
     value_sum = float(b_under @ y - b_over @ y)
     value_sum_gap = abs(value_sum - d)
 
-    # Judged on the scaled columns; the combined residual is scale-free.
-    raw_orthogonality = g.T @ (b_over - b_under)
-    orthogonality = instance.column_scale * raw_orthogonality
-    combined = float(alpha @ raw_orthogonality)
+    orthogonality = g.T @ (b_over - b_under)
+    combined = abs(float(alpha @ orthogonality))
 
     pairing = float(b_under @ residual - b_over @ residual)
     residual_pairing_gap = abs(pairing - d)
@@ -156,7 +157,7 @@ def verify_identities(
     # d + residual on the overshoot row, d - residual on the undershoot row.
     # Their rhs is y and -y, of which tight_rows reads only the magnitude.
     slack = d + np.column_stack((residual, -residual)).ravel()
-    tight = tight_rows(slack * lift, np.repeat(y * lift, 2))
+    tight = tight_rows(slack, np.repeat(y, 2))
     violations = int(np.sum((cert.beta > MULTIPLIER_TOL) & ~tight))
 
     active_count = len(fit_result.active_points)
@@ -169,12 +170,12 @@ def verify_identities(
         two_sided = None
 
     identities_ok = (
-        strong_duality_gap * lift <= tol
+        strong_duality_gap <= tol
         and beta_sum_residual <= MULTIPLIER_TOL
-        and value_sum_gap * lift <= tol
+        and value_sum_gap <= tol
         and float(np.max(np.abs(orthogonality))) <= tol
-        and abs(combined) * lift <= tol
-        and residual_pairing_gap * lift <= tol
+        and combined <= tol
+        and residual_pairing_gap <= tol
         and violations == 0
         and np.all(cert.beta >= -MULTIPLIER_TOL)
     )
@@ -184,12 +185,12 @@ def verify_identities(
         "the reversed orientation equals minus the discrepancy",
     )
     return CertificateReport(
-        strong_duality_gap=strong_duality_gap,
+        strong_duality_gap=strong_duality_gap / lift,
         beta_sum_residual=beta_sum_residual,
-        value_sum_gap=value_sum_gap,
+        value_sum_gap=value_sum_gap / lift,
         orthogonality_residuals=np.abs(orthogonality),
-        combined_orthogonality_residual=abs(combined),
-        residual_pairing_gap=residual_pairing_gap,
+        combined_orthogonality_residual=combined / lift,
+        residual_pairing_gap=residual_pairing_gap / lift,
         complementarity_violations=violations,
         active_point_count=active_count,
         active_count_ok=active_count_ok,

@@ -265,6 +265,8 @@ def _text_report(report):
 
 def cmd_fit(args) -> int:
     started = time.perf_counter()
+    if args.dim is not None and args.dim < 1:
+        _fail(EXIT_VALIDATION, f"--dim must be at least 1, got {args.dim}")
     points, values, weights, dim = _read_csv(args.data, args.dim, args.weights)
     try:
         basis = parse_basis_spec(args.basis, dim)

@@ -298,9 +298,9 @@ def strict_improvement_check(
     # Slack of the candidate off the reference set bounds how far the second
     # bump may go.  The candidate extends off its nodes as the degree-t
     # interpolant of its values.
-    candidate = lagrange_interpolate(z[keep], f_vals[keep])
     off = [i for i in range(instance.n) if i not in reference.indices]
     if off:
+        candidate = lagrange_interpolate(z[keep], f_vals[keep])
         off_res = np.abs(instance.values[off] - candidate(instance.points[off, 0]))
         gap = d - float(np.max(off_res))
         if gap <= 0:

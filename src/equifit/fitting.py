@@ -30,21 +30,19 @@ class ProblemInstance:
     design (row sign flips, row rescaling) that no closed-form basis list
     expresses.
 
-    The design, its weighted form, its column scale and its rank are derived
+    The design, its scales, the lifted problem and its rank are derived
     once, here, and every later step reads them; a basis function that is
     not finite at some point raises EvaluationError from the constructor.
 
     ``column_scale`` holds, per weighted design column, the power of two (at
-    most 2^1023) that puts its largest magnitude in [1, 2).  The tolerances
-    are absolute, so the fit LP, the rank and the certificate's orthogonality
-    residuals read the columns times this exact scale, which a basis
-    function's coefficient absorbs: none depends on that function's scale.
-
-    ``value_scale`` is 1 unless max |w y| is below one; then it is the power
-    of two (at most 2^1023) that lifts it into [1, 2).  The fit LP, the
-    fit's checks, the certificate and the oracle read the values times this
-    exact scale, which d and the coefficients absorb, and divide back what
-    they return.
+    most 2^1023) that puts its largest magnitude in [1, 2).  ``value_scale``
+    is 1 unless max |w y| is below one; then it is the power of two (at most
+    2^1023) that lifts it into [1, 2).  ``lifted_design_and_values()`` is the
+    weighted design and values times these exact scales.  The tolerances are
+    absolute, so the fit LP, the rank, the certificate and the oracle read
+    this one pair, and none depends on a basis function's scale or the
+    data's: a coefficient maps back by ``column_scale / value_scale``, and d
+    by ``value_scale``.
     """
 
     points: np.ndarray
@@ -95,22 +93,21 @@ class ProblemInstance:
             self._design = self.design_override
         else:
             self._design = design_matrix(self.basis, self.points)
-        w = self.weights
-        if w is None:
-            self._scaled = (self._design, self.values)
-        else:
-            with np.errstate(over="ignore"):
-                self._scaled = (w[:, None] * self._design, w * self.values)
-            if not all(np.all(np.isfinite(a)) for a in self._scaled):
-                raise DimensionMismatch(
-                    "weighted design and values must be finite: a weight "
-                    "times a design entry or value overflows"
-                )
-        exponent = np.frexp(np.max(np.abs(self._scaled[0]), axis=0))[1]
+        with np.errstate(over="ignore"):
+            g, y = self.scaled_design_and_values()
+        if self.weights is not None and not (
+            np.all(np.isfinite(g)) and np.all(np.isfinite(y))
+        ):
+            raise DimensionMismatch(
+                "weighted design and values must be finite: a weight "
+                "times a design entry or value overflows"
+            )
+        exponent = np.frexp(np.max(np.abs(g), axis=0))[1]
         self.column_scale = np.ldexp(1.0, np.minimum(1 - exponent, 1023))
-        exponent = np.frexp(np.max(np.abs(self._scaled[1])) or 1.0)[1]
+        exponent = np.frexp(np.max(np.abs(y)) or 1.0)[1]
         self.value_scale = float(np.ldexp(1.0, np.clip(1 - exponent, 0, 1023)))
-        self.rank = matrix_rank_estimate(self._scaled[0] * self.column_scale)
+        self._lifted = (g * self.column_scale, y * self.value_scale)
+        self.rank = matrix_rank_estimate(self._lifted[0])
 
     @property
     def n(self) -> int:
@@ -129,7 +126,15 @@ class ProblemInstance:
 
     def scaled_design_and_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Design rows and values with the weights folded in, in data units."""
-        return self._scaled
+        w = self.weights
+        if w is None:
+            return self._design, self.values
+        return w[:, None] * self._design, w * self.values
+
+    def lifted_design_and_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted design times ``column_scale`` and the weighted values
+        times ``value_scale``: the problem every check of a fit reads."""
+        return self._lifted
 
 
 @dataclass
@@ -140,8 +145,8 @@ class FitResult:
     fold in the weights and are what the discrepancy bounds.  ``active_points``
     lists the indices whose scaled residual magnitude reaches the
     discrepancy, less the band ``active_tol`` (zero-weight points never
-    qualify).  The LP solution is kept for certificate extraction; it holds
-    lifted values, times ``instance.value_scale``.
+    qualify).  The LP solution is kept for certificate extraction; it is
+    the solution of the instance's lifted problem.
     """
 
     instance: ProblemInstance
@@ -161,12 +166,10 @@ def assemble_primal(instance: ProblemInstance) -> LinearProgram:
     per point as (overshoot row, undershoot row).
 
     Row 2i holds "combination(x_i) - z <= y_i", row 2i+1 holds
-    "-combination(x_i) - z <= -y_i"; with weights, design row and value are
-    pre-multiplied by the point's weight, then by ``instance.column_scale``
-    (coefficient columns) and ``instance.value_scale`` (values).
+    "-combination(x_i) - z <= -y_i", on the lifted design and values of
+    ``instance.lifted_design_and_values()``.
     """
-    g, y = instance.scaled_design_and_values()
-    g, y = g * instance.column_scale, y * instance.value_scale
+    g, y = instance.lifted_design_and_values()
     n, m = g.shape
     matrix = np.zeros((2 * n, m + 1))
     rhs = np.zeros(2 * n)

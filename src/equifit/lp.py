@@ -37,7 +37,7 @@ negative):
   most one: the bound variable's in phase 2, the artificial's in phase 1.
 * Extraction solves the square core of the final basis, its tight rows
   against its non-slack columns, not two r x r systems.  Its order is at
-  most the number of variables plus one: m + 2 on the fit LP.
+  most the number of variables: m + 1 on the fit LP.
 """
 
 from __future__ import annotations
@@ -261,11 +261,13 @@ class _Simplex:
             row = int(where[0])
             if self.tableau[row, -1] > value_slack(self.lp.rhs):
                 return False
-            # Artificial stuck in the basis at level zero: pivot it out for
-            # the lowest nonbasic (hence real) label that can take its place.
+            # Artificial stuck in the basis at level zero: pivot it out for the
+            # lowest nonbasic (hence real) label that can take its place.  Its
+            # row of B^-1 times its 0/-1 column is 1, so a finite row has one.
             real = np.flatnonzero(np.abs(self.tableau[row, :-1]) > PIVOT_TOL)
-            if real.size:
-                self._pivot(row, int(real[np.argmin(self.nonbasic[real])]))
+            if not real.size:
+                raise NumericFailure("phase-1 tableau is not finite", self.iterations)
+            self._pivot(row, int(real[np.argmin(self.nonbasic[real])]))
         self.allowed[self.art_col] = False
         return True
 
@@ -274,8 +276,9 @@ class _Simplex:
 
         A basic slack takes up its own row and fixes that row's multiplier
         at 0, so the basis system reduces to its core: the tight rows (those
-        whose slack is nonbasic) against the other basic columns.  The core
-        is square, of order at most the number of variables plus one.
+        whose slack is nonbasic) against the other basic columns, all real:
+        phase 1 leaves no artificial basic.  The core is square, of order
+        at most the number of variables.
         """
         lp = self.lp
         n_struct = self.n_struct
@@ -285,18 +288,13 @@ class _Simplex:
         cols = np.flatnonzero(is_basic[:n_struct])
         var, sign = self.col_var[cols], self.col_sign[cols]
         core = lp.constraint_matrix[rows][:, var] * sign
-        core_cost = self.cost[cols]
-        if self.needs_artificial and is_basic[self.art_col]:
-            # Left basic at level zero, the artificial is a core column too.
-            core = np.column_stack([core, np.where(lp.rhs[rows] < 0, -1.0, 0.0)])
-            core_cost = np.append(core_cost, 0.0)
         try:
             x_core = np.linalg.solve(core, lp.rhs[rows])
-            y_core = np.linalg.solve(core.T, core_cost)
+            y_core = np.linalg.solve(core.T, self.cost[cols])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by pivoting
             raise NumericFailure(f"singular final basis: {exc}", self.iterations)
 
-        primal = np.bincount(var, sign * x_core[: cols.size], minlength=lp.num_vars)
+        primal = np.bincount(var, sign * x_core, minlength=lp.num_vars)
 
         beta = np.zeros(lp.num_rows)
         beta[rows] = -y_core

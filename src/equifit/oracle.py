@@ -4,8 +4,9 @@ At an optimum of the minimax fit there is a witness subset S of m+1 points
 whose residuals all sit at the discrepancy d with definite signs s, so
 that [G_S | s][alpha; d] = y_S.  The candidates are every subset with
 every sign pattern; the answer is the first globally feasible candidate of
-least d in (subset-lexicographic, sign-lexicographic) order.  This module
-exists to check the LP path, not to compete with it.
+least d in (subset-lexicographic, sign-lexicographic) order, on the
+instance's lifted problem, as the fit LP reads it.  This module exists to
+check the LP path, not to compete with it.
 
 The systems of one subset share G_S, so each subset is factored once, by
 Householder QR, G_S = Q R.  All C(n, m+1) blocks are factored together in
@@ -180,11 +181,12 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
     candidate, scoring only those within rounding of the de la Vallee
     Poussin floor.
 
-    Requires n <= 15 and m <= 4 (raises TooLarge otherwise).  Weights are
-    folded in by pre-scaling rows and values.  Raises NoCandidate when the
-    design's rank is below m (its optimum need not have an (m+1)-point
-    witness) or when no candidate at the floor is feasible.  The scan reads
-    values lifted by ``instance.value_scale``; its answer is divided back.
+    Requires n <= 15 and m <= 4 (raises TooLarge otherwise).  Raises
+    NoCandidate when the design's rank is below m (its optimum need not have
+    an (m+1)-point witness) or when no candidate at the floor is feasible.
+    The scan reads the instance's lifted design and values; like ``fit``, it
+    maps its coefficients back by ``column_scale / value_scale`` and divides
+    d by ``value_scale``.
     """
     n, m = instance.n, instance.m
     if n > MAX_POINTS or m > MAX_BASIS:
@@ -199,9 +201,7 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
             f"design has rank {instance.rank} < m = {m} (rank-deficient design)"
         )
 
-    g, y = instance.scaled_design_and_values()
-    lift = instance.value_scale
-    y = y * lift
+    g, y = instance.lifted_design_and_values()
     subsets, signs = _enumeration(n, m)
     # Every block G_S, laid out (column, row, subset); the sweep overwrites
     # them with their factors.
@@ -266,8 +266,9 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
         )
         if np.any(feasible):
             k = int(np.argmax(feasible))
+            lift = instance.value_scale
             return OracleResult(
-                coefficients=alphas[k] / lift,
+                coefficients=alphas[k] * (instance.column_scale / lift),
                 discrepancy=float(max(d[k], 0.0)) / lift,
                 witness_subset=tuple(int(i) for i in subsets[si[k]]),
                 witness_signs=tuple(int(s) for s in signs[gi[k]]),

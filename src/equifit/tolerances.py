@@ -1,11 +1,12 @@
 """Every tolerance the package applies, one per numerical question.
 
 Modules import the tolerances they apply from here; a rule that two modules
-apply is decided once, by a function below.  Rules on values, residuals and
-coefficients read them times ``ProblemInstance.value_scale``, which lifts
-data below one so that max |w y| >= 1: each floor of 1 below is in the
-data's unit, and none has an absolute regime for small data.  Each constant
-is given as its question; the quantity it is relative to; its readers.
+apply is decided once, by a function below.  The rules read the one lifted
+problem, ``ProblemInstance.lifted_design_and_values()``: every column's
+largest magnitude in [1, 2), and data below one lifted so that max |w y| >= 1.
+So each floor of 1 below is in the data's unit, and none has an absolute
+regime for small data or small columns.  Each constant is given as its
+question; the quantity it is relative to; its readers.
 """
 
 import numpy as np
@@ -45,7 +46,7 @@ CONSTANT_COLUMN_TOL = 1e-12
 NODE_GAP_TOL = 1e-12
 # Coefficients that agree with the oracle's (beyond it, the oracle's must
 # achieve their discrepancy too: the optimum need not be unique); absolute,
-# on lifted coefficients; the oracle comparison.
+# on coefficients times value_scale; the oracle comparison.
 AGREE_COEFFICIENT_TOL = 1e-7
 # A weighted fit against the same fit whose weights are folded into the
 # design and values; absolute; the selftest.

@@ -178,6 +178,29 @@ def test_two_dimensional_fit(tmp_path, capsys):
     assert "skipped" in report["alternation"]
 
 
+def test_dim_1_fits_the_first_coordinate_alone(tmp_path, capsys):
+    path = tmp_path / "plane.csv"
+    path.write_text("x1,x2,y\n0,5,0\n1,-3,1\n2,7,0\n3,1,2\n")
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(path), "--basis", "1, x", "--dim", "1",
+        "--certify",
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["instance"]["dimension"] == 1
+    assert report["alternation"]["equioscillates"] is True
+
+
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_dim_below_1_names_the_flag(hat_csv, capsys, dim):
+    code, out, err = run_cli(
+        capsys, "fit", "--data", hat_csv, "--basis", "1", "--dim", dim
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"E2: --dim must be at least 1, got {dim}\n"
+
+
 def test_text_format(hat_csv, capsys):
     code, out, _ = run_cli(
         capsys, "fit", "--data", hat_csv, "--basis", "1, x", "--format", "text"
@@ -185,6 +208,50 @@ def test_text_format(hat_csv, capsys):
     assert code == 0
     assert "discrepancy" in out
     assert "coefficients" in out
+
+
+@pytest.mark.parametrize(
+    "text, spec, lines",
+    [
+        (
+            "x,y\n0,1\n1,2\n",
+            "1, x",
+            [
+                "exact interpolation: the data is matched with zero error",
+                "certificate: skipped (exact interpolation (discrepancy ~ 0): "
+                "certificates are not defined for this case)",
+                "alternation: skipped (alternation analysis needs a "
+                "non-degenerate fit)",
+                "brute-force check: skipped (need at least m + 1 = 3 points, got 2)",
+            ],
+        ),
+        (
+            HAT_CSV,
+            "x, 2*x",
+            [
+                "low rank: the design matrix is rank deficient",
+                "certificate: skipped (rank-deficient design: certificates are "
+                "not defined)",
+                "alternation: skipped (alternation analysis needs a "
+                "non-degenerate fit)",
+                "brute-force check: skipped (design has rank 1 < m = 2 "
+                "(rank-deficient design))",
+            ],
+        ),
+    ],
+    ids=["exact-interpolation", "low-rank"],
+)
+def test_text_report_names_each_skipped_check(tmp_path, capsys, text, spec, lines):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(path), "--basis", spec, "--format", "text",
+        "--certify", "--verify",
+    )
+    assert code == 0, err
+    report = out.splitlines()
+    start = report.index(lines[0])
+    assert report[start : start + len(lines)] == lines
 
 
 def test_out_file(hat_csv, tmp_path, capsys):
@@ -441,6 +508,26 @@ def test_verify_certifies_a_design_on_shrunk_abscissae(tmp_path, capsys):
     assert report["certificate"]["identities_ok"] is True
     assert report["oracle"]["agrees"] is True
     assert report["discrepancy"] == pytest.approx(0.5714744107964222, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e60, 1e-60])
+def test_verify_agrees_on_a_cubic_at_extreme_abscissae(tmp_path, capsys, scale):
+    # The brute-force check used to be skipped here: the witness blocks of
+    # the unscaled columns were too ill-conditioned.
+    x = scale * np.linspace(0.0, 1.0, 11)
+    y = np.sin(4.0 * x / scale) + 0.1 * np.cos(17.0 * x / scale)
+    path = tmp_path / "cubic.csv"
+    path.write_text(
+        "x,y\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, y))
+    )
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(path), "--basis", "1, x, x^2, x^3",
+        "--certify", "--verify", "--format", "text",
+    )
+    assert code == 0, err
+    lines = out.splitlines()
+    assert any(line.endswith("identities ok") for line in lines)
+    assert any(line.startswith("brute-force check: agrees (") for line in lines)
 
 
 def test_text_report_names_the_coefficient_gap_of_a_disagreement(

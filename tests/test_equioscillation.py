@@ -220,6 +220,44 @@ def test_strict_improvement_on_random_configs():
         assert 0 < check.delta <= 0.25 * epsilon + 1e-15
 
 
+def with_off_reference_points(rng, low, high):
+    """A same-sided configuration plus 1-5 points off its reference, each
+    at between low and high times d from the candidate, on either side."""
+    instance, reference, pair, epsilon = same_sided_reference_config(rng)
+    z = instance.points[:, 0]
+    d = reference.discrepancy
+    candidate = lagrange_interpolate(
+        z[:-1], instance.values[:-1] - d * np.array(reference.signs[:-1])
+    )
+    count = int(rng.integers(1, 6))
+    x = rng.uniform(0.0, 1.0, count)
+    sides = rng.choice([-1.0, 1.0], count)
+    y = candidate(x) + d * sides * rng.uniform(low, high, count)
+    extended = ProblemInstance(
+        points=np.concatenate([z, x])[:, None],
+        values=np.concatenate([instance.values, y]),
+        basis=instance.basis,
+    )
+    return extended, reference, pair, epsilon
+
+
+def test_strict_improvement_with_points_inside_the_band_off_the_reference():
+    rng = np.random.default_rng(67)
+    for _ in range(60):
+        instance, reference, pair, epsilon = with_off_reference_points(rng, 0.0, 0.9)
+        check = strict_improvement_check(reference, instance, pair, epsilon)
+        assert check.reduced
+        assert 0 < check.delta <= 0.25 * epsilon + 1e-15
+
+
+def test_strict_improvement_rejects_a_point_outside_the_band():
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        instance, reference, pair, epsilon = with_off_reference_points(rng, 2.0, 2.0)
+        with pytest.raises(PreconditionError, match="off the reference set"):
+            strict_improvement_check(reference, instance, pair, epsilon)
+
+
 def test_polynomial_fits_equioscillate():
     rng = np.random.default_rng(61)
     for _ in range(40):

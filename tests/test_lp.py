@@ -598,3 +598,31 @@ def test_a_large_fit_allocates_a_few_condensed_tableaux():
     # Column-major, so that a pivot's passes over one column are contiguous.
     state = _Simplex(assemble_primal(instance), max_iterations=1)
     assert state.tableau.flags.f_contiguous
+
+
+def test_phase_one_never_leaves_the_artificial_basic():
+    # The artificial's row of B^-1 times its 0/-1 column is 1, so on a
+    # finite tableau phase 1 can always pivot it out.
+    lps = list(seeded_lps())
+    lps += [fit_lp(n, weighted, seed) for n in (12, 300) for weighted in (False, True)
+            for seed in range(3)]
+    pivoted_out = 0
+    for lp in lps:
+        state = _Simplex(lp, 50 * (lp.num_rows + lp.num_vars))
+        if state.phase_one():
+            assert state.art_col not in state.basis
+            pivoted_out += state.needs_artificial
+    assert pivoted_out >= 50
+
+
+def test_a_phase_one_tableau_that_is_not_finite_is_a_numeric_failure():
+    # Pivots on entries of order 1e300 overflow the tableau to NaN, and the
+    # artificial cannot leave the basis.
+    lp = LinearProgram(
+        objective=[2.0, 0.0],
+        constraint_matrix=[[-2e300, 1e200], [0.0, 2e300], [2e-300, -1e300]],
+        rhs=[1e-300, 0.0, -2e300],
+        variable_kinds=(NONNEGATIVE, NONNEGATIVE),
+    )
+    with pytest.raises(NumericFailure, match="not finite"):
+        solve_lp(lp)

@@ -267,6 +267,21 @@ def test_a_block_with_a_zero_column_is_never_a_witness():
     assert objective_value(instance, result.coefficients) <= 1.0 + FEAS_TOL
 
 
+@pytest.mark.parametrize("scale", [1e60, 1e-60])
+def test_the_oracle_scans_the_column_scaled_blocks(scale):
+    # x^3 reaches 1e180 or falls to 1e-180 here: read unscaled, its squares
+    # overflow or underflow in the Householder sweep, and no witness block
+    # passed the feasibility test.
+    x = np.linspace(0.0, 1.0, 11)
+    y = np.sin(4.0 * x) + 0.1 * np.cos(17.0 * x)
+    basis = parse_basis_spec("1, x, x^2, x^3", 1)
+    plain = fit(ProblemInstance(points=x[:, None], values=y, basis=basis))
+    instance = ProblemInstance(points=(scale * x)[:, None], values=y, basis=basis)
+    comparison = compare_with_oracle(fit(instance))
+    assert comparison.agrees
+    assert comparison.oracle.discrepancy == pytest.approx(plain.discrepancy, rel=1e-12)
+
+
 def _plain_loop_oracle(instance):
     """Every (subset, sign) system solved on its own, in enumeration order;
     returns the best feasible candidate and every feasible discrepancy."""

@@ -26,3 +26,13 @@ def test_large_fit_reports_and_certifies(capsys):
     assert script["run"](2000, 4, 100)
     assert "certificate identities: ok" in capsys.readouterr().out
     assert not script["run"](2000, 4, 0)
+
+
+def test_fit_digest_is_deterministic(capsys):
+    digest = runpy.run_path(str(SCRIPTS / "fit_digest.py"))
+    first = digest["run"](blocks=1)
+    assert first == digest["run"](blocks=1)
+    assert [line.split(":")[0] for line in first] == [
+        f"{name} seed {seed}" for name, seed, _ in digest["SLICES"]
+    ]
+    assert "many_small seed 7: 12 ops, 0 raised, " in capsys.readouterr().out
