@@ -18,7 +18,11 @@ SHA-256 of every op's outcome.
   op's outcome is its exit code, its JSON report without ``timing``, and
   its stderr.
 
-Equal digests mean byte-identical fits, reports and verdicts:
+A last line digests the printed output of the selftest battery,
+``equifit selftest --seed 42 --instances 200``.
+
+Equal digests mean byte-identical fits, reports, verdicts and selftest
+output:
 
     python scripts/fit_digest.py > new.txt
     python scripts/fit_digest.py ../parent/src > old.txt
@@ -47,6 +51,8 @@ SLICES = (
     ("verify_cli", 7, 25),
     ("verify_cli", 11, 25),
 )
+# The selftest's seed and instance count.
+BATTERY = (42, 200)
 
 
 def _load(src):
@@ -116,9 +122,19 @@ def digest(workloads, name, seed, blocks, workdir):
     return ops, raises, sha.hexdigest()
 
 
+def battery_digest(seed, instances):
+    """SHA-256 of the selftest battery's printed lines."""
+    from equifit.selftest import run_battery
+
+    lines = []
+    run_battery(seed, instances, lines.append)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def run(src=ROOT / "src", blocks=None):
-    """Print and return one line per slice; ``blocks`` caps each slice's
-    block count."""
+    """Print and return one line per slice, then the selftest's line;
+    ``blocks`` caps each slice's block count and runs the selftest on 5
+    instances."""
     workloads = _load(src)
     lines = []
     with tempfile.TemporaryDirectory() as workdir:
@@ -127,6 +143,10 @@ def run(src=ROOT / "src", blocks=None):
             ops, raises, sha = digest(workloads, name, seed, count, workdir)
             lines.append(f"{name} seed {seed}: {ops} ops, {raises} raised, {sha}")
             print(lines[-1])
+    seed, instances = BATTERY if blocks is None else (BATTERY[0], 5)
+    sha = battery_digest(seed, instances)
+    lines.append(f"selftest seed {seed}: {instances} instances, {sha}")
+    print(lines[-1])
     return lines
 
 

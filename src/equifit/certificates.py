@@ -8,7 +8,8 @@ optimality:
 * ``beta >= 0`` and ``sum(beta) = 1`` (the bound column of the LP);
 * each basis function is ``beta``-orthogonal to the data: the overshoot
   and undershoot sums of ``beta * basis(x)`` cancel;
-* nonzero multipliers sit only on tight rows (complementary slackness);
+* nonzero multipliers sit only on the rows of ``FitResult.active_points``
+  that touch the band, by the residual's sign (complementary slackness);
 * pairing ``beta`` with the signed residuals reproduces the discrepancy,
   matching the maximized dual functional ``-rhs . beta``.
 
@@ -18,8 +19,8 @@ first.  ``verify_identities`` records this in its notes rather than
 silently flipping a sign.
 
 Every identity is judged on ``ProblemInstance.lifted_design_and_values()``
-against the tolerance of the lifted d; value-sized gaps are reported in
-data units.
+and the fit's lifted solution, ``FitResult.lp_solution``, against the
+tolerance of the lifted d; value-sized gaps are reported in data units.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .tolerances import (
     MULTIPLIER_TOL,
     agreement_tol,
     interpolates_exactly,
-    tight_rows,
 )
 
 
@@ -132,8 +132,8 @@ def verify_identities(
     # Value-sized gaps are judged lifted and reported in data units.
     g, y = instance.lifted_design_and_values()
     lift = instance.value_scale
-    alpha = fit_result.coefficients / (instance.column_scale / lift)
-    d = fit_result.discrepancy * lift
+    alpha = fit_result.lp_solution.primal[: instance.m]
+    d = fit_result.lp_solution.objective_value
     b_over = cert.beta[0::2]
     b_under = cert.beta[1::2]
     residual = y - g @ alpha
@@ -153,12 +153,12 @@ def verify_identities(
     pairing = float(b_under @ residual - b_over @ residual)
     residual_pairing_gap = abs(pairing - d)
 
-    # Slacks of the fit LP's rows, interleaved per point like the rows:
-    # d + residual on the overshoot row, d - residual on the undershoot row.
-    # Their rhs is y and -y, of which tight_rows reads only the magnitude.
-    slack = d + np.column_stack((residual, -residual)).ravel()
-    tight = tight_rows(slack, np.repeat(y, 2))
-    violations = int(np.sum((cert.beta > MULTIPLIER_TOL) & ~tight))
+    # The fit's touch rows, interleaved per point like the LP's rows: a
+    # residual at -d makes the overshoot row tight, one at +d the undershoot.
+    active = list(fit_result.active_points)
+    touch = np.zeros((instance.n, 2), dtype=bool)
+    touch[active] = fit_result.scaled_residuals[active, None] * [-1.0, 1.0] > 0
+    violations = int(np.sum((cert.beta > MULTIPLIER_TOL) & ~touch.ravel()))
 
     active_count = len(fit_result.active_points)
     active_count_ok = check_active_point_count(fit_result, instance.m)
@@ -218,26 +218,27 @@ def check_active_point_count(fit_result: FitResult, m: int) -> bool:
 
 
 def check_two_sided(fit_result: FitResult, cert: DualCertificate) -> bool:
-    """True when the fit overshoots somewhere and undershoots somewhere,
-    and the certificate splits its mass evenly across the two row families.
+    """True when the fit touches the band from above at one active point
+    and from below at another, and the certificate splits its mass evenly
+    across the two row families.
 
-    Requires the first basis function to be identically one on the data
-    (the constant lets the fit slide vertically until both sides touch);
-    raises PreconditionError otherwise.
+    Requires the first basis function, times the weights, to be identically
+    one on the data (the constant lets the fit slide vertically until both
+    sides touch); raises PreconditionError otherwise.
     """
-    g, _ = fit_result.instance.scaled_design_and_values()
-    if np.max(np.abs(g[:, 0] - 1.0)) > CONSTANT_COLUMN_TOL:
+    instance = fit_result.instance
+    # The column scale is a power of two, so this is the weighted column.
+    first = instance.lifted_design_and_values()[0][:, 0] / instance.column_scale[0]
+    if np.max(np.abs(first - 1.0)) > CONSTANT_COLUMN_TOL:
         raise PreconditionError(
             "the two-sided check needs the first basis function to be "
             "identically 1 on the evaluation points"
         )
     _require_analyzable(fit_result.exact_interpolation, fit_result.low_rank)
 
-    d = fit_result.discrepancy
-    tol = fit_result.active_tol
-    scaled = fit_result.scaled_residuals
-    has_undershoot = bool(np.any(scaled >= d - tol))
-    has_overshoot = bool(np.any(scaled <= -d + tol))
+    touching = fit_result.scaled_residuals[list(fit_result.active_points)]
+    has_undershoot = bool(np.any(touching > 0))
+    has_overshoot = bool(np.any(touching < 0))
     halves = (
         abs(cert.overshoot_sum - 0.5) <= MULTIPLIER_TOL
         and abs(cert.undershoot_sum - 0.5) <= MULTIPLIER_TOL

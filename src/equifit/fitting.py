@@ -93,15 +93,15 @@ class ProblemInstance:
             self._design = self.design_override
         else:
             self._design = design_matrix(self.basis, self.points)
-        with np.errstate(over="ignore"):
-            g, y = self.scaled_design_and_values()
-        if self.weights is not None and not (
-            np.all(np.isfinite(g)) and np.all(np.isfinite(y))
-        ):
-            raise DimensionMismatch(
-                "weighted design and values must be finite: a weight "
-                "times a design entry or value overflows"
-            )
+        g, y = self._design, self.values
+        if self.weights is not None:
+            with np.errstate(over="ignore"):
+                g, y = self.weights[:, None] * g, self.weights * y
+            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(y))):
+                raise DimensionMismatch(
+                    "weighted design and values must be finite: a weight "
+                    "times a design entry or value overflows"
+                )
         exponent = np.frexp(np.max(np.abs(g), axis=0))[1]
         self.column_scale = np.ldexp(1.0, np.minimum(1 - exponent, 1023))
         exponent = np.frexp(np.max(np.abs(y)) or 1.0)[1]
@@ -124,13 +124,6 @@ class ProblemInstance:
     def design(self) -> np.ndarray:
         return self._design
 
-    def scaled_design_and_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Design rows and values with the weights folded in, in data units."""
-        w = self.weights
-        if w is None:
-            return self._design, self.values
-        return w[:, None] * self._design, w * self.values
-
     def lifted_design_and_values(self) -> tuple[np.ndarray, np.ndarray]:
         """The weighted design times ``column_scale`` and the weighted values
         times ``value_scale``: the problem every check of a fit reads."""
@@ -145,8 +138,9 @@ class FitResult:
     fold in the weights and are what the discrepancy bounds.  ``active_points``
     lists the indices whose scaled residual magnitude reaches the
     discrepancy, less the band ``active_tol`` (zero-weight points never
-    qualify).  The LP solution is kept for certificate extraction; it is
-    the solution of the instance's lifted problem.
+    qualify): the one touch set, on the side of the residual's sign, that
+    the certificate and the alternation analysis read.  The LP solution is
+    that of the instance's lifted problem; the certificate reads it.
     """
 
     instance: ProblemInstance

@@ -52,7 +52,6 @@ from .tolerances import (
     DUAL_CLAMP_TOL,
     PIVOT_TOL,
     RATIO_TIE_TOL,
-    tight_rows,
     value_slack,
 )
 
@@ -211,9 +210,11 @@ class _Simplex:
         """Pivot by Bland's rule until no allowed column improves ``cost``.
 
         Returns None at the optimum, or the entering label when the
-        objective decreases without bound along it.
+        objective decreases without bound along it; NumericFailure instead
+        when the tableau it stops on is not finite.
         """
         t = self.tableau
+        enter = None
         while True:
             # Only the basic rows with nonzero cost enter the reduced costs.
             basic_cost = cost[self.basis]
@@ -223,12 +224,13 @@ class _Simplex:
                 self.allowed[self.nonbasic] & (reduced < -PIVOT_TOL)
             )
             if improving.size == 0:
-                return None
+                break
             pos = int(improving[np.argmin(self.nonbasic[improving])])
             col = t[:, pos]
             rows = np.flatnonzero(col > PIVOT_TOL)
             if rows.size == 0:
-                return int(self.nonbasic[pos])
+                enter = int(self.nonbasic[pos])
+                break
             ratios = t[rows, -1] / col[rows]
             ties = rows[ratios <= ratios.min() + RATIO_TIE_TOL]
             if ties.size == 0:
@@ -238,6 +240,10 @@ class _Simplex:
                     iterations=self.iterations,
                 )
             self._pivot(int(ties[np.argmin(self.basis[ties])]), pos)
+        # NaN reduced costs and ratios compare false, so check the verdict.
+        if not np.all(np.isfinite(t)):
+            raise NumericFailure("the tableau is not finite", self.iterations)
+        return enter
 
     def phase_one(self) -> bool:
         """Drive the single artificial variable to zero.  False if the
@@ -266,7 +272,7 @@ class _Simplex:
             # row of B^-1 times its 0/-1 column is 1, so a finite row has one.
             real = np.flatnonzero(np.abs(self.tableau[row, :-1]) > PIVOT_TOL)
             if not real.size:
-                raise NumericFailure("phase-1 tableau is not finite", self.iterations)
+                raise NumericFailure("artificial row has no pivot", self.iterations)
             self._pivot(row, int(real[np.argmin(self.nonbasic[real])]))
         self.allowed[self.art_col] = False
         return True
@@ -307,12 +313,14 @@ class _Simplex:
 
         activity = lp.constraint_matrix @ primal
         slack = lp.rhs - activity
-        worst = float(np.max(-slack / np.maximum(1.0, np.abs(lp.rhs))))
+        # A row is tight, or violated, by BAND_TOL * max(1, |rhs|).
+        band = np.maximum(1.0, np.abs(lp.rhs))
+        worst = float(np.max(-slack / band))
         if not worst <= BAND_TOL:
             raise NumericFailure(
                 f"optimal basis violates feasibility by {worst:.3e}", self.iterations
             )
-        active = tuple(int(i) for i in np.flatnonzero(tight_rows(slack, lp.rhs)))
+        active = tuple(int(i) for i in np.flatnonzero(slack <= BAND_TOL * band))
 
         objective = float(lp.objective @ primal)
         dual_objective = -float(lp.rhs @ beta)
@@ -342,8 +350,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     status ``infeasible`` / ``unbounded`` and a reason string.  Raises
     NumericFailure when pivoting exceeds the iteration budget of
     ``50 * (rows + vars)`` pivots, and when the tableau stops being finite: the
-    ratio test's NaN guard and extraction's NaN-failing checks catch that,
-    so numpy's floating-point warnings are silenced on the way.
+    ratio test and the end of each phase check for that, and extraction's
+    checks fail on NaN, so numpy's floating-point warnings are silenced.
     """
     state = _Simplex(lp, 50 * (lp.num_rows + lp.num_vars))
     if not state.phase_one():

@@ -26,7 +26,6 @@ from .generators import (
     same_sided_reference_config,
 )
 from .oracle import compare_with_oracle
-from .tolerances import RESCALE_COEFFICIENT_TOL, RESCALE_DISCREPANCY_TOL
 
 
 def serialize_instance(instance: ProblemInstance) -> dict:
@@ -93,6 +92,7 @@ def check_equioscillation(rng):
 
 
 def check_weighted_rescale(rng):
+    """Both instances lift to the same arrays, so their fits are identical."""
     instance = random_weighted_instance(rng)
     weighted = fit(instance)
     prescaled = fit(
@@ -103,10 +103,9 @@ def check_weighted_rescale(rng):
             design_override=instance.weights[:, None] * instance.design(),
         )
     )
-    if abs(weighted.discrepancy - prescaled.discrepancy) > RESCALE_DISCREPANCY_TOL:
+    if weighted.discrepancy != prescaled.discrepancy:
         return instance, ((False, "weighted and pre-scaled discrepancies differ"),)
-    coefficient_gap = np.max(np.abs(weighted.coefficients - prescaled.coefficients))
-    if coefficient_gap > RESCALE_COEFFICIENT_TOL:
+    if not np.array_equal(weighted.coefficients, prescaled.coefficients):
         return instance, ((False, "weighted and pre-scaled coefficients differ"),)
     return instance, ((True, ""),)
 

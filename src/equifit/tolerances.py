@@ -1,7 +1,8 @@
 """Every tolerance the package applies, one per numerical question.
 
 Modules import the tolerances they apply from here; a rule that two modules
-apply is decided once, by a function below.  The rules read the one lifted
+apply is decided once, by a function below, and a rule that one module
+applies is written where it is applied.  The rules read the one lifted
 problem, ``ProblemInstance.lifted_design_and_values()``: every column's
 largest magnitude in [1, 2), and data below one lifted so that max |w y| >= 1.
 So each floor of 1 below is in the data's unit, and none has an absolute
@@ -24,8 +25,9 @@ RATIO_TIE_TOL = 1e-12
 # LP extraction.
 DUAL_CLAMP_TOL = 1e-6
 # How far rounding may move a recomputed row or residual from its bound;
-# max(1, |bound|); the LP's vertex check and tight rows (``tight_rows``),
-# fit's residual-bound check and active band.
+# max(1, |bound|); the LP's vertex check and tight rows, fit's residual-bound
+# check and active band (``FitResult.active_points``, the touch set that the
+# certificate and the alternation analysis read).
 BAND_TOL = 100 * FEAS_TOL
 # A singular value that does not count to the rank; the largest singular
 # value; the rank estimate.
@@ -48,16 +50,6 @@ NODE_GAP_TOL = 1e-12
 # achieve their discrepancy too: the optimum need not be unique); absolute,
 # on coefficients times value_scale; the oracle comparison.
 AGREE_COEFFICIENT_TOL = 1e-7
-# A weighted fit against the same fit whose weights are folded into the
-# design and values; absolute; the selftest.
-RESCALE_DISCREPANCY_TOL = 1e-9
-RESCALE_COEFFICIENT_TOL = 1e-8
-
-
-def tight_rows(slack, rhs):
-    """Mask of the rows whose slack is at most BAND_TOL * max(1, |rhs|): an
-    LP vertex's active rows, and where a certificate's multipliers sit."""
-    return slack <= BAND_TOL * np.maximum(1.0, np.abs(rhs))
 
 
 def interpolates_exactly(discrepancy):

@@ -14,6 +14,7 @@ from equifit.equioscillation import (
     strict_improvement_check,
 )
 from equifit.errors import (
+    DegenerateCase,
     DimensionError,
     DuplicateNodeError,
     PreconditionError,
@@ -266,3 +267,87 @@ def test_polynomial_fits_equioscillate():
         pattern = alternation_pattern(fit(instance), instance)
         assert pattern.equioscillates
         assert len(pattern) >= t + 2
+
+
+def _planar(instance, reference, epsilon):
+    planar = ProblemInstance(
+        points=np.column_stack([instance.points[:, 0], np.zeros(3)]),
+        values=instance.values,
+        basis=parse_basis_spec("1, x", 2),
+    )
+    perturbation_step(reference, planar, 1, epsilon)
+
+
+def _short(instance, reference, epsilon):
+    reference = ReferenceSet((0, 1), reference.signs[:2], reference.discrepancy)
+    perturbation_step(reference, instance, 0, epsilon)
+
+
+def _unsorted(instance, reference, epsilon):
+    reference = ReferenceSet((1, 0, 2), reference.signs, reference.discrepancy)
+    perturbation_step(reference, instance, 1, epsilon)
+
+
+def _bad_signs(instance, reference, epsilon):
+    reference = ReferenceSet(reference.indices, (-1, 0, 1), reference.discrepancy)
+    perturbation_step(reference, instance, 1, epsilon)
+
+
+def _pair_out_of_range(instance, reference, epsilon):
+    perturbation_step(reference, instance, 2, epsilon)
+
+
+def _step_epsilon(instance, reference, epsilon):
+    perturbation_step(reference, instance, 1, 0.2 * reference.discrepancy)
+
+
+def _improvement_epsilon(instance, reference, epsilon):
+    strict_improvement_check(reference, instance, 1, 0.0)
+
+
+def _weighted_one_sided(instance, reference, epsilon):
+    weighted = ProblemInstance(
+        points=instance.points,
+        values=instance.values,
+        basis=instance.basis,
+        weights=np.ones(3),
+    )
+    one_sided_construction(weighted, 0)
+
+
+def _degenerate_one_sided(instance, reference, epsilon):
+    line = ProblemInstance(
+        points=instance.points, values=[0.0, 1.0, 2.0], basis=instance.basis
+    )
+    one_sided_construction(line, 0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (_planar, DimensionError, "perturbation analysis is one-dimensional"),
+        (_short, PreconditionError, "must carry m \\+ 1 = 3 points, got 2"),
+        (_unsorted, PreconditionError, "must be sorted by coordinate"),
+        (_bad_signs, PreconditionError, "signs must be \\+-1, one per point"),
+        (_pair_out_of_range, PreconditionError, "pair position 2 out of range"),
+        (_step_epsilon, PreconditionError, "epsilon must lie in \\[0, 0.1"),
+        (_improvement_epsilon, PreconditionError, "epsilon must lie in \\(0, 0.1"),
+        (_weighted_one_sided, PreconditionError, "defined for unweighted instances"),
+        (_degenerate_one_sided, DegenerateCase, "needs a non-degenerate fit"),
+    ],
+    ids=[
+        "planar",
+        "short",
+        "unsorted",
+        "bad-signs",
+        "pair-out-of-range",
+        "step-epsilon",
+        "improvement-epsilon",
+        "weighted",
+        "degenerate",
+    ],
+)
+def test_perturbation_and_one_sided_preconditions_name_the_fault(call, error, message):
+    instance, reference, epsilon = three_node_reference()
+    with pytest.raises(error, match=message):
+        call(instance, reference, epsilon)

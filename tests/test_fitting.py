@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from equifit.basis import BasisFunction, parse_basis_spec
 from equifit.certificates import extract_certificate, verify_identities
 from equifit.equioscillation import alternation_pattern
-from equifit.errors import SolverError
+from equifit.errors import DimensionMismatch, SolverError
 from equifit.fitting import (
     ProblemInstance,
     assemble_primal,
@@ -317,7 +317,7 @@ def test_value_scale_lifts_values_below_one(values, weights, expected):
         weights=weights,
     )
     assert instance.value_scale == expected
-    _, y = instance.scaled_design_and_values()
+    y = instance.values if weights is None else instance.weights * instance.values
     rhs = assemble_primal(instance).rhs
     assert np.array_equal(rhs[0::2], y * expected)
 
@@ -350,3 +350,41 @@ def test_a_fit_lp_that_ends_other_than_optimal_is_a_numeric_failure(monkeypatch)
     message = str(info.value)
     assert message.startswith("numeric failure: the fit LP is feasible and bounded")
     assert "status infeasible: constraints are inconsistent" in message
+
+
+HAT = {"points": [[0.0], [1.0], [2.0]], "values": [0.0, 1.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"points": np.zeros((0, 1)), "values": []}, "need at least one point"),
+        ({"values": [0.0, 1.0]}, r"3 points but values have shape \(2,\)"),
+        ({"points": np.zeros((3, 2))}, "dimension 2, basis expects 1"),
+        ({"values": [0.0, np.nan, 0.0]}, "points and values must be finite"),
+        ({"weights": [1.0, 1.0]}, r"weights have shape \(2,\), expected \(3,\)"),
+        ({"weights": [1.0, -1.0, 1.0]}, "weights must be finite and nonnegative"),
+        ({"weights": [0.0, 0.0, 0.0]}, "weights must not all be zero"),
+        ({"design_override": np.ones((3, 1))}, r"design override has shape \(3, 1\)"),
+    ],
+    ids=[
+        "no-points",
+        "values-shape",
+        "point-dimension",
+        "not-finite",
+        "weights-shape",
+        "negative-weight",
+        "zero-weights",
+        "override-shape",
+    ],
+)
+def test_instance_validation_names_the_bad_input(changes, message):
+    data = {**HAT, "basis": parse_basis_spec("1, x", 1), **changes}
+    with pytest.raises(DimensionMismatch, match=message):
+        ProblemInstance(**data)
+
+
+def test_objective_value_needs_one_coefficient_per_basis_function():
+    message = r"expected 2 coefficients, got shape \(3,\)"
+    with pytest.raises(DimensionMismatch, match=message):
+        objective_value(hat_instance(), [0.0, 0.0, 0.0])

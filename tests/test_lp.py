@@ -626,3 +626,64 @@ def test_a_phase_one_tableau_that_is_not_finite_is_a_numeric_failure():
     )
     with pytest.raises(NumericFailure, match="not finite"):
         solve_lp(lp)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"constraint_matrix": [1.0, 2.0]}, "must be two-dimensional"),
+        ({"constraint_matrix": np.zeros((0, 2)), "rhs": []}, "at least one row"),
+        ({"rhs": [1.0]}, r"rhs has shape \(1,\), expected \(2,\)"),
+        ({"variable_kinds": (FREE,)}, "1 variable kinds for 2 variables"),
+        ({"variable_kinds": (FREE, "integer")}, "unknown variable kind 'integer'"),
+    ],
+    ids=["not-2d", "no-rows", "rhs-shape", "kinds-count", "unknown-kind"],
+)
+def test_lp_validation_names_the_bad_input(changes, message):
+    data = {
+        "objective": [1.0, 1.0],
+        "constraint_matrix": [[1.0, 0.0], [0.0, 1.0]],
+        "rhs": [1.0, 1.0],
+        "variable_kinds": (FREE, NONNEGATIVE),
+        **changes,
+    }
+    with pytest.raises(DimensionMismatch, match=message):
+        LinearProgram(**data)
+
+
+@pytest.mark.parametrize(
+    "matrix, rhs, objective, kinds",
+    [
+        (
+            [[-2, -1e200], [0, -2e200], [-2, 0], [-1e-300, -2]],
+            [2, -1, -2, -2e150],
+            [0, 0],
+            (FREE, NONNEGATIVE),
+        ),
+        ([[0, 1e300], [1e-300, 2]], [2e300, -1e300], [-1, 1], (NONNEGATIVE, FREE)),
+        (
+            [
+                [-1e150, -2e150],
+                [2e150, -2e150],
+                [-1e150, -1e300],
+                [0, 2e200],
+                [-2e200, -1],
+            ],
+            [-1e300, -2e300, 1, -2e300, 1],
+            [-1, 1],
+            (FREE, FREE),
+        ),
+    ],
+    ids=["once-optimal", "once-unbounded", "once-infeasible"],
+)
+def test_no_status_is_read_off_a_tableau_that_is_not_finite(
+    matrix, rhs, objective, kinds
+):
+    # Pivots on entries of order 1e300 leave NaN or inf in the tableau, and
+    # NaN reduced costs or ratios compare false.  Read as they stood, these
+    # tableaux said optimal, unbounded and infeasible.
+    lp = LinearProgram(
+        objective=objective, constraint_matrix=matrix, rhs=rhs, variable_kinds=kinds
+    )
+    with pytest.raises(NumericFailure, match="the tableau is not finite"):
+        solve_lp(lp)

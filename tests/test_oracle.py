@@ -254,8 +254,7 @@ def test_a_block_with_a_zero_column_is_never_a_witness():
         values=[0.0, 1.0, 2.0, 1.0, 1.0, 1.0],
         basis=parse_basis_spec("1, x", 1),
     )
-    g, _ = instance.scaled_design_and_values()
-    block = g[[0, 1, 2]][None]
+    block = instance.design()[[0, 1, 2]][None]
     lam, pinv, full_rank = factor_witness_subsets(block)
     assert not full_rank[0]
     assert not np.all(np.isfinite(pinv))
@@ -282,10 +281,16 @@ def test_the_oracle_scans_the_column_scaled_blocks(scale):
     assert comparison.oracle.discrepancy == pytest.approx(plain.discrepancy, rel=1e-12)
 
 
+def _weighted(instance):
+    """The design and values with the weights folded in, in data units."""
+    w = np.ones(instance.n) if instance.weights is None else instance.weights
+    return w[:, None] * instance.design(), w * instance.values
+
+
 def _plain_loop_oracle(instance):
     """Every (subset, sign) system solved on its own, in enumeration order;
     returns the best feasible candidate and every feasible discrepancy."""
-    g, y = instance.scaled_design_and_values()
+    g, y = _weighted(instance)
     n, m = instance.n, instance.m
     best = None
     feasible = []
@@ -359,7 +364,7 @@ def _full_scan(instance):
     """Every (subset, sign) candidate scored at once, in one matrix product,
     as the oracle did before it skipped the candidates below the floor;
     returns the first minimum in enumeration order, or None."""
-    g, y = instance.scaled_design_and_values()
+    g, y = _weighted(instance)
     n, m = instance.n, instance.m
     subsets = np.array(list(itertools.combinations(range(n), m + 1)))
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m + 1)))

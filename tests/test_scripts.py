@@ -34,5 +34,7 @@ def test_fit_digest_is_deterministic(capsys):
     assert first == digest["run"](blocks=1)
     assert [line.split(":")[0] for line in first] == [
         f"{name} seed {seed}" for name, seed, _ in digest["SLICES"]
-    ]
-    assert "many_small seed 7: 12 ops, 0 raised, " in capsys.readouterr().out
+    ] + ["selftest seed 42"]
+    out = capsys.readouterr().out
+    assert "many_small seed 7: 12 ops, 0 raised, " in out
+    assert "selftest seed 42: 5 instances, " in out
