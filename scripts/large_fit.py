@@ -17,20 +17,14 @@ import tracemalloc
 
 import numpy as np
 
-from equifit import (
-    ProblemInstance,
-    extract_certificate,
-    fit,
-    parse_basis_spec,
-    verify_identities,
-)
+from equifit import ProblemInstance, extract_certificate, fit, verify_identities
+from equifit.generators import monomial_basis
 
 
 def run(n=100_000, m=6, max_peak_mb=120.0):
     x = np.linspace(0.0, 1.0, n)
     y = np.sin(3.0 * x) + np.random.default_rng(0).normal(0.0, 0.01, n)
-    spec = ", ".join(["1"] + [f"x^{j}" for j in range(1, m)])
-    instance = ProblemInstance(points=x[:, None], values=y, basis=parse_basis_spec(spec, 1))
+    instance = ProblemInstance(points=x[:, None], values=y, basis=monomial_basis(m))
 
     start = time.perf_counter()
     result = fit(instance)

@@ -42,16 +42,19 @@ from .tolerances import (
 
 @dataclass
 class DualCertificate:
-    """Nonnegative row multipliers of a solved fit, split by row parity."""
+    """Nonnegative row multipliers of a solved fit; their masses on the
+    overshoot (even) and undershoot (odd) rows are read off ``beta``."""
 
     beta: np.ndarray
-    overshoot_sum: float
-    undershoot_sum: float
     dual_objective: float
 
     @property
-    def total(self) -> float:
-        return self.overshoot_sum + self.undershoot_sum
+    def overshoot_sum(self) -> float:
+        return float(np.sum(self.beta[0::2]))
+
+    @property
+    def undershoot_sum(self) -> float:
+        return float(np.sum(self.beta[1::2]))
 
 
 @dataclass
@@ -104,11 +107,8 @@ def extract_certificate(
         raise PreconditionError("solution does not belong to this instance")
     exact = interpolates_exactly(solution.objective_value)  # lifted, like fit's
     _require_analyzable(exact, instance.rank < instance.m)
-    beta = solution.dual.copy()
     return DualCertificate(
-        beta=beta,
-        overshoot_sum=float(np.sum(beta[0::2])),
-        undershoot_sum=float(np.sum(beta[1::2])),
+        beta=solution.dual.copy(),
         dual_objective=float(solution.dual_objective) / instance.value_scale,
     )
 

@@ -122,7 +122,8 @@ def _read_csv(path, dim, weight_column):
     if dim == 1 and "x" in header:
         coord_names = ["x"]
     else:
-        coord_names = [f"x{k + 1}" for k in range(dim)]
+        # A header of k names lacks one of x1..x<k + 1>: check no further.
+        coord_names = [f"x{k + 1}" for k in range(min(dim, len(header) + 1))]
     for name in coord_names + ["y"]:
         if name not in header:
             _fail(EXIT_VALIDATION, f"{path}: missing column {name!r}")
@@ -191,16 +192,17 @@ def _emit_curve(path, grid, result, instance):
         _fail(EXIT_VALIDATION, f"--grid must be at least 1, got {grid}")
     lo = float(np.min(instance.points[:, 0]))
     hi = float(np.max(instance.points[:, 0]))
-    xs = np.linspace(lo, hi, grid + 1)
     try:
-        curve_design = design_matrix(instance.basis, xs.reshape(-1, 1))
+        xs = np.linspace(lo, hi, grid + 1)
+        fitted = design_matrix(instance.basis, xs.reshape(-1, 1)) @ result.coefficients
     except EvaluationError as exc:
         _fail(
             EXIT_VALIDATION,
             f"cannot emit the curve: basis function {exc.label!r} is not finite "
             f"at curve grid x = {float(xs[exc.point_index])!r}",
         )
-    fitted = curve_design @ result.coefficients
+    except (ValueError, MemoryError) as exc:
+        _fail(EXIT_VALIDATION, f"cannot emit the curve on {grid + 1} points: {exc}")
     try:
         with open(path, "w") as handle:
             for x, value in zip(xs, fitted):

@@ -41,8 +41,8 @@ class ProblemInstance:
     weighted design and values times these exact scales.  The tolerances are
     absolute, so the fit LP, the rank, the certificate and the oracle read
     this one pair, and none depends on a basis function's scale or the
-    data's: a coefficient maps back by ``column_scale / value_scale``, and d
-    by ``value_scale``.
+    data's: coefficients map back by ``basis_coefficients``, and d by
+    ``value_scale``.
     """
 
     points: np.ndarray
@@ -129,6 +129,11 @@ class ProblemInstance:
         times ``value_scale``: the problem every check of a fit reads."""
         return self._lifted
 
+    def basis_coefficients(self, lifted: np.ndarray) -> np.ndarray:
+        """Map coefficients of the lifted design's columns to the basis's."""
+        # One exact factor, so that no intermediate product overflows.
+        return lifted * (self.column_scale / self.value_scale)
+
 
 @dataclass
 class FitResult:
@@ -208,8 +213,7 @@ def fit(instance: ProblemInstance) -> FitResult:
         )
 
     lift = instance.value_scale
-    # One exact factor, so that no intermediate product overflows.
-    coefficients = solution.primal[:m] * (instance.column_scale / lift)
+    coefficients = instance.basis_coefficients(solution.primal[:m])
     lifted_d = float(solution.objective_value)
     discrepancy = lifted_d / lift
     residuals = instance.values - instance.design() @ coefficients

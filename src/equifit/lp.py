@@ -117,9 +117,9 @@ class LpSolution:
     """Outcome of a solve.
 
     For ``status == "optimal"`` the fields hold the primal vertex, its
-    objective value, the nonnegative row multipliers, the maximized dual
-    value ``-rhs . dual``, and the indices of tight rows.  Otherwise
-    ``reason`` explains the infeasibility / unboundedness.
+    objective value, the nonnegative row multipliers and the maximized dual
+    value ``-rhs . dual``.  Otherwise ``reason`` explains the infeasibility /
+    unboundedness.
     """
 
     status: str
@@ -127,7 +127,6 @@ class LpSolution:
     objective_value: float | None = None
     dual: np.ndarray | None = None
     dual_objective: float | None = None
-    active_rows: tuple[int, ...] = ()
     iterations: int = 0
     reason: str = ""
 
@@ -311,26 +310,20 @@ class _Simplex:
             )
         beta = np.maximum(beta, 0.0)
 
-        activity = lp.constraint_matrix @ primal
-        slack = lp.rhs - activity
-        # A row is tight, or violated, by BAND_TOL * max(1, |rhs|).
-        band = np.maximum(1.0, np.abs(lp.rhs))
-        worst = float(np.max(-slack / band))
+        slack = lp.rhs - lp.constraint_matrix @ primal
+        # A row may exceed its rhs by BAND_TOL * max(1, |rhs|), no more.
+        worst = float(np.max(-slack / np.maximum(1.0, np.abs(lp.rhs))))
         if not worst <= BAND_TOL:
             raise NumericFailure(
                 f"optimal basis violates feasibility by {worst:.3e}", self.iterations
             )
-        active = tuple(int(i) for i in np.flatnonzero(slack <= BAND_TOL * band))
 
-        objective = float(lp.objective @ primal)
-        dual_objective = -float(lp.rhs @ beta)
         return LpSolution(
             status=OPTIMAL,
             primal=primal,
-            objective_value=objective,
+            objective_value=float(lp.objective @ primal),
             dual=beta,
-            dual_objective=dual_objective,
-            active_rows=active,
+            dual_objective=-float(lp.rhs @ beta),
             iterations=self.iterations,
         )
 
@@ -366,8 +359,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if enter < state.n_struct:
             var, sign = state.col_var[enter], state.col_sign[enter]
             direction = f"variable {var} toward {'+' if sign > 0 else '-'}infinity"
-        else:  # pragma: no cover - slack columns cannot be improving
-            direction = f"column {enter}"
+        else:
+            direction = f"the slack of row {enter - state.n_struct}"
         return LpSolution(
             status=UNBOUNDED,
             iterations=state.iterations,

@@ -185,7 +185,7 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
     NoCandidate when the design's rank is below m (its optimum need not have
     an (m+1)-point witness) or when no candidate at the floor is feasible.
     The scan reads the instance's lifted design and values; like ``fit``, it
-    maps its coefficients back by ``column_scale / value_scale`` and divides
+    maps its coefficients back by ``instance.basis_coefficients`` and divides
     d by ``value_scale``.
     """
     n, m = instance.n, instance.m
@@ -266,10 +266,9 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
         )
         if np.any(feasible):
             k = int(np.argmax(feasible))
-            lift = instance.value_scale
             return OracleResult(
-                coefficients=alphas[k] * (instance.column_scale / lift),
-                discrepancy=float(max(d[k], 0.0)) / lift,
+                coefficients=instance.basis_coefficients(alphas[k]),
+                discrepancy=float(max(d[k], 0.0)) / instance.value_scale,
                 witness_subset=tuple(int(i) for i in subsets[si[k]]),
                 witness_signs=tuple(int(s) for s in signs[gi[k]]),
             )

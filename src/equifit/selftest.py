@@ -16,6 +16,7 @@ import json
 
 import numpy as np
 
+from .basis import format_basis_spec
 from .certificates import extract_certificate, verify_identities
 from .equioscillation import alternation_pattern, perturbation_step, strict_improvement_check
 from .fitting import ProblemInstance, fit
@@ -32,7 +33,7 @@ def serialize_instance(instance: ProblemInstance) -> dict:
     payload = {
         "points": instance.points.tolist(),
         "values": instance.values.tolist(),
-        "basis": ", ".join(instance.basis.labels),
+        "basis": format_basis_spec(instance.basis),
         "dimension": instance.dimension,
     }
     if instance.weights is not None:

@@ -25,8 +25,8 @@ RATIO_TIE_TOL = 1e-12
 # LP extraction.
 DUAL_CLAMP_TOL = 1e-6
 # How far rounding may move a recomputed row or residual from its bound;
-# max(1, |bound|); the LP's vertex check and tight rows, fit's residual-bound
-# check and active band (``FitResult.active_points``, the touch set that the
+# max(1, |bound|); the LP's vertex check, fit's residual-bound check and
+# active band (``FitResult.active_points``, the touch set that the
 # certificate and the alternation analysis read).
 BAND_TOL = 100 * FEAS_TOL
 # A singular value that does not count to the rank; the largest singular

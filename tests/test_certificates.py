@@ -59,8 +59,25 @@ def test_certificate_invariant_under_value_scaling():
 def test_beta_sums_to_one():
     for instance in (constant_instance(), hat_instance()):
         _, cert = fitted(instance)
-        assert cert.total == pytest.approx(1.0, abs=1e-9)
+        assert cert.overshoot_sum + cert.undershoot_sum == pytest.approx(
+            1.0, abs=1e-9
+        )
         assert np.all(cert.beta >= 0)
+
+
+def test_masses_are_read_off_beta_and_judged_by_the_two_sided_check():
+    instance = hat_instance()
+    result, cert = fitted(instance)
+    assert check_two_sided(result, cert) is True
+    # Three quarters of the mass on the overshoot rows, a quarter on the others.
+    beta = cert.beta * np.tile([1.5, 0.5], instance.n)
+    lopsided = DualCertificate(beta=beta, dual_objective=cert.dual_objective)
+    assert lopsided.overshoot_sum == float(np.sum(beta[0::2]))
+    assert lopsided.undershoot_sum == float(np.sum(beta[1::2]))
+    assert (lopsided.overshoot_sum, lopsided.undershoot_sum) == pytest.approx(
+        (0.75, 0.25), abs=1e-12
+    )
+    assert check_two_sided(result, lopsided) is False
 
 
 def test_identities_on_hat_fit():
@@ -82,10 +99,7 @@ def test_fabricated_beta_flags_sum_violation():
     instance = hat_instance()
     result, cert = fitted(instance)
     fake = DualCertificate(
-        beta=cert.beta * 2.0,
-        overshoot_sum=cert.overshoot_sum * 2.0,
-        undershoot_sum=cert.undershoot_sum * 2.0,
-        dual_objective=cert.dual_objective * 2.0,
+        beta=cert.beta * 2.0, dual_objective=cert.dual_objective * 2.0
     )
     report = verify_identities(fake, result, instance)
     assert report.beta_sum_residual > 1e-9
@@ -199,12 +213,7 @@ def test_a_multiplier_off_the_touch_rows_is_one_violation(target):
         row = 2 * off + source % 2
     beta = cert.beta.copy()
     beta[row], beta[source] = beta[source], 0.0
-    moved = DualCertificate(
-        beta=beta,
-        overshoot_sum=float(np.sum(beta[0::2])),
-        undershoot_sum=float(np.sum(beta[1::2])),
-        dual_objective=cert.dual_objective,
-    )
+    moved = DualCertificate(beta=beta, dual_objective=cert.dual_objective)
     report = verify_identities(moved, result, instance)
     assert report.complementarity_violations == 1
     assert not report.identities_ok

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -199,6 +200,27 @@ def test_dim_below_1_names_the_flag(hat_csv, capsys, dim):
     assert code == 2
     assert out == ""
     assert err == f"E2: --dim must be at least 1, got {dim}\n"
+
+
+@pytest.mark.parametrize("dim", [10**6, 10**18], ids=["1e6", "1e18"])
+@pytest.mark.parametrize(
+    "text, missing", [("x,y\n0,1\n", "x1"), ("x1,x2,y\n0,1,2\n", "x3")]
+)
+def test_a_huge_dim_costs_no_memory(tmp_path, capsys, dim, text, missing):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--basis", "1", "--dim", str(dim)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == f"E2: {path}: missing column {missing!r}\n"
+    assert peak < 1_000_000
 
 
 def test_text_format(hat_csv, capsys):
@@ -425,6 +447,28 @@ def test_emit_curve_basis_not_finite_on_the_grid_exits_2(tmp_path, capsys):
     assert out == ""
     assert err.startswith("E2: ")
     assert "grid x = 0.5" in err
+    assert not curve.exists()
+
+
+def test_emit_curve_on_a_grid_numpy_cannot_allocate_exits_2(hat_csv, tmp_path, capsys):
+    # numpy refuses 2^62 + 1 doubles before it allocates anything.
+    curve = tmp_path / "c.txt"
+    code, out, err = run_cli(
+        capsys,
+        "fit",
+        "--data",
+        hat_csv,
+        "--basis",
+        "1, x",
+        "--emit-curve",
+        str(curve),
+        "--grid",
+        str(2**62),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"E2: cannot emit the curve on {2**62 + 1} points: ")
+    assert err.count("\n") == 1
     assert not curve.exists()
 
 
