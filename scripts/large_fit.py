@@ -4,9 +4,10 @@
 The data are n evenly spaced points in [0, 1] with values sin(3x) plus
 N(0, 0.01^2) noise from a seeded generator, fitted by the monomials
 1, x, ..., x^(m-1), with n = 100 000 and m = 6 unless run() is given
-others.  Prints the fit time, the pivot count and the
-tracemalloc peak of a second, traced fit, and exits 1 unless the
-certificate identities hold and the peak stays within 120 MB.
+others.  Prints the fit time, the pivot count of both phases and of
+phase 1, and the tracemalloc peak of a second, traced fit, and exits 1
+unless the certificate identities hold, phase 1 takes at most two pivots
+and the peak stays within 120 MB.
 
     PYTHONPATH=src python scripts/large_fit.py
 """
@@ -40,10 +41,18 @@ def run(n=100_000, m=6, max_peak_mb=120.0):
         tracemalloc.stop()
 
     print(f"n={n} m={m}: discrepancy {result.discrepancy:.12g}")
-    print(f"fit {seconds:.3f} s, {result.lp_solution.iterations} pivots")
+    solution = result.lp_solution
+    print(
+        f"fit {seconds:.3f} s, {solution.iterations} pivots, "
+        f"{solution.phase_one_iterations} in phase 1 (limit 2)"
+    )
     print(f"tracemalloc peak {peak_mb:.1f} MB (limit {max_peak_mb:g} MB)")
     print(f"certificate identities: {'ok' if report.identities_ok else 'FAILED'}")
-    return report.identities_ok and peak_mb <= max_peak_mb
+    return (
+        report.identities_ok
+        and solution.phase_one_iterations <= 2
+        and peak_mb <= max_peak_mb
+    )
 
 
 if __name__ == "__main__":

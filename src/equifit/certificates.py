@@ -132,7 +132,7 @@ def verify_identities(
     # Value-sized gaps are judged lifted and reported in data units.
     g, y = instance.lifted_design_and_values()
     lift = instance.value_scale
-    alpha = fit_result.lp_solution.primal[: instance.m]
+    alpha = fit_result.lp_solution.primal[1:]
     d = fit_result.lp_solution.objective_value
     b_over = cert.beta[0::2]
     b_under = cert.beta[1::2]

@@ -1,9 +1,13 @@
 """Best uniform approximation of a finite point set by a basis combination.
 
 The fit minimizes the largest (optionally weighted) absolute residual over
-the data.  It is computed exactly by assembling a linear program with one
-variable per coefficient plus the bound variable, and two rows per point:
-an overshoot row (combination above the value) and an undershoot row.
+the data.  It is computed exactly by assembling a linear program whose
+first variable is the bound, followed by one variable per coefficient, with
+two rows per point: an overshoot row (combination above the value) and an
+undershoot row.  With the bound first, phase 1 of the simplex ends in two
+pivots.  The artificial enters on the most negative row; then the bound,
+the lowest-index improving column, enters on that row, the only one where
+its column is positive, and the artificial leaves.
 Nonnegative weights enter by rescaling each point's design row and value,
 which reduces the weighted problem to an unweighted one.
 """
@@ -161,7 +165,7 @@ class FitResult:
 
 
 def assemble_primal(instance: ProblemInstance) -> LinearProgram:
-    """Build the fit LP: variables (coefficients..., bound), rows interleaved
+    """Build the fit LP: variables (bound, coefficients...), rows interleaved
     per point as (overshoot row, undershoot row).
 
     Row 2i holds "combination(x_i) - z <= y_i", row 2i+1 holds
@@ -172,13 +176,13 @@ def assemble_primal(instance: ProblemInstance) -> LinearProgram:
     n, m = g.shape
     matrix = np.zeros((2 * n, m + 1))
     rhs = np.zeros(2 * n)
-    matrix[0::2, :m] = g
-    matrix[1::2, :m] = -g
-    matrix[:, m] = -1.0
+    matrix[:, 0] = -1.0
+    matrix[0::2, 1:] = g
+    matrix[1::2, 1:] = -g
     rhs[0::2] = y
     rhs[1::2] = -y
     objective = np.zeros(m + 1)
-    objective[m] = 1.0
+    objective[0] = 1.0
     return LinearProgram(
         objective=objective,
         constraint_matrix=matrix,
@@ -198,10 +202,10 @@ def fit(instance: ProblemInstance) -> FitResult:
     numpy's floating-point warnings silenced: a residual that overflows
     fails the residual-bound check, which fails on inf and NaN.
 
-    ``lp_solution.primal`` holds the lifted coefficients of
-    ``assemble_primal``'s scaled columns; ``coefficients`` those of the basis.
+    ``lp_solution.primal`` holds the lifted bound, then the lifted
+    coefficients of ``assemble_primal``'s scaled columns, read as
+    ``primal[1:]``; ``coefficients`` holds those of the basis.
     """
-    m = instance.m
     try:
         solution = solve_lp(assemble_primal(instance))
     except EquifitError as exc:
@@ -213,7 +217,7 @@ def fit(instance: ProblemInstance) -> FitResult:
         )
 
     lift = instance.value_scale
-    coefficients = instance.basis_coefficients(solution.primal[:m])
+    coefficients = instance.basis_coefficients(solution.primal[1:])
     lifted_d = float(solution.objective_value)
     discrepancy = lifted_d / lift
     residuals = instance.values - instance.design() @ coefficients
@@ -242,7 +246,7 @@ def fit(instance: ProblemInstance) -> FitResult:
         active_points=tuple(int(i) for i in np.flatnonzero(active)),
         active_tol=active_tol,
         exact_interpolation=interpolates_exactly(lifted_d),
-        low_rank=instance.rank < m,
+        low_rank=instance.rank < instance.m,
         lp_solution=solution,
     )
 

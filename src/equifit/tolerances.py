@@ -29,6 +29,11 @@ DUAL_CLAMP_TOL = 1e-6
 # active band (``FitResult.active_points``, the touch set that the
 # certificate and the alternation analysis read).
 BAND_TOL = 100 * FEAS_TOL
+# How far one row of a recomputed vertex may exceed its rhs by the rounding
+# of its own terms, past the BAND_TOL band (near the float limit, one
+# rounding of terms of 1e307 is about 1e291); |A_i| . |x|, the row's terms
+# summed in magnitude; the LP's vertex check.
+ROW_ROUNDING_TOL = 64 * float(np.finfo(float).eps)
 # A singular value that does not count to the rank; the largest singular
 # value; the rank estimate.
 RANK_TOL = 1e-10

@@ -347,12 +347,7 @@ def test_selftest_failure_prints_the_first_failing_instance(monkeypatch, capsys)
 
 
 @pytest.mark.parametrize(
-    "rows",
-    [
-        "0,4.5e307\n0.25,0\n0.5,5e307\n0.75,-4e307\n1,1e307\n",
-        "0,0\n0.5,4.5e307\n1,-3.5e307\n",
-    ],
-    ids=["nan-ratios", "nan-optimum"],
+    "rows", ["0,0\n0.5,4.5e307\n1,-3.5e307\n"], ids=["nan-optimum"]
 )
 def test_values_near_the_float_limit_exit_3_with_one_line(tmp_path, capsys, rows):
     path = tmp_path / "huge.csv"
@@ -368,12 +363,7 @@ def test_values_near_the_float_limit_exit_3_with_one_line(tmp_path, capsys, rows
 
 
 @pytest.mark.parametrize(
-    "rows",
-    [
-        "0,4.5e307\n0.25,0\n0.5,5e307\n0.75,-4e307\n1,1e307\n",
-        "0,0\n0.5,4.5e307\n1,-3.5e307\n",
-    ],
-    ids=["nan-ratios", "nan-optimum"],
+    "rows", ["0,0\n0.5,4.5e307\n1,-3.5e307\n"], ids=["nan-optimum"]
 )
 def test_values_near_the_float_limit_warn_nothing_before_e3(tmp_path, rows):
     # Run as a program with warnings as errors: a numpy RuntimeWarning on
@@ -393,6 +383,29 @@ def test_values_near_the_float_limit_warn_nothing_before_e3(tmp_path, rows):
     assert done.stdout == ""
     assert done.stderr.startswith("E3: ")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["1, x, x^2", "1, x"], ids=["quadratic", "line"])
+def test_values_near_the_float_limit_fit_and_certify(tmp_path, spec):
+    # Terms near 1e307 round by about 1e291, so the line's vertex misses a
+    # zero-rhs row by that much: its own rounding, which the LP's vertex
+    # check allows.  Run with warnings as errors, as above.
+    path = tmp_path / "huge.csv"
+    path.write_text("x,y\n0,4.5e307\n0.25,0\n0.5,5e307\n0.75,-4e307\n1,1e307\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["-W", "error::RuntimeWarning", "-m", "equifit", "fit", "--data", str(path)]
+    done = subprocess.run(
+        [sys.executable, *argv, "--basis", spec, "--certify"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["discrepancy"] == pytest.approx(3.5e307, rel=1e-12)
+    assert report["certificate"]["identities_ok"] is True
+    assert report["certificate"]["active_count_ok"] is True
 
 
 @pytest.mark.parametrize(

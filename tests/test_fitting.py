@@ -53,9 +53,9 @@ def test_assemble_single_point_rows():
         points=[[0.0]], values=[5.0], basis=parse_basis_spec("1", 1)
     )
     lp = assemble_primal(instance)
-    assert lp.constraint_matrix.tolist() == [[1.0, -1.0], [-1.0, -1.0]]
+    assert lp.constraint_matrix.tolist() == [[-1.0, 1.0], [-1.0, -1.0]]
     assert lp.rhs.tolist() == [5.0, -5.0]
-    assert lp.objective.tolist() == [0.0, 1.0]
+    assert lp.objective.tolist() == [1.0, 0.0]
 
 
 def test_unit_weights_assemble_identically():
@@ -80,12 +80,13 @@ def test_weight_scales_one_row_pair():
     )
     lp = assemble_primal(instance)
     # Point 0's pair is doubled in the design entries and the rhs; the
-    # weighted column [2, 1] is scaled by 1/2, and the bound column stays -1.
+    # weighted column [2, 1] is scaled by 1/2, and the bound column, the
+    # first, stays -1.
     assert lp.constraint_matrix.tolist() == [
-        [1.0, -1.0],
+        [-1.0, 1.0],
         [-1.0, -1.0],
-        [0.5, -1.0],
-        [-0.5, -1.0],
+        [-1.0, 0.5],
+        [-1.0, -0.5],
     ]
     assert lp.rhs.tolist() == [2.0, -2.0, 2.0, -2.0]
 

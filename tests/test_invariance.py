@@ -166,12 +166,6 @@ def test_values_times_two_to_the_minus_k_scale_the_fit_exactly(k):
         assert shrunk_facts == facts
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="FOUND in CHANGES.md: the fit LP of tests/test_highs.py's weighted "
-    "family ends 'infeasible' in lp._Simplex.phase_one once max|w y| comes "
-    "near one (y * 2^-16, 2^-17, 2^-20), though y and y * 2^-15 fit",
-)
 def test_weighted_family_scaled_near_one_fits_and_certifies():
     # tests/test_highs.py's weighted family, seed 5, with no scipy needed.
     rng = np.random.default_rng(5)

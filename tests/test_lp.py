@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from equifit.basis import parse_basis_spec
 from equifit.errors import DimensionMismatch, NumericFailure
 from equifit.fitting import ProblemInstance, assemble_primal, fit
+from equifit.generators import random_small_instance, random_weighted_instance
 from equifit.lp import (
     FREE,
     INFEASIBLE,
@@ -25,7 +26,7 @@ from equifit.lp import (
     dual_of,
     solve_lp,
 )
-from equifit.tolerances import FEAS_TOL
+from equifit.tolerances import BAND_TOL, FEAS_TOL, ROW_ROUNDING_TOL
 
 
 def enumerate_vertex_optimum(lp):
@@ -322,6 +323,7 @@ def test_beale_cycling_example_terminates_under_bland():
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.iterations == 6
+    assert sol.phase_one_iterations == 0
     assert sol.objective_value == pytest.approx(-1.25, abs=1e-12)
     assert np.allclose(sol.primal, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
     assert np.allclose(sol.dual, [0.0, 1.5, 1.25], atol=1e-12)
@@ -573,6 +575,63 @@ def test_fit_lps_match_the_dense_reference(n, weighted, monkeypatch):
         lp = fit_lp(n, weighted, seed)
         _, state = assert_matches_reference(lp, monkeypatch)
         assert state.tableau.shape == condensed_shape(lp)
+
+
+def test_phase_one_of_a_fit_lp_ends_in_two_pivots():
+    # The bound is the first column: after the artificial's pivot onto the
+    # most negative row, Bland's rule enters it there, and phase 1 is done.
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        for instance in (random_small_instance(rng), random_weighted_instance(rng)):
+            solution = fit(instance).lp_solution
+            assert solution.phase_one_iterations <= 2
+            assert solution.iterations >= solution.phase_one_iterations
+
+
+def float_limit_line_lp():
+    """The fit LP of the line through five values near 1e307, one of them 0."""
+    x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    y = np.array([4.5e307, 0.0, 5e307, -4e307, 1e307])
+    basis = parse_basis_spec("1, x", 1)
+    return assemble_primal(ProblemInstance(points=x[:, None], values=y, basis=basis))
+
+
+def test_a_vertex_may_miss_a_row_by_its_own_rounding():
+    # Row 2, the overshoot row of the point with y = 0, has rhs 0: its
+    # recomputed excess is about 2.5e291, far past the BAND_TOL band, and
+    # one rounding of its terms near 1e307.
+    lp = float_limit_line_lp()
+    sol = solve_lp(lp)
+    assert sol.status == OPTIMAL
+    assert sol.primal == pytest.approx([3.5e307, 5.5e307, -8e307], rel=1e-12)
+    excess = lp.constraint_matrix[2] @ sol.primal - lp.rhs[2]
+    terms = np.abs(lp.constraint_matrix[2]) @ np.abs(sol.primal)
+    assert lp.rhs[2] == 0.0
+    assert BAND_TOL < excess <= ROW_ROUNDING_TOL * terms
+
+
+def test_a_rounding_allowance_that_overflows_refuses_the_vertex():
+    # Doubling row 2 keeps every term finite, and its excess (5e291), but
+    # its terms summed in magnitude overflow, so no allowance is known.
+    lp = float_limit_line_lp()
+    lp.constraint_matrix[2] *= 2.0
+    with np.errstate(over="ignore"):
+        assert np.abs(lp.constraint_matrix[2]) @ [3.5e307, 5.5e307, 8e307] == np.inf
+    with pytest.raises(NumericFailure, match=r"violates feasibility by 4\.990e\+291"):
+        solve_lp(lp)
+
+
+def test_an_ordinary_row_violation_is_refused():
+    # The row 1e-10 x <= 0 has no entry above PIVOT_TOL, so the ratio test
+    # passes over it and x goes to 1e4: the row is off by 1e-6.
+    lp = LinearProgram(
+        objective=[-1.0],
+        constraint_matrix=[[1.0], [1e-10]],
+        rhs=[1e4, 0.0],
+        variable_kinds=(NONNEGATIVE,),
+    )
+    with pytest.raises(NumericFailure, match=r"violates feasibility by 1\.000e-06"):
+        solve_lp(lp)
 
 
 def test_a_fit_allocates_little_beyond_its_tableau():

@@ -24,7 +24,9 @@ def test_one_sided_demo(capsys):
 def test_large_fit_reports_and_certifies(capsys):
     script = runpy.run_path(str(SCRIPTS / "large_fit.py"))
     assert script["run"](2000, 4, 100)
-    assert "certificate identities: ok" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "certificate identities: ok" in out
+    assert ", 2 in phase 1 (limit 2)" in out
     assert not script["run"](2000, 4, 0)
 
 
