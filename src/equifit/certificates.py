@@ -6,8 +6,9 @@ positions.  The row multipliers ``beta`` returned by the solver certify
 optimality:
 
 * ``beta >= 0`` and ``sum(beta) = 1`` (the bound column of the LP);
-* each basis function is ``beta``-orthogonal to the data: the overshoot
-  and undershoot sums of ``beta * basis(x)`` cancel;
+* each direction of the span is ``beta``-orthogonal to the data: the
+  overshoot and undershoot sums of ``beta`` times a column of the lifted
+  design, an orthonormal basis of the span, cancel;
 * nonzero multipliers sit only on the rows of ``FitResult.active_points``
   that touch the band, by the residual's sign (complementary slackness);
 * pairing ``beta`` with the signed residuals reproduces the discrepancy,
@@ -19,8 +20,10 @@ first.  ``verify_identities`` records this in its notes rather than
 silently flipping a sign.
 
 Every identity is judged on ``ProblemInstance.lifted_design_and_values()``
-and the fit's lifted solution, ``FitResult.lp_solution``, against the
-tolerance of the lifted d; value-sized gaps are reported in data units.
+and the fit's lifted solution, ``FitResult.lp_solution``, and lifted
+residuals, against the tolerance of the lifted d; value-sized gaps are
+reported in data units, and orthogonality per direction of the span (m
+entries at full rank).
 """
 
 from __future__ import annotations
@@ -136,7 +139,8 @@ def verify_identities(
     d = fit_result.lp_solution.objective_value
     b_over = cert.beta[0::2]
     b_under = cert.beta[1::2]
-    residual = y - g @ alpha
+    # The fit's own lifted residual; the power of two scales back exactly.
+    residual = fit_result.scaled_residuals * lift
     tol = agreement_tol(d)
 
     strong_duality_gap = abs(cert.dual_objective * lift - d)
@@ -227,8 +231,8 @@ def check_two_sided(fit_result: FitResult, cert: DualCertificate) -> bool:
     sides touch); raises PreconditionError otherwise.
     """
     instance = fit_result.instance
-    # The column scale is a power of two, so this is the weighted column.
-    first = instance.lifted_design_and_values()[0][:, 0] / instance.column_scale[0]
+    w = 1.0 if instance.weights is None else instance.weights
+    first = w * instance.design()[:, 0]
     if np.max(np.abs(first - 1.0)) > CONSTANT_COLUMN_TOL:
         raise PreconditionError(
             "the two-sided check needs the first basis function to be "

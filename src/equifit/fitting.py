@@ -2,12 +2,14 @@
 
 The fit minimizes the largest (optionally weighted) absolute residual over
 the data.  It is computed exactly by assembling a linear program whose
-first variable is the bound, followed by one variable per coefficient, with
-two rows per point: an overshoot row (combination above the value) and an
-undershoot row.  With the bound first, phase 1 of the simplex ends in two
-pivots.  The artificial enters on the most negative row; then the bound,
-the lowest-index improving column, enters on that row, the only one where
-its column is positive, and the artificial leaves.
+first variable is the bound, followed by one variable per column of the
+lifted design (an orthonormal basis of the span of the weighted basis
+functions on the data), with two rows per point: an overshoot row
+(combination above the value) and an undershoot row.  With the bound
+first, phase 1 of the simplex ends in two pivots.  The artificial enters
+on the most negative row; then the bound, the lowest-index improving
+column, enters on that row, the only one where its column is positive,
+and the artificial leaves.
 Nonnegative weights enter by rescaling each point's design row and value,
 which reduces the weighted problem to an unweighted one.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSet, design_matrix, matrix_rank_estimate
+from .basis import BasisSet, design_matrix, singular_value_rank
 from .errors import DimensionMismatch, EquifitError, SolverError
 from .lp import FREE, OPTIMAL, LinearProgram, LpSolution, solve_lp
 from .tolerances import BAND_TOL, interpolates_exactly
@@ -38,15 +40,18 @@ class ProblemInstance:
     once, here, and every later step reads them; a basis function that is
     not finite at some point raises EvaluationError from the constructor.
 
-    ``column_scale`` holds, per weighted design column, the power of two (at
-    most 2^1023) that puts its largest magnitude in [1, 2).  ``value_scale``
-    is 1 unless max |w y| is below one; then it is the power of two (at most
-    2^1023) that lifts it into [1, 2).  ``lifted_design_and_values()`` is the
-    weighted design and values times these exact scales.  The tolerances are
-    absolute, so the fit LP, the rank, the certificate and the oracle read
-    this one pair, and none depends on a basis function's scale or the
-    data's: coefficients map back by ``basis_coefficients``, and d by
-    ``value_scale``.
+    The optimum depends only on the span of the weighted design's columns,
+    so the lifted problem is posed on an orthonormal basis of that span.
+    Each weighted column is first scaled by the power of two (at most
+    2^1023) that puts its largest magnitude in [1, 2), so that no basis
+    function's scale decides the rank; one SVD, U S V^T, of that design
+    then gives the rank r (``singular_value_rank``), the lifted design U_r
+    and the map back.  ``value_scale`` is 1 unless max |w y| is below one;
+    then it is the power of two (at most 2^1023) that lifts it into [1, 2).
+    The tolerances are absolute, so the fit LP, the certificate and the
+    oracle read the pair ``lifted_design_and_values()``, and none depends on
+    a basis function's scale or the data's: coefficients map back by
+    ``basis_coefficients``, and d by ``value_scale``.
     """
 
     points: np.ndarray
@@ -54,7 +59,6 @@ class ProblemInstance:
     basis: BasisSet
     weights: np.ndarray | None = None
     design_override: np.ndarray | None = None
-    column_scale: np.ndarray = field(init=False, repr=False)
     value_scale: float = field(init=False, repr=False)
     rank: int = field(init=False)
 
@@ -107,11 +111,13 @@ class ProblemInstance:
                     "times a design entry or value overflows"
                 )
         exponent = np.frexp(np.max(np.abs(g), axis=0))[1]
-        self.column_scale = np.ldexp(1.0, np.minimum(1 - exponent, 1023))
+        column_scale = np.ldexp(1.0, np.minimum(1 - exponent, 1023))
         exponent = np.frexp(np.max(np.abs(y)) or 1.0)[1]
         self.value_scale = float(np.ldexp(1.0, np.clip(1 - exponent, 0, 1023)))
-        self._lifted = (g * self.column_scale, y * self.value_scale)
-        self.rank = matrix_rank_estimate(self._lifted[0])
+        u, sigma, vt = np.linalg.svd(g * column_scale, full_matrices=False)
+        self.rank = r = singular_value_rank(sigma)
+        self._lifted = (u[:, :r], y * self.value_scale)
+        self._to_basis = (vt[:r].T / sigma[:r], column_scale / self.value_scale)
 
     @property
     def n(self) -> int:
@@ -129,27 +135,33 @@ class ProblemInstance:
         return self._design
 
     def lifted_design_and_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """The weighted design times ``column_scale`` and the weighted values
-        times ``value_scale``: the problem every check of a fit reads."""
+        """U_r, the orthonormal basis of the span (n x rank), and the
+        weighted values times ``value_scale``: the problem every check of a
+        fit reads."""
         return self._lifted
 
     def basis_coefficients(self, lifted: np.ndarray) -> np.ndarray:
-        """Map coefficients of the lifted design's columns to the basis's."""
-        # One exact factor, so that no intermediate product overflows.
-        return lifted * (self.column_scale / self.value_scale)
+        """Map coefficients of the lifted design's columns to the basis's:
+        V_r S_r^-1 maps them to the scaled columns', then one exact factor
+        of powers of two, last, so that no intermediate product overflows."""
+        span_map, unscale = self._to_basis
+        return (span_map @ lifted) * unscale
 
 
 @dataclass
 class FitResult:
     """Coefficients and discrepancy of a solved instance.
 
-    ``residuals`` are the raw gaps value - combination; ``scaled_residuals``
-    fold in the weights and are what the discrepancy bounds.  ``active_points``
-    lists the indices whose scaled residual magnitude reaches the
-    discrepancy, less the band ``active_tol`` (zero-weight points never
-    qualify): the one touch set, on the side of the residual's sign, that
-    the certificate and the alternation analysis read.  The LP solution is
-    that of the instance's lifted problem; the certificate reads it.
+    ``residuals`` are the raw gaps value - combination in data units, for
+    the report; ``scaled_residuals`` fold in the weights and are what the
+    discrepancy bounds: the LP's own lifted residuals, y - U_r alpha,
+    divided by ``value_scale``, which every check of the fit reads.
+    ``active_points`` lists the indices whose scaled residual magnitude
+    reaches the discrepancy, less the band ``active_tol`` (zero-weight
+    points never qualify): the one touch set, on the side of the residual's
+    sign, that the certificate and the alternation analysis read.  The LP
+    solution is that of the instance's lifted problem; the certificate
+    reads it.
     """
 
     instance: ProblemInstance
@@ -165,8 +177,9 @@ class FitResult:
 
 
 def assemble_primal(instance: ProblemInstance) -> LinearProgram:
-    """Build the fit LP: variables (bound, coefficients...), rows interleaved
-    per point as (overshoot row, undershoot row).
+    """Build the fit LP: variables (bound, then one coefficient per column
+    of the lifted design, ``rank`` of them), rows interleaved per point as
+    (overshoot row, undershoot row).
 
     Row 2i holds "combination(x_i) - z <= y_i", row 2i+1 holds
     "-combination(x_i) - z <= -y_i", on the lifted design and values of
@@ -195,16 +208,17 @@ def assemble_primal(instance: ProblemInstance) -> LinearProgram:
 def fit(instance: ProblemInstance) -> FitResult:
     """Solve the minimax fit for an instance.
 
-    The discrepancy is the LP optimum; residuals are recomputed from the
-    coefficients rather than read off LP slacks.  Raises SolverError when
-    the LP layer fails, or ends other than optimal, which for this feasible,
-    bounded LP is a numeric failure.  Like ``solve_lp``, it runs with
-    numpy's floating-point warnings silenced: a residual that overflows
-    fails the residual-bound check, which fails on inf and NaN.
+    The discrepancy is the LP optimum; the lifted residuals are recomputed
+    from the LP's coefficients rather than read off LP slacks, and the
+    residual-bound check and the active band read them.  Raises SolverError
+    when the LP layer fails, or ends other than optimal, which for this
+    feasible, bounded LP is a numeric failure.  Like ``solve_lp``, it runs
+    with numpy's floating-point warnings silenced: a residual that
+    overflows, lifted or in data units, fails a check of its own.
 
-    ``lp_solution.primal`` holds the lifted bound, then the lifted
-    coefficients of ``assemble_primal``'s scaled columns, read as
-    ``primal[1:]``; ``coefficients`` holds those of the basis.
+    ``lp_solution.primal`` holds the lifted bound, then the coefficients of
+    the lifted design's columns, read as ``primal[1:]``; ``coefficients``
+    holds those of the basis.
     """
     try:
         solution = solve_lp(assemble_primal(instance))
@@ -216,35 +230,34 @@ def fit(instance: ProblemInstance) -> FitResult:
             f"solver ended with status {solution.status}: {solution.reason}"
         )
 
+    g, y = instance.lifted_design_and_values()
     lift = instance.value_scale
-    coefficients = instance.basis_coefficients(solution.primal[1:])
     lifted_d = float(solution.objective_value)
-    discrepancy = lifted_d / lift
-    residuals = instance.values - instance.design() @ coefficients
-    w = instance.weights
-    scaled = residuals.copy() if w is None else w * residuals
-
-    max_scaled = float(np.max(np.abs(scaled)))
+    lifted_residuals = y - g @ solution.primal[1:]
+    max_lifted = float(np.max(np.abs(lifted_residuals)))
     band = BAND_TOL * max(1.0, lifted_d)
     # Written so that a NaN bound or optimum fails the check.
-    if not abs(max_scaled * lift - lifted_d) <= band:
+    if not abs(max_lifted - lifted_d) <= band:
         raise SolverError(
-            f"recomputed residual bound {max_scaled!r} is inconsistent with "
-            f"the LP optimum {discrepancy!r}"
+            f"recomputed residual bound {max_lifted / lift!r} is inconsistent "
+            f"with the LP optimum {lifted_d / lift!r}"
         )
 
-    active_tol = band / lift
-    active = np.abs(scaled) >= discrepancy - active_tol
-    if w is not None:
-        active &= w > 0
+    coefficients = instance.basis_coefficients(solution.primal[1:])
+    residuals = instance.values - instance.design() @ coefficients
+    if not np.all(np.isfinite(residuals)):
+        raise SolverError("a residual of the fit overflows in data units")
+    active = np.abs(lifted_residuals) >= lifted_d - band
+    if instance.weights is not None:
+        active &= instance.weights > 0
     return FitResult(
         instance=instance,
         coefficients=coefficients,
-        discrepancy=discrepancy,
+        discrepancy=lifted_d / lift,
         residuals=residuals,
-        scaled_residuals=scaled,
+        scaled_residuals=lifted_residuals / lift,
         active_points=tuple(int(i) for i in np.flatnonzero(active)),
-        active_tol=active_tol,
+        active_tol=band / lift,
         exact_interpolation=interpolates_exactly(lifted_d),
         low_rank=instance.rank < instance.m,
         lp_solution=solution,

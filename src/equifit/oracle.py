@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCandidate, TooLarge
-from .fitting import FitResult, ProblemInstance, objective_value
-from .tolerances import AGREE_COEFFICIENT_TOL, agreement_tol, value_slack
+from .fitting import FitResult, ProblemInstance
+from .tolerances import agreement_tol, value_slack
 
 MAX_POINTS = 15
 MAX_BASIS = 4
@@ -281,15 +281,14 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
 
 def compare_with_oracle(result: FitResult) -> OracleComparison:
     """Brute-force the fit's instance and compare the optima on lifted
-    values; raises what ``brute_force_fit`` raises (TooLarge, NoCandidate)."""
+    values; raises what ``brute_force_fit`` raises (TooLarge, NoCandidate).
+
+    The fit agrees when its discrepancy is the oracle's: the optimum need
+    not be unique, and ``fit`` already ties its coefficients to its d, so
+    the coefficient gap is reported, not judged."""
     oracle = brute_force_fit(result.instance)
     discrepancy_gap = abs(result.discrepancy - oracle.discrepancy)
     coefficient_gap = float(np.max(np.abs(result.coefficients - oracle.coefficients)))
     lift = result.instance.value_scale
-    tolerance = agreement_tol(oracle.discrepancy * lift) / lift
-    agrees = discrepancy_gap <= tolerance and (
-        coefficient_gap * lift <= AGREE_COEFFICIENT_TOL
-        or objective_value(result.instance, oracle.coefficients)
-        <= oracle.discrepancy + tolerance
-    )
+    agrees = discrepancy_gap <= agreement_tol(oracle.discrepancy * lift) / lift
     return OracleComparison(oracle, discrepancy_gap, coefficient_gap, bool(agrees))

@@ -3,11 +3,12 @@
 Modules import the tolerances they apply from here; a rule that two modules
 apply is decided once, by a function below, and a rule that one module
 applies is written where it is applied.  The rules read the one lifted
-problem, ``ProblemInstance.lifted_design_and_values()``: every column's
-largest magnitude in [1, 2), and data below one lifted so that max |w y| >= 1.
-So each floor of 1 below is in the data's unit, and none has an absolute
-regime for small data or small columns.  Each constant is given as its
-question; the quantity it is relative to; its readers.
+problem, ``ProblemInstance.lifted_design_and_values()``: the design is an
+orthonormal basis of the span of the weighted columns, and data below one
+are lifted so that max |w y| >= 1.  So each floor of 1 below is in the
+data's unit, and none has an absolute regime for small data or for a basis
+function's scale.  Each constant is given as its question; the quantity it
+is relative to; its readers.
 """
 
 import numpy as np
@@ -51,10 +52,6 @@ CONSTANT_COLUMN_TOL = 1e-12
 # Interpolation nodes that are not distinct; their span; Lagrange
 # interpolation.
 NODE_GAP_TOL = 1e-12
-# Coefficients that agree with the oracle's (beyond it, the oracle's must
-# achieve their discrepancy too: the optimum need not be unique); absolute,
-# on coefficients times value_scale; the oracle comparison.
-AGREE_COEFFICIENT_TOL = 1e-7
 
 
 def interpolates_exactly(discrepancy):

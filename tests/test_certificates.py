@@ -261,16 +261,18 @@ def weighted_hat(weight):
 
 
 def test_two_sided_reads_the_weighted_constant_column():
-    # The constant column times 1 - 1e-13 is lifted by 2, and divided back
-    # exactly: it is the constant to within CONSTANT_COLUMN_TOL.
+    # The lifted design is an orthonormal basis of the span, so no column of
+    # it is the constant: the check reads the weighted first column, here
+    # the constant times 1 - 1e-13, to within CONSTANT_COLUMN_TOL.
     instance = weighted_hat(1.0 - 1e-13)
-    assert instance.column_scale[0] == 2.0
+    lifted = instance.lifted_design_and_values()[0]
+    assert lifted.T @ lifted == pytest.approx(np.eye(2), abs=1e-15)
+    assert np.ptp(np.abs(lifted[:, 0])) > 0.1
     result, cert = fitted(instance)
     assert check_two_sided(result, cert) is True
     assert verify_identities(cert, result, instance).two_sided_ok is True
-    # Times 2 it is lifted to the constant 1, but the weighted column is 2.
+    # Times 2 the weighted column is 2, though it spans the same line.
     instance = weighted_hat(2.0)
-    assert instance.column_scale[0] == 0.5
     result, cert = fitted(instance)
     with pytest.raises(PreconditionError, match="identically 1"):
         check_two_sided(result, cert)

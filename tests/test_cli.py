@@ -515,13 +515,16 @@ def test_verify_on_a_rank_deficient_basis_is_skipped(tmp_path, capsys):
 
 def test_verify_on_ill_conditioned_witness_blocks_is_skipped(tmp_path, capsys):
     # Both used to exit 4: the oracle answered from above the de la Vallee
-    # Poussin floor, with a candidate that is not optimal.
+    # Poussin floor, with a candidate that is not optimal.  The cluster's
+    # design is rank-deficient, and the oracle skips it; the cubic's witness
+    # blocks, read from the orthonormal lifted design, are well conditioned,
+    # and the oracle agrees at the floor.
     cluster = tmp_path / "cluster.csv"
     cluster_x = [-1.189366533870768, -1.1893675973699462, -1.1893575314804548,
                  -1.189394763190756, -1.1893667830363301]
     cluster.write_text("x,y\n" + "".join(f"{a!r},-0.9\n" for a in cluster_x))
-    # A cubic on a window of width 0.015, full rank: no candidate at the
-    # floor passes the feasibility test.
+    # A cubic on a window of width 0.015, full rank: read from the columns
+    # 1, x, x^2, x^3, no candidate at the floor passed the feasibility test.
     cubic = tmp_path / "cubic.csv"
     cubic.write_text("x,y\n" + "".join(
         f"{a!r},{b!r}\n" for a, b in zip(
@@ -535,14 +538,18 @@ def test_verify_on_ill_conditioned_witness_blocks_is_skipped(tmp_path, capsys):
              0.25803283980754815],
         )
     ))
+    reports = []
     for path, spec in ((cluster, "1, x^2, x^4"), (cubic, "1, x, x^2, x^3")):
         code, out, err = run_cli(
             capsys, "fit", "--data", str(path), "--basis", spec,
             "--certify", "--verify",
         )
         assert code == 0, (spec, err)
-        assert json.loads(out)["oracle"]["skipped"]
-    assert "floor" in json.loads(out)["oracle"]["skipped"]
+        reports.append(json.loads(out))
+    clustered, narrow = reports
+    assert "rank-deficient" in clustered["oracle"]["skipped"]
+    assert narrow["oracle"]["agrees"] is True
+    assert narrow["certificate"]["identities_ok"] is True
 
 
 def test_verify_certifies_a_design_on_shrunk_abscissae(tmp_path, capsys):
@@ -808,16 +815,17 @@ def test_values_times_two_to_the_minus_40_scale_the_report_exactly(tmp_path, cap
 
 
 # A weight times a value overflows; a weighted point's coefficient maps back
-# through a column scale near 2^1023 and a value scale near 2^970; a
-# residual overflows after the LP.
+# through a column scale near 2^1023 and a value scale near 2^970; the
+# coefficient of x, 1e300, interpolates the weighted point, and its residual
+# at the zero-weight point, 1e10 x 1e300, overflows after the LP.
 OVERFLOWING_WEIGHT_CSV = "x,y,w\n0,7e9,1e300\n1,1,1\n2,0,1\n"
 HUGE_COEFFICIENT_CSV = "x,y,w\n1e8,1e8,1e-300\n0.001,5,0\n"
-OVERFLOWING_RESIDUAL_CSV = "x1,x2,y,w\n0,1e-300,-0,0.5\n1e-300,7e9,1e8,1\n2,1e8,1e8,0\n"
+OVERFLOWING_RESIDUAL_CSV = "x,y,w\n1e-300,1,1\n1e10,0,0\n"
 
 
 @pytest.mark.parametrize(
     "text, spec, expected",
-    [(OVERFLOWING_WEIGHT_CSV, "1, x", 2), (OVERFLOWING_RESIDUAL_CSV, "1, x, y", 3)],
+    [(OVERFLOWING_WEIGHT_CSV, "1, x", 2), (OVERFLOWING_RESIDUAL_CSV, "x", 3)],
     ids=["weight-times-value", "residual"],
 )
 def test_an_overflow_exits_with_one_line(tmp_path, capsys, text, spec, expected):
@@ -873,7 +881,7 @@ def csv_texts(draw):
 )
 @example(text=OVERFLOWING_WEIGHT_CSV, spec="1, x", weighted=True)
 @example(text=HUGE_COEFFICIENT_CSV, spec="1/x", weighted=True)
-@example(text=OVERFLOWING_RESIDUAL_CSV, spec="1, x, y", weighted=True)
+@example(text=OVERFLOWING_RESIDUAL_CSV, spec="x", weighted=True)
 def test_any_csv_exits_0_2_or_3_without_warnings(text, spec, weighted):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")

@@ -79,15 +79,13 @@ def test_weight_scales_one_row_pair():
         weights=[2.0, 1.0],
     )
     lp = assemble_primal(instance)
-    # Point 0's pair is doubled in the design entries and the rhs; the
-    # weighted column [2, 1] is scaled by 1/2, and the bound column, the
-    # first, stays -1.
-    assert lp.constraint_matrix.tolist() == [
-        [-1.0, 1.0],
-        [-1.0, -1.0],
-        [-1.0, 0.5],
-        [-1.0, -0.5],
-    ]
+    # Point 0's pair is doubled in the rhs and in the weighted design
+    # [2, 1], whose lifted column is that vector of unit length; the bound
+    # column, the first, stays -1.
+    assert lp.constraint_matrix[:, 0].tolist() == [-1.0] * 4
+    column = lp.constraint_matrix[:, 1]
+    assert np.array_equal(column[1::2], -column[0::2])
+    assert np.abs(column[0::2]) == pytest.approx(np.array([2.0, 1.0]) / np.sqrt(5.0))
     assert lp.rhs.tolist() == [2.0, -2.0, 2.0, -2.0]
 
 

@@ -589,11 +589,20 @@ def test_phase_one_of_a_fit_lp_ends_in_two_pivots():
 
 
 def float_limit_line_lp():
-    """The fit LP of the line through five values near 1e307, one of them 0."""
+    """The fit LP of the line through five values near 1e307, one of them 0,
+    on the columns 1 and x themselves: variables (bound, constant, slope),
+    rows interleaved per point as (overshoot row, undershoot row)."""
     x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     y = np.array([4.5e307, 0.0, 5e307, -4e307, 1e307])
-    basis = parse_basis_spec("1, x", 1)
-    return assemble_primal(ProblemInstance(points=x[:, None], values=y, basis=basis))
+    rows = np.column_stack([-np.ones(5), np.ones(5), x])
+    matrix = np.empty((10, 3))
+    matrix[0::2], matrix[1::2] = rows, rows * [1.0, -1.0, -1.0]
+    return LinearProgram(
+        objective=[1.0, 0.0, 0.0],
+        constraint_matrix=matrix,
+        rhs=np.ravel(np.column_stack([y, -y])),
+        variable_kinds=(FREE,) * 3,
+    )
 
 
 def test_a_vertex_may_miss_a_row_by_its_own_rounding():

@@ -6,11 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from equifit.basis import parse_basis_spec
-from equifit.errors import NoCandidate, SolverError, TooLarge
+from equifit.basis import matrix_rank_estimate, parse_basis_spec
+from equifit.errors import NoCandidate, TooLarge
 from equifit.fitting import ProblemInstance, fit, objective_value
 from equifit.oracle import (
-    AGREE_COEFFICIENT_TOL,
     brute_force_fit,
     compare_with_oracle,
     factor_witness_subsets,
@@ -169,7 +168,7 @@ def test_compare_with_oracle_judges_optimality_not_the_coefficients():
     # the oracle's answer, whichever vertex (slope 3 or 5) rounding picks.
     other_optimum = replace(result, coefficients=np.array([1.0, 4.0]))
     comparison = compare_with_oracle(other_optimum)
-    assert comparison.coefficient_gap > AGREE_COEFFICIENT_TOL
+    assert comparison.coefficient_gap >= 1.0 - 1e-12
     assert comparison.agrees
 
     worse = replace(result, discrepancy=result.discrepancy + 10 * AGREE_TOL)
@@ -268,14 +267,20 @@ def test_a_block_with_a_zero_column_is_never_a_witness():
 
 @pytest.mark.parametrize("scale", [1e60, 1e-60])
 def test_the_oracle_scans_the_column_scaled_blocks(scale):
-    # x^3 reaches 1e180 or falls to 1e-180 here: read unscaled, its squares
-    # overflow or underflow in the Householder sweep, and no witness block
-    # passed the feasibility test.
+    # x^3 reaches 1e180 or falls to 1e-180 here.  Read unscaled, the SVD
+    # of the design sees rank 1, and the columns' squares overflow or
+    # underflow in the Householder sweep; scaled by powers of two first,
+    # the design has rank 4, and its orthonormal factor is what the oracle
+    # scans.
     x = np.linspace(0.0, 1.0, 11)
     y = np.sin(4.0 * x) + 0.1 * np.cos(17.0 * x)
     basis = parse_basis_spec("1, x, x^2, x^3", 1)
     plain = fit(ProblemInstance(points=x[:, None], values=y, basis=basis))
     instance = ProblemInstance(points=(scale * x)[:, None], values=y, basis=basis)
+    assert matrix_rank_estimate(instance.design()) == 1
+    assert instance.rank == 4
+    lifted = instance.lifted_design_and_values()[0]
+    assert lifted.T @ lifted == pytest.approx(np.eye(4), abs=1e-14)
     comparison = compare_with_oracle(fit(instance))
     assert comparison.agrees
     assert comparison.oracle.discrepancy == pytest.approx(plain.discrepancy, rel=1e-12)
@@ -361,10 +366,11 @@ def test_oracle_matches_a_plain_loop_over_every_witness_system():
 
 
 def _full_scan(instance):
-    """Every (subset, sign) candidate scored at once, in one matrix product,
-    as the oracle did before it skipped the candidates below the floor;
-    returns the first minimum in enumeration order, or None."""
-    g, y = _weighted(instance)
+    """Every (subset, sign) candidate of the lifted problem scored at once,
+    in one matrix product, as the oracle did before it skipped the
+    candidates below the floor; returns the first minimum in enumeration
+    order, mapped back as the oracle maps it, or None."""
+    g, y = instance.lifted_design_and_values()
     n, m = instance.n, instance.m
     subsets = np.array(list(itertools.combinations(range(n), m + 1)))
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m + 1)))
@@ -389,8 +395,8 @@ def _full_scan(instance):
         int(np.argmin(np.where(feasible, ds, np.inf))), ds.shape
     )
     return (
-        alphas[:, best_subset, best_sign],
-        float(max(ds[best_subset, best_sign], 0.0)),
+        instance.basis_coefficients(alphas[:, best_subset, best_sign]),
+        float(max(ds[best_subset, best_sign], 0.0)) / instance.value_scale,
         tuple(int(i) for i in subsets[best_subset]),
         tuple(int(s) for s in signs[best_sign]),
     )
@@ -401,7 +407,7 @@ def _pruning_instances(rng, count):
     with points repeated exactly, symmetric about 0 with an even basis
     (both give candidates of equal d), and clustered in a width of 1e-4 to
     1e-1, where the coefficients are large and rounding decides some
-    feasibility tests, or leaves the floor without a feasible candidate.
+    feasibility tests.
     About 30% weighted over e^-6..e^6, about 30% with values x 1e6."""
     bases = {2: "1, x", 3: "1, x, x^2", 4: "1, x, x^2, x^3"}
     even_bases = {2: "1, x^2", 3: "1, x^2, x^4", 4: "1, x^2, x^4, x^6"}
@@ -440,10 +446,9 @@ def _pruning_instances(rng, count):
 
 
 def _narrow_cubic():
-    """A cubic on a window of width 0.015: the coefficients are near 1e6,
-    so the residuals of the candidates round to either side of the
-    feasibility slack, and none at the floor passes; the full scan's
-    first minimum lies above the floor, so it is not optimal."""
+    """A cubic on a window of width 0.015, whose coefficients are near 1e6:
+    on the columns 1, x, x^2, x^3 the candidates' residuals rounded to
+    either side of the feasibility slack, and none at the floor passed."""
     x = [-1.6509514766112707, -1.6457447478262937, -1.6528384762528707,
          -1.6471325116662507, -1.6605600195852483, -1.647835403796264,
          -1.6595419659003983, -1.6624768732740762, -1.6557736539851227,
@@ -459,14 +464,12 @@ def _narrow_cubic():
     )
 
 
-# Instances whose witness blocks are too ill-conditioned for any candidate
-# at the floor to pass: the full scan answers from above the floor, above
-# the LP's optimum, and the oracle raises NoCandidate.
-ABOVE_THE_FLOOR = (0, 56, 76, 92)
-# Of those, the fits whose coefficients (near 1e8 on instance 92) round the
-# recomputed residuals by more than fit's residual-bound slack, which does
-# not grow with them: fit raises instead of returning the LP's optimum.
-FIT_RAISES = (92,)
+# Instances whose witness blocks, read from the basis's own columns, were too
+# ill-conditioned for any candidate at the floor to pass (the full scan
+# answered from above the floor, and the oracle raised NoCandidate); on
+# instance 92, whose coefficients are near 1e8, fit raised too.  On the
+# orthonormal lifted design both answer at the floor, and agree.
+ILL_CONDITIONED = (0, 56, 76, 92)
 
 
 def test_pruned_scan_returns_the_full_scan_answer():
@@ -474,18 +477,14 @@ def test_pruned_scan_returns_the_full_scan_answer():
     compared = 0
     instances = [_narrow_cubic(), *_pruning_instances(rng, 100)]
     for index, instance in enumerate(instances):
-        expected = _full_scan(instance) if instance.rank >= instance.m else None
-        if expected is None or index in ABOVE_THE_FLOOR:
+        if instance.rank < instance.m:
             with pytest.raises(NoCandidate):
                 brute_force_fit(instance)
-            if index in FIT_RAISES:
-                with pytest.raises(SolverError, match="recomputed residual bound"):
-                    fit(instance)
-            elif expected is not None:
-                assert fit(instance).discrepancy < expected[1]
             continue
+        if index in ILL_CONDITIONED:
+            assert compare_with_oracle(fit(instance)).agrees
         result = brute_force_fit(instance)
-        coefficients, discrepancy, subset, signs = expected
+        coefficients, discrepancy, subset, signs = _full_scan(instance)
         assert result.witness_subset == subset
         assert result.witness_signs == signs
         assert result.discrepancy == discrepancy

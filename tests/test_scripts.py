@@ -40,3 +40,14 @@ def test_fit_digest_is_deterministic(capsys):
     out = capsys.readouterr().out
     assert "many_small seed 7: 12 ops, 0 raised, " in out
     assert "selftest seed 42: 5 instances, " in out
+
+
+def test_census_counts_a_slice_within_its_limits(capsys):
+    census = runpy.run_path(str(SCRIPTS / "census.py"))
+    # Seed 1, blocks 0-1 holds two grid_smooth fits that raised on the
+    # basis's own scaled columns (exp/m6 in block 0, exp/m5 in block 1).
+    counts = census["run"](seeds=(1,), blocks=2, count=20)
+    out = capsys.readouterr().out
+    assert "grid_smooth: 18 fits, 0 raised, 0 with max|r| > 1.01 d" in out
+    assert "shift c=100: 20 fits, 0 raised, 0 uncertified, 0 worse" in out
+    assert all(counts[name] <= limit for name, limit in census["LIMITS"].items())
