@@ -8,14 +8,16 @@ count is above its limit.
   whose max |r|, the largest weighted residual of the returned coefficients
   in data units, is more than 1% above their reported d; a fit flagged as
   an exact interpolation (d within rounding of 0) has no relative gap to
-  judge, and is not counted.
+  judge, and is not counted.  Also counts the returned fits whose reported
+  d is below zero.
 * ``shift``: 300 instances drawn from ``default_rng(5)``, in this order:
   n = integers(10, 40), the monomials of degree integers(1, 4),
   u = uniform(-0.5, 0.5, n) and y = normal(0, 1, n).  Each is fitted at
   x = u + 100 and, as the reference, at x = u.  Counts the shifted fits that
   raise; the full-rank ones whose certificate fails (the identities or the
-  active-point count); and those whose max |r| is worse than the reference
-  fit's d by more than 1e-6 relative.
+  active-point count); those whose max |r| is worse than the reference
+  fit's d by more than 1e-6 relative; and those whose reported d is below
+  zero.
 
 Prints one line per family and exits 1 when a count exceeds ``LIMITS``:
 
@@ -40,9 +42,11 @@ SHIFT_INSTANCES = 300
 LIMITS = {
     "grid_smooth raised": 1,
     "grid_smooth above d": 0,
+    "grid_smooth negative d": 0,
     "shift raised": 0,
     "shift uncertified": 0,
     "shift worse": 0,
+    "shift negative d": 0,
 }
 
 
@@ -51,10 +55,11 @@ LIMITS = {
 
 
 def grid_smooth(workloads, seeds=GRID_SEEDS, blocks=GRID_BLOCKS):
-    """(fits, raised, above d) over the grid_smooth fits of the seeds."""
+    """(fits, raised, above d, negative d) over the grid_smooth fits of the
+    seeds."""
     from equifit import objective_value
 
-    fits = raised = above = 0
+    fits = raised = above = negative = 0
     with tempfile.TemporaryDirectory() as workdir:
         for seed in seeds:
             workload = workloads.WORKLOADS["grid_smooth"](seed, workdir)
@@ -66,10 +71,11 @@ def grid_smooth(workloads, seeds=GRID_SEEDS, blocks=GRID_BLOCKS):
                         raised += 1
                         continue
                     result = out[0]
+                    negative += result.discrepancy < 0
                     worst = objective_value(result.instance, result.coefficients)
                     if not result.exact_interpolation:
                         above += worst > 1.01 * result.discrepancy
-    return fits, raised, above
+    return fits, raised, above, negative
 
 
 def shift_instances(count=SHIFT_INSTANCES):
@@ -86,11 +92,11 @@ def shift_instances(count=SHIFT_INSTANCES):
 
 
 def shift(count=SHIFT_INSTANCES):
-    """(fits, raised, uncertified, worse) over the shift family at
-    x = u + SHIFT."""
+    """(fits, raised, uncertified, worse, negative d) over the shift family
+    at x = u + SHIFT."""
     import equifit as ef
 
-    raised = uncertified = worse = 0
+    raised = uncertified = worse = negative = 0
     for u, y, basis in shift_instances(count):
         reference = ef.fit(ef.ProblemInstance(points=u[:, None], values=y, basis=basis))
         instance = ef.ProblemInstance(points=(u + SHIFT)[:, None], values=y, basis=basis)
@@ -99,6 +105,7 @@ def shift(count=SHIFT_INSTANCES):
         except ef.EquifitError:
             raised += 1
             continue
+        negative += result.discrepancy < 0
         worst = ef.objective_value(instance, result.coefficients)
         worse += worst > reference.discrepancy * (1.0 + 1e-6)
         if result.low_rank or result.exact_interpolation:
@@ -106,25 +113,31 @@ def shift(count=SHIFT_INSTANCES):
         cert = ef.extract_certificate(result.lp_solution, instance)
         report = ef.verify_identities(cert, result, instance)
         uncertified += not (report.identities_ok and report.active_count_ok)
-    return count, raised, uncertified, worse
+    return count, raised, uncertified, worse, negative
 
 
 def run(src=ROOT / "src", seeds=GRID_SEEDS, blocks=GRID_BLOCKS, count=SHIFT_INSTANCES):
     """Print one line per family; return the counts named as in LIMITS."""
     workloads = _load(src)
-    fits, raised, above = grid_smooth(workloads, seeds, blocks)
-    print(f"grid_smooth: {fits} fits, {raised} raised, {above} with max|r| > 1.01 d")
-    shifted, shift_raised, uncertified, worse = shift(count)
+    fits, raised, above, negative = grid_smooth(workloads, seeds, blocks)
+    print(
+        f"grid_smooth: {fits} fits, {raised} raised, {above} with max|r| > 1.01 d, "
+        f"{negative} with d < 0"
+    )
+    shifted, shift_raised, uncertified, worse, shift_negative = shift(count)
     print(
         f"shift c={SHIFT:g}: {shifted} fits, {shift_raised} raised, "
-        f"{uncertified} uncertified, {worse} worse than the reference"
+        f"{uncertified} uncertified, {worse} worse than the reference, "
+        f"{shift_negative} with d < 0"
     )
     return {
         "grid_smooth raised": raised,
         "grid_smooth above d": above,
+        "grid_smooth negative d": negative,
         "shift raised": shift_raised,
         "shift uncertified": uncertified,
         "shift worse": worse,
+        "shift negative d": shift_negative,
     }
 
 

@@ -11,7 +11,6 @@ from .basis import (
     BasisSet,
     design_matrix,
     format_basis_spec,
-    matrix_rank_estimate,
     parse_basis_spec,
 )
 from .certificates import (
@@ -111,7 +110,6 @@ __all__ = [
     "fit",
     "format_basis_spec",
     "lagrange_interpolate",
-    "matrix_rank_estimate",
     "objective_value",
     "one_sided_construction",
     "parse_basis_spec",

@@ -12,7 +12,8 @@ module-level function bound with ``functools.partial`` that maps an (n, p)
 array of points to an n-vector; a parsed basis therefore pickles.  Each
 function's label is its source text, which is also how a basis renders.
 ``design_matrix`` stacks the columns, and ``singular_value_rank`` is the one
-rank rule, which ``matrix_rank_estimate`` applies to a design's SVD.
+rank rule: ``ProblemInstance`` applies it to the singular values of the one
+SVD of its scaled weighted design.
 """
 
 from __future__ import annotations
@@ -374,11 +375,3 @@ def singular_value_rank(sigma: np.ndarray) -> int:
     """Numerical rank: the number of singular values above ``RANK_TOL``
     times the largest one."""
     return int(np.count_nonzero(sigma > RANK_TOL * sigma.max(initial=0.0)))
-
-
-def matrix_rank_estimate(matrix: np.ndarray) -> int:
-    """The numerical rank of a matrix, by ``singular_value_rank``."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise DimensionError("rank estimation expects a matrix")
-    return singular_value_rank(np.linalg.svd(matrix, compute_uv=False))

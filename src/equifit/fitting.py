@@ -23,7 +23,7 @@ import numpy as np
 from .basis import BasisSet, design_matrix, singular_value_rank
 from .errors import DimensionMismatch, EquifitError, SolverError
 from .lp import FREE, OPTIMAL, LinearProgram, LpSolution, solve_lp
-from .tolerances import BAND_TOL, interpolates_exactly
+from .tolerances import BAND_TOL, RANK_TOL, interpolates_exactly
 
 
 @dataclass
@@ -46,12 +46,16 @@ class ProblemInstance:
     2^1023) that puts its largest magnitude in [1, 2), so that no basis
     function's scale decides the rank; one SVD, U S V^T, of that design
     then gives the rank r (``singular_value_rank``), the lifted design U_r
-    and the map back.  ``value_scale`` is 1 unless max |w y| is below one;
-    then it is the power of two (at most 2^1023) that lifts it into [1, 2).
-    The tolerances are absolute, so the fit LP, the certificate and the
-    oracle read the pair ``lifted_design_and_values()``, and none depends on
-    a basis function's scale or the data's: coefficients map back by
-    ``basis_coefficients``, and d by ``value_scale``.
+    and the map back.  At full rank the map back is V_r S_r^-1.  Below it,
+    the first r columns, in basis order, that one Gram-Schmidt pass over
+    the rows of V_r finds independent under ``RANK_TOL`` carry the fit, and
+    every other column's coefficient is 0.  ``value_scale`` is 1 unless
+    max |w y| is below one; then it is the power of two (at most 2^1023)
+    that lifts it into [1, 2).  The tolerances are absolute, so the fit LP,
+    the certificate and the oracle read the pair
+    ``lifted_design_and_values()``, and none depends on a basis function's
+    scale or the data's: coefficients map back by ``basis_coefficients``,
+    and d by ``reported_discrepancy``.
     """
 
     points: np.ndarray
@@ -117,7 +121,19 @@ class ProblemInstance:
         u, sigma, vt = np.linalg.svd(g * column_scale, full_matrices=False)
         self.rank = r = singular_value_rank(sigma)
         self._lifted = (u[:, :r], y * self.value_scale)
-        self._to_basis = (vt[:r].T / sigma[:r], column_scale / self.value_scale)
+        v_r = vt[:r].T
+        span_map = v_r / sigma[:r]
+        if r < self.m:
+            picked, q = [], np.zeros((r, 0))
+            for j, row in enumerate(v_r):
+                rest = row - q @ (q.T @ row)
+                norm = np.linalg.norm(rest)
+                if norm > RANK_TOL and len(picked) < r:
+                    picked.append(j)
+                    q = np.column_stack([q, rest / norm])
+            span_map = np.zeros_like(span_map)
+            span_map[picked] = np.linalg.solve(v_r[picked].T, np.diag(1.0 / sigma[:r]))
+        self._to_basis = (span_map, column_scale / self.value_scale)
 
     @property
     def n(self) -> int:
@@ -146,6 +162,12 @@ class ProblemInstance:
         of powers of two, last, so that no intermediate product overflows."""
         span_map, unscale = self._to_basis
         return (span_map @ lifted) * unscale
+
+    def reported_discrepancy(self, lifted_d: float) -> float:
+        """Map a lifted discrepancy to data units: floored at zero, as a
+        maximum of absolute values is, then divided by ``value_scale``.  A
+        lifted d below zero is rounding around an exact interpolation."""
+        return max(lifted_d, 0.0) / self.value_scale
 
 
 @dataclass
@@ -208,7 +230,8 @@ def assemble_primal(instance: ProblemInstance) -> LinearProgram:
 def fit(instance: ProblemInstance) -> FitResult:
     """Solve the minimax fit for an instance.
 
-    The discrepancy is the LP optimum; the lifted residuals are recomputed
+    The discrepancy is the LP optimum, mapped to data units by
+    ``instance.reported_discrepancy``; the lifted residuals are recomputed
     from the LP's coefficients rather than read off LP slacks, and the
     residual-bound check and the active band read them.  Raises SolverError
     when the LP layer fails, or ends other than optimal, which for this
@@ -253,7 +276,7 @@ def fit(instance: ProblemInstance) -> FitResult:
     return FitResult(
         instance=instance,
         coefficients=coefficients,
-        discrepancy=lifted_d / lift,
+        discrepancy=instance.reported_discrepancy(lifted_d),
         residuals=residuals,
         scaled_residuals=lifted_residuals / lift,
         active_points=tuple(int(i) for i in np.flatnonzero(active)),

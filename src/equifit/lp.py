@@ -49,7 +49,7 @@ import numpy as np
 from .errors import DimensionMismatch, NumericFailure
 from .tolerances import (
     BAND_TOL,
-    DUAL_CLAMP_TOL,
+    MULTIPLIER_TOL,
     PIVOT_TOL,
     RATIO_TIE_TOL,
     ROW_ROUNDING_TOL,
@@ -286,7 +286,9 @@ class _Simplex:
         at 0, so the basis system reduces to its core: the tight rows (those
         whose slack is nonbasic) against the other basic columns, all real:
         phase 1 leaves no artificial basic.  The core is square, of order
-        at most the number of variables.
+        at most the number of variables.  A multiplier that rounds below
+        zero by at most ``MULTIPLIER_TOL``, the certificate's zero level, is
+        set to zero; one further below fails the solve.
         """
         lp = self.lp
         n_struct = self.n_struct
@@ -307,7 +309,7 @@ class _Simplex:
         beta = np.zeros(lp.num_rows)
         beta[rows] = -y_core
         # Each check is written so that a NaN fails it.
-        if not np.min(beta) >= -DUAL_CLAMP_TOL:
+        if not np.min(beta) >= -MULTIPLIER_TOL:
             raise NumericFailure(
                 f"negative dual multiplier {np.min(beta):.3e}", self.iterations
             )

@@ -185,8 +185,8 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
     NoCandidate when the design's rank is below m (its optimum need not have
     an (m+1)-point witness) or when no candidate at the floor is feasible.
     The scan reads the instance's lifted design and values; like ``fit``, it
-    maps its coefficients back by ``instance.basis_coefficients`` and divides
-    d by ``value_scale``.
+    maps its coefficients back by ``instance.basis_coefficients`` and d by
+    ``instance.reported_discrepancy``.
     """
     n, m = instance.n, instance.m
     if n > MAX_POINTS or m > MAX_BASIS:
@@ -268,7 +268,7 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
             k = int(np.argmax(feasible))
             return OracleResult(
                 coefficients=instance.basis_coefficients(alphas[k]),
-                discrepancy=float(max(d[k], 0.0)) / instance.value_scale,
+                discrepancy=instance.reported_discrepancy(float(d[k])),
                 witness_subset=tuple(int(i) for i in subsets[si[k]]),
                 witness_signs=tuple(int(s) for s in signs[gi[k]]),
             )

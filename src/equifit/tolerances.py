@@ -21,10 +21,6 @@ FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-10
 # Ratios that tie with the minimum in the ratio test; absolute; the simplex.
 RATIO_TIE_TOL = 1e-12
-# How far below zero a multiplier recomputed from the final basis may round
-# (it is then clamped to zero; further below, the solve fails); absolute;
-# LP extraction.
-DUAL_CLAMP_TOL = 1e-6
 # How far rounding may move a recomputed row or residual from its bound;
 # max(1, |bound|); the LP's vertex check, fit's residual-bound check and
 # active band (``FitResult.active_points``, the touch set that the
@@ -35,11 +31,16 @@ BAND_TOL = 100 * FEAS_TOL
 # rounding of terms of 1e307 is about 1e291); |A_i| . |x|, the row's terms
 # summed in magnitude; the LP's vertex check.
 ROW_ROUNDING_TOL = 64 * float(np.finfo(float).eps)
-# A singular value that does not count to the rank; the largest singular
-# value; the rank estimate.
+# A singular value that does not count to the rank, and a row of V_r (a
+# basis column in the span's coordinates) whose part off the rows before
+# it does not count as a new direction; the largest singular value, and 1
+# (V_r's rows are at most unit length); the rank (``singular_value_rank``)
+# and a rank-deficient fit's column choice (``ProblemInstance``).
 RANK_TOL = 1e-10
 # The multipliers' zero level, and how exactly they sum to one and split
-# into halves; absolute; the certificate.
+# into halves; absolute; LP extraction (a multiplier recomputed from the
+# final basis that rounds below zero by less is set to zero, one further
+# below fails the solve) and the certificate.
 MULTIPLIER_TOL = 1e-9
 # Agreement of two computations of one number (for the certificate
 # identities, sums of n products of order-one quantities); max(1, lifted d)

@@ -840,6 +840,35 @@ def test_an_overflow_exits_with_one_line(tmp_path, capsys, text, spec, expected)
     assert err.count("\n") == 1
 
 
+def test_a_rank_deficient_fit_maps_back_on_an_independent_column(tmp_path, capsys):
+    # With basis 1, x the one weighted point spans a line that both columns
+    # reach, at scales 2^997 apart: the constant carries the fit, x gets 0,
+    # and the residual at the zero-weight point x = 1e10 stays finite.
+    path = tmp_path / "low_rank.csv"
+    path.write_text(OVERFLOWING_RESIDUAL_CSV)
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(path), "--basis", "1, x", "--weights", "w"
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert [c["value"] for c in report["coefficients"]] == [1.0, 0.0]
+    assert report["low_rank"] is True
+
+
+def test_an_interpolation_of_large_values_reports_d_floored_at_zero(tmp_path, capsys):
+    # The lifted LP optimum rounds to about -6e-9 here; d is a maximum of
+    # absolute values, so the report reads 0.0 and flags the interpolation.
+    path = tmp_path / "cubic.csv"
+    path.write_text("x,y\n0,1.3e8\n0.3,-2.7e8\n0.7,0.9e8\n1,3.1e8\n")
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(path), "--basis", "1, x, x^2, x^3"
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["discrepancy"] == 0.0
+    assert report["exact_interpolation"] is True
+
+
 def test_a_huge_coefficient_maps_back_without_overflow(tmp_path, capsys):
     # alpha = 1e16 interpolates the one weighted point.
     path = tmp_path / "huge.csv"

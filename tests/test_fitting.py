@@ -296,6 +296,22 @@ def test_instance_rank_is_the_weighted_design_rank():
     assert fit(single).low_rank
 
 
+def test_a_rank_deficient_fit_puts_its_coefficients_on_independent_columns():
+    # 2*x repeats x, so the first independent columns, 1 and x, carry the
+    # fit and 2*x gets 0, where the minimum-norm combination split the
+    # slope 4/3 between x and 2*x.
+    instance = ProblemInstance(
+        points=[[0.0], [1.0], [2.0], [3.0]],
+        values=[1.0, 2.0, 2.5, 5.0],
+        basis=parse_basis_spec("1, x, 2*x", 1),
+    )
+    result = fit(instance)
+    assert result.low_rank
+    assert result.discrepancy == pytest.approx(7 / 12, rel=1e-12)
+    assert result.coefficients[:2] == pytest.approx([5 / 12, 4 / 3], rel=1e-12)
+    assert result.coefficients[2] == 0.0
+
+
 @pytest.mark.parametrize(
     "values, weights, expected",
     [

@@ -643,6 +643,34 @@ def test_an_ordinary_row_violation_is_refused():
         solve_lp(lp)
 
 
+def solve_with_the_multiplier(value, monkeypatch):
+    """Solve the one-row LP of ``test_single_tight_constraint`` with the
+    multiplier that extraction recomputes replaced by value: its second
+    linear solve is the dual one, and the multiplier is minus its result."""
+    solve, calls = np.linalg.solve, []
+
+    def patched(a, b):
+        calls.append(b)
+        return np.full(len(b), -value) if len(calls) == 2 else solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", patched)
+    lp = LinearProgram(
+        objective=[1.0], constraint_matrix=[[-1.0]], rhs=[-3.0], variable_kinds=(FREE,)
+    )
+    return solve_lp(lp)
+
+
+def test_a_multiplier_below_the_certificates_zero_level_is_refused(monkeypatch):
+    with pytest.raises(NumericFailure, match=r"negative dual multiplier -1\.000e-08"):
+        solve_with_the_multiplier(-1e-8, monkeypatch)
+
+
+def test_a_multiplier_within_the_certificates_zero_level_is_zero(monkeypatch):
+    solution = solve_with_the_multiplier(-1e-10, monkeypatch)
+    assert solution.status == OPTIMAL
+    assert solution.dual.tolist() == [0.0]
+
+
 def test_a_fit_allocates_little_beyond_its_tableau():
     n, m = 1000, 4
     x = np.linspace(0.0, 1.0, n)

@@ -48,6 +48,9 @@ def test_census_counts_a_slice_within_its_limits(capsys):
     # basis's own scaled columns (exp/m6 in block 0, exp/m5 in block 1).
     counts = census["run"](seeds=(1,), blocks=2, count=20)
     out = capsys.readouterr().out
-    assert "grid_smooth: 18 fits, 0 raised, 0 with max|r| > 1.01 d" in out
-    assert "shift c=100: 20 fits, 0 raised, 0 uncertified, 0 worse" in out
+    assert "grid_smooth: 18 fits, 0 raised, 0 with max|r| > 1.01 d, 0 with d < 0" in out
+    assert (
+        "shift c=100: 20 fits, 0 raised, 0 uncertified, 0 worse than the "
+        "reference, 0 with d < 0" in out
+    )
     assert all(counts[name] <= limit for name, limit in census["LIMITS"].items())
