@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Count the fits that fail on two robustness families, and exit 1 when a
-count is above its limit.
+"""Count the fits that fail on three robustness families, and exit 1 when
+a count is above its limit.
 
 * ``grid_smooth``: the benchmark's noiseless sin, exp and Runge fits
   (``perfbench/workloads.py``, loaded read-only), seeds 1-10, blocks 0-11:
@@ -13,11 +13,21 @@ count is above its limit.
 * ``shift``: 300 instances drawn from ``default_rng(5)``, in this order:
   n = integers(10, 40), the monomials of degree integers(1, 4),
   u = uniform(-0.5, 0.5, n) and y = normal(0, 1, n).  Each is fitted at
-  x = u + 100 and, as the reference, at x = u.  Counts the shifted fits that
-  raise; the full-rank ones whose certificate fails (the identities or the
+  x = u + c, for c = 100 and c = 1000, and, as the reference, at x = u.
+  Counts the shifted fits that raise; those flagged ``low_rank``; the
+  full-rank ones whose certificate fails (the identities or the
   active-point count); those whose max |r| is worse than the reference
   fit's d by more than 1e-6 relative; and those whose reported d is below
   zero.
+* ``large |y|``: 400 instances drawn from ``default_rng(3)``, in this
+  order: n = integers(8, 40), m = integers(2, 6), x = uniform(-1, 1, n),
+  c = normal(0, 1, m) and y = 1e9 * sum_j c_j x^j + normal(0, 1, n), the
+  sum by ``np.polynomial.polynomial.polyval`` (another order of summation
+  rounds y otherwise and moves the counts by a few), with the monomials
+  1, x, ..., x^(m-1).  Counts the fits that raise (every one from
+  ``fit``'s residual-bound check when the limits were set), those flagged
+  ``low_rank`` or as exact interpolations, and the others whose
+  certificate fails.
 
 Prints one line per family and exits 1 when a count exceeds ``LIMITS``:
 
@@ -35,18 +45,31 @@ from fit_digest import ROOT, _load  # noqa: E402
 
 GRID_SEEDS = range(1, 11)
 GRID_BLOCKS = 12
-SHIFT = 100.0
+SHIFTS = (100.0, 1000.0)
 SHIFT_INSTANCES = 300
+LARGE_Y_INSTANCES = 400
 
-# The counts at or below which the census passes.
+# The counts at or below which the census passes.  At c = 1000 the rank
+# rule finds 121 cubics rank-deficient, and their fits are the worse ones;
+# on large |y|, 9 of the 400 fits certify.
 LIMITS = {
     "grid_smooth raised": 1,
     "grid_smooth above d": 0,
     "grid_smooth negative d": 0,
-    "shift raised": 0,
-    "shift uncertified": 0,
-    "shift worse": 0,
-    "shift negative d": 0,
+    "shift c=100 raised": 0,
+    "shift c=100 low_rank": 0,
+    "shift c=100 uncertified": 0,
+    "shift c=100 worse": 0,
+    "shift c=100 negative d": 0,
+    "shift c=1000 raised": 0,
+    "shift c=1000 low_rank": 121,
+    "shift c=1000 uncertified": 0,
+    "shift c=1000 worse": 121,
+    "shift c=1000 negative d": 0,
+    "large |y| raised": 197,
+    "large |y| low_rank": 0,
+    "large |y| exact": 0,
+    "large |y| uncertified": 194,
 }
 
 
@@ -78,6 +101,15 @@ def grid_smooth(workloads, seeds=GRID_SEEDS, blocks=GRID_BLOCKS):
     return fits, raised, above, negative
 
 
+def _certifies(result):
+    """The certificate's identities and active-point count both hold."""
+    import equifit as ef
+
+    cert = ef.extract_certificate(result.lp_solution, result.instance)
+    report = ef.verify_identities(cert, result, result.instance)
+    return report.identities_ok and report.active_count_ok
+
+
 def shift_instances(count=SHIFT_INSTANCES):
     """(u, y, basis) of the shift family, drawn in order."""
     from equifit.generators import monomial_basis
@@ -91,15 +123,15 @@ def shift_instances(count=SHIFT_INSTANCES):
         yield u, y, monomial_basis(degree + 1)
 
 
-def shift(count=SHIFT_INSTANCES):
-    """(fits, raised, uncertified, worse, negative d) over the shift family
-    at x = u + SHIFT."""
+def shift(c, count=SHIFT_INSTANCES):
+    """(fits, raised, low_rank, uncertified, worse, negative d) over the
+    shift family at x = u + c."""
     import equifit as ef
 
-    raised = uncertified = worse = negative = 0
+    raised = low_rank = uncertified = worse = negative = 0
     for u, y, basis in shift_instances(count):
         reference = ef.fit(ef.ProblemInstance(points=u[:, None], values=y, basis=basis))
-        instance = ef.ProblemInstance(points=(u + SHIFT)[:, None], values=y, basis=basis)
+        instance = ef.ProblemInstance(points=(u + c)[:, None], values=y, basis=basis)
         try:
             result = ef.fit(instance)
         except ef.EquifitError:
@@ -108,37 +140,79 @@ def shift(count=SHIFT_INSTANCES):
         negative += result.discrepancy < 0
         worst = ef.objective_value(instance, result.coefficients)
         worse += worst > reference.discrepancy * (1.0 + 1e-6)
-        if result.low_rank or result.exact_interpolation:
+        low_rank += result.low_rank
+        if not (result.low_rank or result.exact_interpolation):
+            uncertified += not _certifies(result)
+    return count, raised, low_rank, uncertified, worse, negative
+
+
+def large_y_instances(count=LARGE_Y_INSTANCES):
+    """(x, y, basis) of the large-|y| family, drawn in order."""
+    from equifit.generators import monomial_basis
+
+    rng = np.random.default_rng(3)
+    for _ in range(count):
+        n = int(rng.integers(8, 40))
+        m = int(rng.integers(2, 6))
+        x = rng.uniform(-1.0, 1.0, n)
+        c = rng.normal(0.0, 1.0, m)
+        y = 1e9 * np.polynomial.polynomial.polyval(x, c) + rng.normal(0.0, 1.0, n)
+        yield x, y, monomial_basis(m)
+
+
+def large_y(count=LARGE_Y_INSTANCES):
+    """(fits, raised, low_rank, exact, uncertified) over the large-|y|
+    family."""
+    import equifit as ef
+
+    raised = low_rank = exact = uncertified = 0
+    for x, y, basis in large_y_instances(count):
+        try:
+            result = ef.fit(ef.ProblemInstance(points=x[:, None], values=y, basis=basis))
+        except ef.EquifitError:
+            raised += 1
             continue
-        cert = ef.extract_certificate(result.lp_solution, instance)
-        report = ef.verify_identities(cert, result, instance)
-        uncertified += not (report.identities_ok and report.active_count_ok)
-    return count, raised, uncertified, worse, negative
+        low_rank += result.low_rank
+        exact += result.exact_interpolation
+        if not (result.low_rank or result.exact_interpolation):
+            uncertified += not _certifies(result)
+    return count, raised, low_rank, exact, uncertified
 
 
-def run(src=ROOT / "src", seeds=GRID_SEEDS, blocks=GRID_BLOCKS, count=SHIFT_INSTANCES):
-    """Print one line per family; return the counts named as in LIMITS."""
+def run(src=ROOT / "src", seeds=GRID_SEEDS, blocks=GRID_BLOCKS, count=None):
+    """Print one line per family; return the counts named as in LIMITS.
+    ``count`` takes the first instances of each drawn family (all of them
+    by default)."""
     workloads = _load(src)
     fits, raised, above, negative = grid_smooth(workloads, seeds, blocks)
     print(
         f"grid_smooth: {fits} fits, {raised} raised, {above} with max|r| > 1.01 d, "
         f"{negative} with d < 0"
     )
-    shifted, shift_raised, uncertified, worse, shift_negative = shift(count)
-    print(
-        f"shift c={SHIFT:g}: {shifted} fits, {shift_raised} raised, "
-        f"{uncertified} uncertified, {worse} worse than the reference, "
-        f"{shift_negative} with d < 0"
-    )
-    return {
+    counts = {
         "grid_smooth raised": raised,
         "grid_smooth above d": above,
         "grid_smooth negative d": negative,
-        "shift raised": shift_raised,
-        "shift uncertified": uncertified,
-        "shift worse": worse,
-        "shift negative d": shift_negative,
     }
+    for c in SHIFTS:
+        found = shift(c, count or SHIFT_INSTANCES)
+        fits, raised, low_rank, uncertified, worse, negative = found
+        print(
+            f"shift c={c:g}: {fits} fits, {raised} raised, {low_rank} low_rank, "
+            f"{uncertified} uncertified, {worse} worse than the reference, "
+            f"{negative} with d < 0"
+        )
+        names = ("raised", "low_rank", "uncertified", "worse", "negative d")
+        counts.update(zip([f"shift c={c:g} {name}" for name in names], found[1:]))
+    found = large_y(count or LARGE_Y_INSTANCES)
+    fits, raised, low_rank, exact, uncertified = found
+    print(
+        f"large |y|: {fits} fits, {raised} raised, {low_rank} low_rank, "
+        f"{exact} exact, {uncertified} uncertified"
+    )
+    names = ("raised", "low_rank", "exact", "uncertified")
+    counts.update(zip([f"large |y| {name}" for name in names], found[1:]))
+    return counts
 
 
 if __name__ == "__main__":

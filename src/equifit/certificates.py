@@ -35,12 +35,7 @@ import numpy as np
 from .errors import DegenerateCase, PreconditionError
 from .fitting import FitResult, ProblemInstance
 from .lp import OPTIMAL, LpSolution
-from .tolerances import (
-    CONSTANT_COLUMN_TOL,
-    MULTIPLIER_TOL,
-    agreement_tol,
-    interpolates_exactly,
-)
+from .tolerances import MULTIPLIER_TOL, RANK_TOL, agreement_tol, interpolates_exactly
 
 
 @dataclass
@@ -124,8 +119,11 @@ def verify_identities(
     All residual fields are magnitudes; ``identities_ok`` aggregates them at
     the certificate tolerance.  The fabricated-certificate path is
     supported: a beta that fails an identity shows up as a large residual,
-    not an exception.
+    not an exception.  ``instance`` must be the fit's own,
+    ``fit_result.instance``; PreconditionError otherwise.
     """
+    if instance is not fit_result.instance:
+        raise PreconditionError("fit does not belong to this instance")
     if len(cert.beta) != 2 * instance.n:
         raise PreconditionError("certificate does not match the instance size")
     if len(fit_result.coefficients) != instance.m:
@@ -226,17 +224,20 @@ def check_two_sided(fit_result: FitResult, cert: DualCertificate) -> bool:
     and from below at another, and the certificate splits its mass evenly
     across the two row families.
 
-    Requires the first basis function, times the weights, to be identically
-    one on the data (the constant lets the fit slide vertically until both
-    sides touch); raises PreconditionError otherwise.
+    Requires the constant to lie in the span of the weighted basis
+    functions on the data, the span of the lifted design: then the
+    certificate's orthogonality to the constant splits its mass in halves,
+    and the constant lets the fit slide vertically until both sides touch.
+    The all-ones vector, at unit length, may leave a part off that span of
+    at most ``RANK_TOL``, the rank's own test of a new direction; raises
+    PreconditionError otherwise.
     """
-    instance = fit_result.instance
-    w = 1.0 if instance.weights is None else instance.weights
-    first = w * instance.design()[:, 0]
-    if np.max(np.abs(first - 1.0)) > CONSTANT_COLUMN_TOL:
+    g = fit_result.instance.lifted_design_and_values()[0]
+    ones = np.full(len(g), len(g) ** -0.5)
+    if np.linalg.norm(ones - g @ (g.T @ ones)) > RANK_TOL:
         raise PreconditionError(
-            "the two-sided check needs the first basis function to be "
-            "identically 1 on the evaluation points"
+            "the two-sided check needs the constant in the span of the "
+            "weighted basis functions on the evaluation points"
         )
     _require_analyzable(fit_result.exact_interpolation, fit_result.low_rank)
 

@@ -117,7 +117,10 @@ def alternation_pattern(
 
     ``equioscillates`` is true when the signs strictly alternate and at
     least m + 1 points are active (degree t = m - 1 needs t + 2 touches).
+    ``instance`` must be the fit's own, ``fit_result.instance``.
     """
+    if instance is not fit_result.instance:
+        raise PreconditionError("fit does not belong to this instance")
     indices = _sorted_active(fit_result, instance)
     signs = tuple(
         1 if fit_result.scaled_residuals[i] >= 0 else -1 for i in indices
@@ -135,27 +138,25 @@ def one_sided_construction(instance: ProblemInstance, j: int) -> ProblemInstance
     """Flip the design row and value of an active point.
 
     The two LP rows of point j swap places, so the modified instance is the
-    same program: the optimal coefficients and discrepancy carry over, while
-    the residual at j changes side.  Applied at every touch point of one
-    sign, this forces a data set whose best fit touches the band on a single
-    side, so equioscillation is not automatic for general bases.
+    same program, whatever the weights: the optimal coefficients and
+    discrepancy carry over, while the weighted residual at j changes side.
+    Applied at every touch point of one sign, this forces a data set whose
+    best fit touches the band on a single side, so equioscillation is not
+    automatic for general bases.
 
     The canonical use flips an overshoot point (scaled residual -d); the
     construction is symmetric, so an undershoot point is accepted too.
-    Raises PreconditionError when j is not active (or the instance is
-    weighted) and DegenerateCase for degenerate fits.
+    Raises PreconditionError when j is not active and DegenerateCase for
+    degenerate fits.
     """
-    if instance.weights is not None:
-        raise PreconditionError(
-            "the one-sided construction is defined for unweighted instances"
-        )
     result = fit(instance)
     if result.exact_interpolation or result.low_rank:
         raise DegenerateCase("one-sided construction needs a non-degenerate fit")
     if j not in result.active_points:
         raise PreconditionError(
-            f"point {j} does not touch the discrepancy band "
-            f"(|residual| = {abs(result.residuals[j])!r}, d = {result.discrepancy!r})"
+            f"point {j} does not touch the discrepancy band (|weighted "
+            f"residual| = {abs(result.scaled_residuals[j])!r}, "
+            f"d = {result.discrepancy!r})"
         )
     design = instance.design().copy()
     design[j] = -design[j]
@@ -165,6 +166,7 @@ def one_sided_construction(instance: ProblemInstance, j: int) -> ProblemInstance
         points=instance.points.copy(),
         values=values,
         basis=instance.basis,
+        weights=instance.weights,
         design_override=design,
     )
 
@@ -173,6 +175,10 @@ def _reference_geometry(reference: ReferenceSet, instance: ProblemInstance, j: i
     idx = list(reference.indices)
     if instance.dimension != 1:
         raise DimensionError("perturbation analysis is one-dimensional")
+    if instance.weights is not None:
+        raise PreconditionError(
+            "the perturbation analysis is defined for unweighted instances"
+        )
     if len(idx) != instance.m + 1:
         raise PreconditionError(
             f"reference must carry m + 1 = {instance.m + 1} points, got {len(idx)}"
@@ -192,7 +198,7 @@ def _reference_geometry(reference: ReferenceSet, instance: ProblemInstance, j: i
             "signs are the expected pattern, there is nothing to refute"
         )
     # The reference pins the candidate's values at its nodes: the data sits
-    # at signed distance d from the candidate.
+    # at signed distance d from the candidate, unweighted.
     f_vals = q - reference.discrepancy * s
     return z, q, s, f_vals
 
@@ -224,6 +230,8 @@ def perturbation_step(
     which is positive for an adjacent pair: no node lies between z[j] and
     z[j+1], so every factor is positive.  Returns the directly computed
     difference, the closed form, and whether they agree to 1e-8 relative.
+    The candidate sits at q - d * s, the band of unit weights, so a
+    weighted instance raises PreconditionError.
     """
     z, _, s, f_vals = _reference_geometry(reference, instance, j)
     if not 0.0 <= epsilon <= 0.1 * reference.discrepancy:
@@ -280,7 +288,8 @@ def strict_improvement_check(
     The step is chosen provably safe: at most min(epsilon, gap)/4 (gap
     being the candidate's slack at off-reference points), shrunk further
     when the interpolation transfer onto node j+1 would otherwise eat its
-    freshly won margin.  PreconditionError when no positive step is left.
+    freshly won margin.  PreconditionError when no positive step is left,
+    and, as for ``perturbation_step``, on a weighted instance.
     """
     z, q, s, f_vals = _reference_geometry(reference, instance, j)
     d = reference.discrepancy

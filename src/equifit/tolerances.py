@@ -31,11 +31,12 @@ BAND_TOL = 100 * FEAS_TOL
 # rounding of terms of 1e307 is about 1e291); |A_i| . |x|, the row's terms
 # summed in magnitude; the LP's vertex check.
 ROW_ROUNDING_TOL = 64 * float(np.finfo(float).eps)
-# A singular value that does not count to the rank, and a row of V_r (a
-# basis column in the span's coordinates) whose part off the rows before
-# it does not count as a new direction; the largest singular value, and 1
-# (V_r's rows are at most unit length); the rank (``singular_value_rank``)
-# and a rank-deficient fit's column choice (``ProblemInstance``).
+# A singular value that does not count to the rank, and a vector of at
+# most unit length whose part off a span does not count as a new
+# direction; the largest singular value, and 1; the rank
+# (``singular_value_rank``), a rank-deficient fit's column choice (the rows
+# of V_r, ``ProblemInstance``) and the two-sided check (the all-ones vector
+# at unit length, against the span of the lifted design).
 RANK_TOL = 1e-10
 # The multipliers' zero level, and how exactly they sum to one and split
 # into halves; absolute; LP extraction (a multiplier recomputed from the
@@ -47,9 +48,6 @@ MULTIPLIER_TOL = 1e-9
 # (``agreement_tol``), or the larger of the two; the certificate identities,
 # the LP-vs-oracle discrepancy, the perturbation product formula.
 AGREE_TOL = 1e-8
-# A first basis column that counts as the constant; absolute; the two-sided
-# check.
-CONSTANT_COLUMN_TOL = 1e-12
 # Interpolation nodes that are not distinct; their span; Lagrange
 # interpolation.
 NODE_GAP_TOL = 1e-12

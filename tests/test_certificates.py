@@ -15,6 +15,7 @@ from equifit.certificates import (
 )
 from equifit.errors import DegenerateCase, PreconditionError
 from equifit.fitting import ProblemInstance, fit
+from equifit.generators import random_instance
 from equifit.lp import INFEASIBLE, LpSolution
 
 
@@ -262,8 +263,8 @@ def weighted_hat(weight):
 
 def test_two_sided_reads_the_weighted_constant_column():
     # The lifted design is an orthonormal basis of the span, so no column of
-    # it is the constant: the check reads the weighted first column, here
-    # the constant times 1 - 1e-13, to within CONSTANT_COLUMN_TOL.
+    # it is the constant: the check asks whether the constant lies in that
+    # span, here that of the constant times 1 - 1e-13.
     instance = weighted_hat(1.0 - 1e-13)
     lifted = instance.lifted_design_and_values()[0]
     assert lifted.T @ lifted == pytest.approx(np.eye(2), abs=1e-15)
@@ -271,14 +272,60 @@ def test_two_sided_reads_the_weighted_constant_column():
     result, cert = fitted(instance)
     assert check_two_sided(result, cert) is True
     assert verify_identities(cert, result, instance).two_sided_ok is True
-    # Times 2 the weighted column is 2, though it spans the same line.
+    # Times 2 the weighted column is 2, and it spans the same line.
     instance = weighted_hat(2.0)
     result, cert = fitted(instance)
-    with pytest.raises(PreconditionError, match="identically 1"):
+    assert check_two_sided(result, cert) is True
+    report = verify_identities(cert, result, instance)
+    assert report.two_sided_ok is True
+    assert report.identities_ok
+
+
+def test_two_sided_reads_the_span_not_the_first_column():
+    # x and 1 - x span the constant, though neither column is it.
+    instance = ProblemInstance(
+        points=[[0.0], [1.0], [2.0]],
+        values=[0.0, 1.0, 0.0],
+        basis=parse_basis_spec("x, 1 - x", 1),
+    )
+    result, cert = fitted(instance)
+    assert check_two_sided(result, cert) is True
+    assert verify_identities(cert, result, instance).two_sided_ok is True
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[0.7, 1.9, 1.2, 0.6, 1.4], [1.0, 1.0, 1.0, 1.0, 0.0]],
+    ids=["random", "zero-weight"],
+)
+def test_two_sided_gives_no_verdict_off_the_weighted_span(weights):
+    # The weighted constant w is not a multiple of 1 on the data, so the
+    # halves need not follow, and the check leaves its verdict open.
+    instance = ProblemInstance(
+        points=[[0.0], [1.0], [2.0], [3.0], [4.0]],
+        values=[0.0, 1.0, 0.0, 2.0, 1.0],
+        basis=parse_basis_spec("1, x", 1),
+        weights=weights,
+    )
+    result, cert = fitted(instance)
+    with pytest.raises(PreconditionError, match="constant in the span"):
         check_two_sided(result, cert)
     report = verify_identities(cert, result, instance)
     assert report.two_sided_ok is None
     assert report.identities_ok
+
+
+def test_the_identities_refuse_an_instance_other_than_the_fits():
+    # The same data in reverse order: the fit's residuals and multipliers
+    # would be read against the wrong points.
+    instance = random_instance(np.random.default_rng(2), n=20, m=3)
+    reversed_data = ProblemInstance(
+        points=instance.points[::-1], values=instance.values[::-1], basis=instance.basis
+    )
+    result, cert = fitted(instance)
+    assert verify_identities(cert, result, instance).identities_ok
+    with pytest.raises(PreconditionError, match="fit does not belong to this instance"):
+        verify_identities(cert, result, reversed_data)
 
 
 def _not_optimal(result, cert, instance):

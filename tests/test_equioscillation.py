@@ -115,6 +115,34 @@ def test_one_sided_construction_requires_active_point():
         one_sided_construction(instance, inactive)
 
 
+def test_one_sided_construction_keeps_the_weights_and_the_optimum():
+    rng = np.random.default_rng(1)
+    instance = random_instance(rng, n=30, m=3, weights=rng.uniform(0.1, 10.0, 30))
+    base = fit(instance)
+    j = base.active_points[0]
+    flipped = one_sided_construction(instance, j)
+    assert np.array_equal(flipped.weights, instance.weights)
+    result = fit(flipped)
+    assert result.discrepancy == base.discrepancy
+    assert np.array_equal(result.coefficients, base.coefficients)
+    assert np.sign(result.scaled_residuals[j]) == -np.sign(base.scaled_residuals[j])
+    assert abs(result.scaled_residuals[j]) == pytest.approx(base.discrepancy, abs=1e-9)
+    inactive = next(i for i in range(instance.n) if i not in base.active_points)
+    with pytest.raises(PreconditionError, match="weighted residual"):
+        one_sided_construction(instance, inactive)
+
+
+def test_alternation_refuses_an_instance_other_than_the_fits():
+    instance = random_instance(np.random.default_rng(2), n=20, m=3)
+    reversed_data = ProblemInstance(
+        points=instance.points[::-1], values=instance.values[::-1], basis=instance.basis
+    )
+    result = fit(instance)
+    assert alternation_pattern(result, instance).equioscillates
+    with pytest.raises(PreconditionError, match="fit does not belong to this instance"):
+        alternation_pattern(result, reversed_data)
+
+
 def test_lagrange_identity_line():
     poly = lagrange_interpolate([0.0, 1.0], [0.0, 1.0])
     assert poly(0.5) == pytest.approx(0.5)
@@ -269,6 +297,21 @@ def test_polynomial_fits_equioscillate():
         assert len(pattern) >= t + 2
 
 
+def test_strict_improvement_refuses_a_weighted_instance():
+    # Its candidate sits at q - d * s, the band of unit weights; with weights
+    # the band is another, so the check answers for neither.
+    instance, reference, epsilon = three_node_reference()
+    weighted = ProblemInstance(
+        points=instance.points,
+        values=instance.values,
+        basis=instance.basis,
+        weights=np.full(3, 2.0),
+    )
+    assert strict_improvement_check(reference, instance, 1, epsilon).reduced
+    with pytest.raises(PreconditionError, match="defined for unweighted instances"):
+        strict_improvement_check(reference, weighted, 1, epsilon)
+
+
 def _planar(instance, reference, epsilon):
     planar = ProblemInstance(
         points=np.column_stack([instance.points[:, 0], np.zeros(3)]),
@@ -305,14 +348,14 @@ def _improvement_epsilon(instance, reference, epsilon):
     strict_improvement_check(reference, instance, 1, 0.0)
 
 
-def _weighted_one_sided(instance, reference, epsilon):
+def _weighted(instance, reference, epsilon):
     weighted = ProblemInstance(
         points=instance.points,
         values=instance.values,
         basis=instance.basis,
         weights=np.ones(3),
     )
-    one_sided_construction(weighted, 0)
+    perturbation_step(reference, weighted, 1, epsilon)
 
 
 def _degenerate_one_sided(instance, reference, epsilon):
@@ -332,7 +375,7 @@ def _degenerate_one_sided(instance, reference, epsilon):
         (_pair_out_of_range, PreconditionError, "pair position 2 out of range"),
         (_step_epsilon, PreconditionError, "epsilon must lie in \\[0, 0.1"),
         (_improvement_epsilon, PreconditionError, "epsilon must lie in \\(0, 0.1"),
-        (_weighted_one_sided, PreconditionError, "defined for unweighted instances"),
+        (_weighted, PreconditionError, "defined for unweighted instances"),
         (_degenerate_one_sided, DegenerateCase, "needs a non-degenerate fit"),
     ],
     ids=[

@@ -284,6 +284,16 @@ def random_bounded_lp(draw):
         variable_kinds=(FREE,),
     )
 )
+# The optimum is 0 at x = 0, but the reference's allowance of 2e-8 on the
+# row -0.5 x <= 0 reaches x = -4e-8, an objective 1.2e-7 lower.
+@example(
+    LinearProgram(
+        objective=[3.0],
+        constraint_matrix=[[-0.25], [0.0], [0.0], [-0.5], [1.0], [-1.0]],
+        rhs=[1e-8, 0.0, 0.0, 0.0, 20.0, 20.0],
+        variable_kinds=(FREE,),
+    )
+)
 @settings(max_examples=150, deadline=None)
 def test_weak_and_strong_duality_on_random_instances(lp):
     sol = solve_lp(lp)
@@ -301,10 +311,14 @@ def test_weak_and_strong_duality_on_random_instances(lp):
     assert np.all(sol.dual >= 0)
     stationarity = lp.constraint_matrix.T @ sol.dual + lp.objective
     assert np.max(np.abs(stationarity)) <= 1e-7 * scale
-    # Vertex enumeration agrees on the optimal value.
+    # Vertex enumeration agrees on the optimal value.  Its vertices may
+    # break each row by the allowance, and by weak duality that lowers the
+    # optimum by at most the allowance times the sum of the multipliers.
     best, _ = enumerate_vertex_optimum(lp)
     assert best is not None
-    assert sol.objective_value == pytest.approx(best, abs=1e-7 * scale)
+    allowance = FEAS_TOL * max(1.0, float(np.max(np.abs(lp.rhs)))) * np.sum(sol.dual)
+    assert sol.objective_value >= best - 1e-7 * scale
+    assert sol.objective_value <= best + 1e-7 * scale + allowance
 
 
 def test_beale_cycling_example_terminates_under_bland():

@@ -50,7 +50,14 @@ def test_census_counts_a_slice_within_its_limits(capsys):
     out = capsys.readouterr().out
     assert "grid_smooth: 18 fits, 0 raised, 0 with max|r| > 1.01 d, 0 with d < 0" in out
     assert (
-        "shift c=100: 20 fits, 0 raised, 0 uncertified, 0 worse than the "
-        "reference, 0 with d < 0" in out
+        "shift c=100: 20 fits, 0 raised, 0 low_rank, 0 uncertified, 0 worse "
+        "than the reference, 0 with d < 0" in out
     )
+    # At c = 1000 the rank rule flags 10 of the first 20 cubics, and those
+    # fit worse than the reference (ROADMAP item 4).
+    assert (
+        "shift c=1000: 20 fits, 0 raised, 10 low_rank, 0 uncertified, 10 worse "
+        "than the reference, 0 with d < 0" in out
+    )
+    assert "large |y|: 20 fits, 7 raised, 0 low_rank, 0 exact, 12 uncertified" in out
     assert all(counts[name] <= limit for name, limit in census["LIMITS"].items())
