@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Fit and certify one large instance, and report its time and memory.
+"""Build, fit and certify one large instance, and report the time and
+memory of each layer.
 
 The data are n evenly spaced points in [0, 1] with values sin(3x) plus
 N(0, 0.01^2) noise from a seeded generator, fitted by the monomials
 1, x, ..., x^(m-1), with n = 100 000 and m = 6 unless run() is given
-others.  Prints the fit time, the pivot count of both phases and of
-phase 1, and the tracemalloc peak of a second, traced fit, and exits 1
-unless the certificate identities hold, phase 1 takes at most two pivots
-and the peak stays within 120 MB.
+others.  Prints the instance's build time, its tracemalloc peak and the
+memory it retains; then the fit time, the pivot count of both phases and
+of phase 1, and the tracemalloc peak of a second, traced fit.  Exits 1
+unless the instance retains at most ``max_retained`` times (rank + 1) * n
+doubles (U_r and the lifted values), the certificate identities hold,
+phase 1 takes at most two pivots and the fit's peak stays within 120 MB.
 
     PYTHONPATH=src python scripts/large_fit.py
 """
@@ -22,10 +25,19 @@ from equifit import ProblemInstance, extract_certificate, fit, verify_identities
 from equifit.generators import monomial_basis
 
 
-def run(n=100_000, m=6, max_peak_mb=120.0):
+def run(n=100_000, m=6, max_peak_mb=120.0, max_retained=1.1):
     x = np.linspace(0.0, 1.0, n)
     y = np.sin(3.0 * x) + np.random.default_rng(0).normal(0.0, 0.01, n)
-    instance = ProblemInstance(points=x[:, None], values=y, basis=monomial_basis(m))
+    points, basis = x[:, None], monomial_basis(m)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        instance = ProblemInstance(points=points, values=y, basis=basis)
+        build_seconds = time.perf_counter() - start
+        retained, build_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    retained_limit = max_retained * (instance.rank + 1) * n * 8
 
     start = time.perf_counter()
     result = fit(instance)
@@ -41,6 +53,11 @@ def run(n=100_000, m=6, max_peak_mb=120.0):
         tracemalloc.stop()
 
     print(f"n={n} m={m}: discrepancy {result.discrepancy:.12g}")
+    print(
+        f"instance {build_seconds:.3f} s, tracemalloc peak {build_peak / 1e6:.1f} MB, "
+        f"retains {retained / 1e6:.2f} MB (limit {retained_limit / 1e6:.2f} MB: "
+        f"{max_retained:g} x (rank + 1) x n doubles)"
+    )
     solution = result.lp_solution
     print(
         f"fit {seconds:.3f} s, {solution.iterations} pivots, "
@@ -49,7 +66,8 @@ def run(n=100_000, m=6, max_peak_mb=120.0):
     print(f"tracemalloc peak {peak_mb:.1f} MB (limit {max_peak_mb:g} MB)")
     print(f"certificate identities: {'ok' if report.identities_ok else 'FAILED'}")
     return (
-        report.identities_ok
+        retained <= retained_limit
+        and report.identities_ok
         and solution.phase_one_iterations <= 2
         and peak_mb <= max_peak_mb
     )

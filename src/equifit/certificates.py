@@ -21,9 +21,10 @@ silently flipping a sign.
 
 Every identity is judged on ``ProblemInstance.lifted_design_and_values()``
 and the fit's lifted solution, ``FitResult.lp_solution``, and lifted
-residuals, against the tolerance of the lifted d; value-sized gaps are
-reported in data units, and orthogonality per direction of the span (m
-entries at full rank).
+residuals, against the tolerance of the lifted d (``agreement_tol``), or
+64 roundings of a lifted residual (``ProblemInstance.rounding_tol``) where
+that is more; value-sized gaps are reported in data units, and
+orthogonality per direction of the span (m entries at full rank).
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def verify_identities(
     b_under = cert.beta[1::2]
     # The fit's own lifted residual; the power of two scales back exactly.
     residual = fit_result.scaled_residuals * lift
-    tol = agreement_tol(d)
+    tol = max(agreement_tol(d), instance.rounding_tol(alpha))
 
     strong_duality_gap = abs(cert.dual_objective * lift - d)
     beta_sum_residual = abs(float(np.sum(cert.beta)) - 1.0)

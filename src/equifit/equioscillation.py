@@ -158,16 +158,13 @@ def one_sided_construction(instance: ProblemInstance, j: int) -> ProblemInstance
             f"residual| = {abs(result.scaled_residuals[j])!r}, "
             f"d = {result.discrepancy!r})"
         )
-    design = instance.design().copy()
-    design[j] = -design[j]
-    values = instance.values.copy()
-    values[j] = -values[j]
-    return ProblemInstance(
+    flip = np.where(np.arange(instance.n) == j, -1.0, 1.0)
+    return ProblemInstance.from_design(
         points=instance.points.copy(),
-        values=values,
+        values=flip * instance.values,
         basis=instance.basis,
+        design=flip[:, None] * instance.design(),
         weights=instance.weights,
-        design_override=design,
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .basis import BasisSet, design_matrix, singular_value_rank
 from .errors import DimensionMismatch, EquifitError, SolverError
 from .lp import FREE, OPTIMAL, LinearProgram, LpSolution, solve_lp
-from .tolerances import BAND_TOL, RANK_TOL, interpolates_exactly
+from .tolerances import BAND_TOL, RANK_TOL, interpolates_exactly, rounding_tol
 
 
 @dataclass
@@ -31,14 +31,15 @@ class ProblemInstance:
     """Data of one approximation problem.
 
     ``points`` is an (n, p) array, ``values`` the n targets, ``weights`` an
-    optional nonnegative n-vector.  ``design_override`` replaces the design
-    matrix computed from the basis; it supports point-wise surgery on the
-    design (row sign flips, row rescaling) that no closed-form basis list
-    expresses.
+    optional nonnegative n-vector.  ``from_design`` builds an instance on a
+    given design in place of the basis's.
 
-    The design, its scales, the lifted problem and its rank are derived
-    once, here, and every later step reads them; a basis function that is
-    not finite at some point raises EvaluationError from the constructor.
+    The lifted problem and its rank are derived once, here, and every later
+    step reads them; a basis function that is not finite at some point
+    raises EvaluationError from the constructor.  The instance keeps one
+    n x m array, U_r: the design is evaluated once, weighted and scaled in
+    place, and released after the SVD, and ``design()`` evaluates the
+    basis again on demand.
 
     The optimum depends only on the span of the weighted design's columns,
     so the lifted problem is posed on an orthonormal basis of that span.
@@ -62,11 +63,22 @@ class ProblemInstance:
     values: np.ndarray
     basis: BasisSet
     weights: np.ndarray | None = None
-    design_override: np.ndarray | None = None
     value_scale: float = field(init=False, repr=False)
     rank: int = field(init=False)
 
-    def __post_init__(self):
+    @classmethod
+    def from_design(cls, points, values, basis, design, weights=None):
+        """An instance on ``design``, an (n, m) array, in place of the
+        basis evaluated at the points: point-wise surgery on the design
+        (row sign flips, row rescaling) that no closed-form basis list
+        expresses.  The design is copied once to be lifted, never mutated,
+        and kept for ``design()``, since no basis reproduces it."""
+        instance = cls.__new__(cls)
+        vars(instance).update(points=points, values=values, basis=basis, weights=weights)
+        instance.__post_init__(design)
+        return instance
+
+    def __post_init__(self, design=None):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.values = np.asarray(self.values, dtype=float)
         n = self.points.shape[0]
@@ -95,20 +107,15 @@ class ProblemInstance:
                 raise DimensionMismatch("weights must be finite and nonnegative")
             if not np.any(self.weights > 0):
                 raise DimensionMismatch("weights must not all be zero")
-        if self.design_override is not None:
-            self.design_override = np.asarray(self.design_override, dtype=float)
-            if self.design_override.shape != (n, self.basis.size):
-                raise DimensionMismatch(
-                    f"design override has shape {self.design_override.shape}, "
-                    f"expected ({n}, {self.basis.size})"
-                )
-            self._design = self.design_override
-        else:
-            self._design = design_matrix(self.basis, self.points)
-        g, y = self._design, self.values
+        self._design = design if design is None else np.asarray(design, dtype=float)
+        g, y = self.design(), self.values
+        if g.shape != (n, self.m):
+            raise DimensionMismatch(
+                f"design override has shape {g.shape}, expected ({n}, {self.m})"
+            )
         if self.weights is not None:
             with np.errstate(over="ignore"):
-                g, y = self.weights[:, None] * g, self.weights * y
+                g, y = np.multiply(g, self.weights[:, None], out=g), self.weights * y
             if not (np.all(np.isfinite(g)) and np.all(np.isfinite(y))):
                 raise DimensionMismatch(
                     "weighted design and values must be finite: a weight "
@@ -118,9 +125,13 @@ class ProblemInstance:
         column_scale = np.ldexp(1.0, np.minimum(1 - exponent, 1023))
         exponent = np.frexp(np.max(np.abs(y)) or 1.0)[1]
         self.value_scale = float(np.ldexp(1.0, np.clip(1 - exponent, 0, 1023)))
-        u, sigma, vt = np.linalg.svd(g * column_scale, full_matrices=False)
+        g *= column_scale
+        u, sigma, vt = np.linalg.svd(g, full_matrices=False)
+        del g  # U_r is the one n x m array the instance keeps
         self.rank = r = singular_value_rank(sigma)
+        max_design = float(np.max(np.abs(u[:, :r]), initial=0.0))
         self._lifted = (u[:, :r], y * self.value_scale)
+        self._maxima = (float(np.max(np.abs(self._lifted[1]))), max_design)
         v_r = vt[:r].T
         span_map = v_r / sigma[:r]
         if r < self.m:
@@ -147,8 +158,13 @@ class ProblemInstance:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    def design(self) -> np.ndarray:
-        return self._design
+    def design(self, rows=slice(None)) -> np.ndarray:
+        """A new array of the data-unit design at ``rows`` (every row by
+        default): the basis evaluated anew, or the rows of the design the
+        instance was built from (``from_design``)."""
+        if self._design is None:
+            return design_matrix(self.basis, self.points[rows])
+        return self._design[rows].copy()
 
     def lifted_design_and_values(self) -> tuple[np.ndarray, np.ndarray]:
         """U_r, the orthonormal basis of the span (n x rank), and the
@@ -163,6 +179,11 @@ class ProblemInstance:
         span_map, unscale = self._to_basis
         return (span_map @ lifted) * unscale
 
+    def rounding_tol(self, lifted: np.ndarray) -> float:
+        """``tolerances.rounding_tol`` of lifted coefficients, from the
+        maxima of |U_r| and of |lifted values| taken once, here."""
+        return rounding_tol(*self._maxima, lifted)
+
     def reported_discrepancy(self, lifted_d: float) -> float:
         """Map a lifted discrepancy to data units: floored at zero, as a
         maximum of absolute values is, then divided by ``value_scale``.  A
@@ -174,10 +195,13 @@ class ProblemInstance:
 class FitResult:
     """Coefficients and discrepancy of a solved instance.
 
-    ``residuals`` are the raw gaps value - combination in data units, for
-    the report; ``scaled_residuals`` fold in the weights and are what the
-    discrepancy bounds: the LP's own lifted residuals, y - U_r alpha,
-    divided by ``value_scale``, which every check of the fit reads.
+    ``scaled_residuals`` fold in the weights and are what the discrepancy
+    bounds: the LP's own lifted residuals, y - U_r alpha, divided by
+    ``value_scale``, which every check of the fit reads.  ``residuals`` are
+    the gaps value - combination in data units, for the report: the scaled
+    residuals divided by the weight where it is positive (unweighted, the
+    same array), and value minus the design row times the coefficients at
+    a zero-weight point, the one place the design is evaluated again.
     ``active_points`` lists the indices whose scaled residual magnitude
     reaches the discrepancy, less the band ``active_tol`` (zero-weight
     points never qualify): the one touch set, on the side of the residual's
@@ -233,11 +257,15 @@ def fit(instance: ProblemInstance) -> FitResult:
     The discrepancy is the LP optimum, mapped to data units by
     ``instance.reported_discrepancy``; the lifted residuals are recomputed
     from the LP's coefficients rather than read off LP slacks, and the
-    residual-bound check and the active band read them.  Raises SolverError
-    when the LP layer fails, or ends other than optimal, which for this
-    feasible, bounded LP is a numeric failure.  Like ``solve_lp``, it runs
+    residual-bound check and the active band read them.  The band is
+    ``BAND_TOL * max(1, lifted d)``, or ``ProblemInstance.rounding_tol``,
+    64 roundings of a lifted residual, where that is more, as on data far
+    above one.  Raises SolverError when the LP layer fails, or ends other
+    than optimal, which for this feasible, bounded LP is a numeric
+    failure.  Like ``solve_lp``, it runs
     with numpy's floating-point warnings silenced: a residual that
-    overflows, lifted or in data units, fails a check of its own.
+    overflows, lifted or in data units, or a coefficient that overflows in
+    data units, fails a check of its own.
 
     ``lp_solution.primal`` holds the lifted bound, then the coefficients of
     the lifted design's columns, read as ``primal[1:]``; ``coefficients``
@@ -256,9 +284,10 @@ def fit(instance: ProblemInstance) -> FitResult:
     g, y = instance.lifted_design_and_values()
     lift = instance.value_scale
     lifted_d = float(solution.objective_value)
-    lifted_residuals = y - g @ solution.primal[1:]
+    alpha = solution.primal[1:]
+    lifted_residuals = y - g @ alpha
     max_lifted = float(np.max(np.abs(lifted_residuals)))
-    band = BAND_TOL * max(1.0, lifted_d)
+    band = max(BAND_TOL * max(1.0, lifted_d), instance.rounding_tol(alpha))
     # Written so that a NaN bound or optimum fails the check.
     if not abs(max_lifted - lifted_d) <= band:
         raise SolverError(
@@ -266,19 +295,23 @@ def fit(instance: ProblemInstance) -> FitResult:
             f"with the LP optimum {lifted_d / lift!r}"
         )
 
-    coefficients = instance.basis_coefficients(solution.primal[1:])
-    residuals = instance.values - instance.design() @ coefficients
-    if not np.all(np.isfinite(residuals)):
-        raise SolverError("a residual of the fit overflows in data units")
+    coefficients = instance.basis_coefficients(alpha)
+    residuals = scaled_residuals = lifted_residuals / lift
     active = np.abs(lifted_residuals) >= lifted_d - band
     if instance.weights is not None:
         active &= instance.weights > 0
+        residuals = scaled_residuals / instance.weights
+        off = np.flatnonzero(instance.weights == 0)
+        if off.size:
+            residuals[off] = instance.values[off] - instance.design(off) @ coefficients
+    if not (np.all(np.isfinite(coefficients)) and np.all(np.isfinite(residuals))):
+        raise SolverError("a coefficient or residual overflows in data units")
     return FitResult(
         instance=instance,
         coefficients=coefficients,
         discrepancy=instance.reported_discrepancy(lifted_d),
         residuals=residuals,
-        scaled_residuals=lifted_residuals / lift,
+        scaled_residuals=scaled_residuals,
         active_points=tuple(int(i) for i in np.flatnonzero(active)),
         active_tol=band / lift,
         exact_interpolation=interpolates_exactly(lifted_d),
@@ -288,7 +321,8 @@ def fit(instance: ProblemInstance) -> FitResult:
 
 
 def objective_value(instance: ProblemInstance, coefficients: np.ndarray) -> float:
-    """Largest (weighted) absolute residual of the given coefficients."""
+    """Largest (weighted) absolute residual of the given coefficients, in
+    data units, on the design evaluated anew (``instance.design()``)."""
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (instance.m,):
         raise DimensionMismatch(

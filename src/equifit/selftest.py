@@ -97,11 +97,11 @@ def check_weighted_rescale(rng):
     instance = random_weighted_instance(rng)
     weighted = fit(instance)
     prescaled = fit(
-        ProblemInstance(
+        ProblemInstance.from_design(
             points=instance.points,
             values=instance.weights * instance.values,
             basis=instance.basis,
-            design_override=instance.weights[:, None] * instance.design(),
+            design=instance.weights[:, None] * instance.design(),
         )
     )
     if weighted.discrepancy != prescaled.discrepancy:

@@ -7,8 +7,10 @@ problem, ``ProblemInstance.lifted_design_and_values()``: the design is an
 orthonormal basis of the span of the weighted columns, and data below one
 are lifted so that max |w y| >= 1.  So each floor of 1 below is in the
 data's unit, and none has an absolute regime for small data or for a basis
-function's scale.  Each constant is given as its question; the quantity it
-is relative to; its readers.
+function's scale.  On data far above one, fit's band and the certificate
+identities also allow ``ROUNDING_UNITS`` roundings of a lifted residual
+(``rounding_tol``).  Each constant is given as its question; the quantity
+it is relative to; its readers.
 """
 
 import numpy as np
@@ -51,6 +53,12 @@ AGREE_TOL = 1e-8
 # Interpolation nodes that are not distinct; their span; Lagrange
 # interpolation.
 NODE_GAP_TOL = 1e-12
+# How many roundings of one lifted residual a recomputed residual or a
+# certificate identity may be off by, where that is more than its floor
+# above, as on data far above one; the rounding of a lifted residual of
+# the fit's coefficients (``rounding_tol``); fit's residual-bound check and
+# active band, and the certificate identities.
+ROUNDING_UNITS = 64
 
 
 def interpolates_exactly(discrepancy):
@@ -68,3 +76,11 @@ def agreement_tol(lifted_d):
     """AGREE_TOL * max(1, lifted d): how far two computations of a
     discrepancy-sized number may differ (certificate, oracle)."""
     return AGREE_TOL * max(1.0, lifted_d)
+
+
+def rounding_tol(max_value, max_design, lifted_coefficients):
+    """ROUNDING_UNITS * u, with u = eps * (max |lifted values| + max |U_r| *
+    ||alpha||_1) the rounding of one lifted residual y - U_r alpha: the
+    data's own unit (fit's band, the certificate identities)."""
+    l1 = float(np.sum(np.abs(lifted_coefficients)))
+    return ROUNDING_UNITS * float(np.finfo(float).eps) * (max_value + max_design * l1)

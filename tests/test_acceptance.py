@@ -123,11 +123,11 @@ def test_criterion_5_weighted_rescale_equivalence():
         weighted = fit(instance)
         g = instance.design()
         prescaled = fit(
-            ProblemInstance(
+            ProblemInstance.from_design(
                 points=instance.points,
                 values=instance.weights * instance.values,
                 basis=instance.basis,
-                design_override=instance.weights[:, None] * g,
+                design=instance.weights[:, None] * g,
             )
         )
         assert np.max(

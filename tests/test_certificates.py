@@ -15,8 +15,9 @@ from equifit.certificates import (
 )
 from equifit.errors import DegenerateCase, PreconditionError
 from equifit.fitting import ProblemInstance, fit
-from equifit.generators import random_instance
+from equifit.generators import monomial_basis, random_instance
 from equifit.lp import INFEASIBLE, LpSolution
+from equifit.tolerances import BAND_TOL, ROUNDING_UNITS
 
 
 def constant_instance(scale=1.0):
@@ -326,6 +327,33 @@ def test_the_identities_refuse_an_instance_other_than_the_fits():
     assert verify_identities(cert, result, instance).identities_ok
     with pytest.raises(PreconditionError, match="fit does not belong to this instance"):
         verify_identities(cert, result, reversed_data)
+
+
+def test_a_large_y_fit_is_judged_in_the_data_rounding_unit():
+    # The second instance of the large-|y| family of scripts/census.py,
+    # drawn as there.  Values near 1e9 round by about 1e-7, so the
+    # recomputed residual bound misses the LP optimum by 4.7e-7, more than
+    # BAND_TOL * max(1, d); 64 rounding units of the lifted residual admit
+    # it, and the fit certifies.
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        n, m = int(rng.integers(8, 40)), int(rng.integers(2, 6))
+        x = rng.uniform(-1.0, 1.0, n)
+        c = rng.normal(0.0, 1.0, m)
+        y = 1e9 * np.polynomial.polynomial.polyval(x, c) + rng.normal(0.0, 1.0, n)
+    assert (n, m) == (39, 4)
+    instance = ProblemInstance(points=x[:, None], values=y, basis=monomial_basis(m))
+    result, cert = fitted(instance)
+    d = result.discrepancy
+    gap = abs(float(np.max(np.abs(result.scaled_residuals))) - d)
+    assert BAND_TOL * max(1.0, d) < gap <= result.active_tol
+    u = np.finfo(float).eps * (
+        np.max(np.abs(y)) + np.max(np.abs(instance.lifted_design_and_values()[0]))
+        * np.sum(np.abs(result.lp_solution.primal[1:]))
+    )
+    assert result.active_tol == pytest.approx(ROUNDING_UNITS * u, rel=1e-12)
+    report = verify_identities(cert, result, instance)
+    assert report.identities_ok and report.active_count_ok
 
 
 def _not_optimal(result, cert, instance):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equifit.basis import BasisFunction, parse_basis_spec
+from equifit.basis import BasisFunction, design_matrix, parse_basis_spec
 from equifit.certificates import extract_certificate, verify_identities
 from equifit.equioscillation import alternation_pattern
 from equifit.errors import DimensionMismatch, SolverError
@@ -232,11 +232,11 @@ def test_weighted_fit_matches_prescaled_unweighted_fit():
     )
     g = weighted.instance.design()
     prescaled = fit(
-        ProblemInstance(
+        ProblemInstance.from_design(
             points=points,
             values=weights * values,
             basis=basis,
-            design_override=weights[:, None] * g,
+            design=weights[:, None] * g,
         )
     )
     assert weighted.coefficients == pytest.approx(prescaled.coefficients, abs=1e-9)
@@ -253,6 +253,10 @@ def test_zero_weight_point_excluded_from_active_set():
     result = fit(instance)
     assert result.discrepancy == pytest.approx(0.5, abs=1e-9)
     assert 2 not in result.active_points
+    # A zero-weight point's data-unit residual comes from its design row.
+    expected = instance.values - instance.design() @ result.coefficients
+    assert result.residuals[2] == expected[2]
+    assert result.residuals[2] == pytest.approx(99.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -293,7 +297,11 @@ def test_instance_rank_is_the_weighted_design_rank():
         weights=[0.0, 1.0, 0.0],
     )
     assert single.rank == 1
-    assert fit(single).low_rank
+    result = fit(single)
+    assert result.low_rank
+    expected = single.values - single.design() @ result.coefficients
+    assert np.array_equal(result.residuals[[0, 2]], expected[[0, 2]])
+    assert result.residuals[1] == pytest.approx(expected[1], abs=1e-12)
 
 
 def test_a_rank_deficient_fit_puts_its_coefficients_on_independent_columns():
@@ -380,7 +388,6 @@ HAT = {"points": [[0.0], [1.0], [2.0]], "values": [0.0, 1.0, 0.0]}
         ({"weights": [1.0, 1.0]}, r"weights have shape \(2,\), expected \(3,\)"),
         ({"weights": [1.0, -1.0, 1.0]}, "weights must be finite and nonnegative"),
         ({"weights": [0.0, 0.0, 0.0]}, "weights must not all be zero"),
-        ({"design_override": np.ones((3, 1))}, r"design override has shape \(3, 1\)"),
     ],
     ids=[
         "no-points",
@@ -390,13 +397,77 @@ HAT = {"points": [[0.0], [1.0], [2.0]], "values": [0.0, 1.0, 0.0]}
         "weights-shape",
         "negative-weight",
         "zero-weights",
-        "override-shape",
     ],
 )
 def test_instance_validation_names_the_bad_input(changes, message):
     data = {**HAT, "basis": parse_basis_spec("1, x", 1), **changes}
     with pytest.raises(DimensionMismatch, match=message):
         ProblemInstance(**data)
+
+
+def test_from_design_rejects_a_design_of_the_wrong_shape():
+    with pytest.raises(DimensionMismatch, match=r"design override has shape \(3, 1\)"):
+        ProblemInstance.from_design(
+            **HAT, basis=parse_basis_spec("1, x", 1), design=np.ones((3, 1))
+        )
+
+
+def _n_row_arrays(instance):
+    """Every 2-D array with n rows that the instance holds, other than its
+    points, looking into tuples of attributes."""
+    found = []
+    for value in vars(instance).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray) and item is not instance.points:
+                if item.ndim == 2 and item.shape[0] == instance.n:
+                    found.append(item)
+    return found
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_an_instance_built_from_a_basis_holds_one_n_by_m_array(weighted):
+    rng = np.random.default_rng(4)
+    x = np.linspace(0.0, 1.0, 40)
+    instance = ProblemInstance(
+        points=x[:, None],
+        values=np.cos(3.0 * x),
+        basis=parse_basis_spec("1, x, x^2", 1),
+        weights=rng.uniform(0.5, 2.0, 40) if weighted else None,
+    )
+    held = _n_row_arrays(instance)
+    u_r = instance.lifted_design_and_values()[0]
+    assert len(held) == 1 and held[0] is u_r
+    assert u_r.shape == (40, 3)
+
+
+def test_design_is_evaluated_on_demand_and_a_given_design_is_kept():
+    instance = hat_instance()
+    assert np.array_equal(
+        instance.design(), design_matrix(instance.basis, instance.points)
+    )
+    assert np.array_equal(instance.design([2, 0]), instance.design()[[2, 0]])
+    design = np.array([[1.0, 0.0], [-1.0, -1.0], [1.0, 2.0]])
+    given = ProblemInstance.from_design(
+        **HAT, basis=parse_basis_spec("1, x", 1), design=design
+    )
+    assert np.array_equal(given.design(), design)
+    assert np.array_equal(design, [[1.0, 0.0], [-1.0, -1.0], [1.0, 2.0]])
+    assert len(_n_row_arrays(given)) == 2
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_unweighted_residuals_are_the_scaled_residuals_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(-1.0, 1.0, 30))
+    instance = ProblemInstance(
+        points=x[:, None],
+        values=np.exp(x) + 0.01 * rng.standard_normal(30),
+        basis=parse_basis_spec("1, x, x^2", 1),
+    )
+    result = fit(instance)
+    assert np.array_equal(result.residuals, result.scaled_residuals)
+    direct = instance.values - instance.design() @ result.coefficients
+    assert result.residuals == pytest.approx(direct, abs=1e-12)
 
 
 def test_objective_value_needs_one_coefficient_per_basis_function():
