@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the fits that fail on three robustness families, and exit 1 when
+"""Count the fits that fail on four robustness families, and exit 1 when
 a count is above its limit.
 
 * ``grid_smooth``: the benchmark's noiseless sin, exp and Runge fits
@@ -27,6 +27,13 @@ a count is above its limit.
   1, x, ..., x^(m-1).  Counts the fits that raise, those flagged
   ``low_rank`` or as exact interpolations, and the others whose
   certificate fails.
+* ``offset``: 400 instances drawn from ``default_rng(7)``, in this order:
+  n = integers(8, 16), m = integers(1, 5), x = uniform(0, 10, n),
+  offset = 10.0 ** int(choice([6, 9, 12])) and y = offset +
+  normal(0, 5, n), with the monomials 1, x, ..., x^(m-1).  Counts the fits
+  that raise, and of the others those the brute-force oracle skips (it
+  raises) and those on which it disagrees with the fit
+  (``compare_with_oracle``).
 
 Prints one line per family and exits 1 when a count exceeds ``LIMITS``:
 
@@ -47,11 +54,14 @@ GRID_BLOCKS = 12
 SHIFTS = (100.0, 1000.0)
 SHIFT_INSTANCES = 300
 LARGE_Y_INSTANCES = 400
+OFFSET_INSTANCES = 400
 
 # The counts at or below which the census passes.  At c = 1000 the rank
 # rule finds 121 cubics rank-deficient, and their fits are the worse ones;
 # every large-|y| fit certifies, since fit's band and the certificate
-# identities allow 64 rounding units of the lifted residual.
+# identities allow 64 rounding units of the lifted residual, and the oracle
+# agrees on every offset fit, since its feasibility test and agreement do
+# too.
 LIMITS = {
     "grid_smooth raised": 1,
     "grid_smooth above d": 0,
@@ -70,6 +80,9 @@ LIMITS = {
     "large |y| low_rank": 0,
     "large |y| exact": 0,
     "large |y| uncertified": 0,
+    "offset raised": 0,
+    "offset skipped": 0,
+    "offset disagree": 0,
 }
 
 
@@ -179,6 +192,39 @@ def large_y(count=LARGE_Y_INSTANCES):
     return count, raised, low_rank, exact, uncertified
 
 
+def offset_instances(count=OFFSET_INSTANCES):
+    """(x, y, basis) of the offset family, drawn in order."""
+    from equifit.generators import monomial_basis
+
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        n = int(rng.integers(8, 16))
+        m = int(rng.integers(1, 5))
+        x = rng.uniform(0.0, 10.0, n)
+        offset = 10.0 ** int(rng.choice([6, 9, 12]))
+        y = offset + rng.normal(0.0, 5.0, n)
+        yield x, y, monomial_basis(m)
+
+
+def offset(count=OFFSET_INSTANCES):
+    """(fits, raised, skipped, disagree) over the offset family."""
+    import equifit as ef
+    from equifit.oracle import compare_with_oracle
+
+    raised = skipped = disagree = 0
+    for x, y, basis in offset_instances(count):
+        try:
+            result = ef.fit(ef.ProblemInstance(points=x[:, None], values=y, basis=basis))
+        except ef.EquifitError:
+            raised += 1
+            continue
+        try:
+            disagree += not compare_with_oracle(result).agrees
+        except ef.EquifitError:
+            skipped += 1
+    return count, raised, skipped, disagree
+
+
 def run(src=ROOT / "src", seeds=GRID_SEEDS, blocks=GRID_BLOCKS, count=None):
     """Print one line per family; return the counts named as in LIMITS.
     ``count`` takes the first instances of each drawn family (all of them
@@ -212,6 +258,14 @@ def run(src=ROOT / "src", seeds=GRID_SEEDS, blocks=GRID_BLOCKS, count=None):
     )
     names = ("raised", "low_rank", "exact", "uncertified")
     counts.update(zip([f"large |y| {name}" for name in names], found[1:]))
+    found = offset(count or OFFSET_INSTANCES)
+    fits, raised, skipped, disagree = found
+    print(
+        f"offset: {fits} fits, {raised} raised, {skipped} skipped by the oracle, "
+        f"{disagree} where the oracle disagrees"
+    )
+    names = ("raised", "skipped", "disagree")
+    counts.update(zip([f"offset {name}" for name in names], found[1:]))
     return counts
 
 

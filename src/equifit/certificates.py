@@ -21,10 +21,11 @@ silently flipping a sign.
 
 Every identity is judged on ``ProblemInstance.lifted_design_and_values()``
 and the fit's lifted solution, ``FitResult.lp_solution``, and lifted
-residuals, against the tolerance of the lifted d (``agreement_tol``), or
-64 roundings of a lifted residual (``ProblemInstance.rounding_tol``) where
-that is more; value-sized gaps are reported in data units, and
-orthogonality per direction of the span (m entries at full rank).
+residuals, against ``FitResult.agreement_tol``: the tolerance of the
+lifted d, or 64 roundings of a lifted residual where that is more, the
+rule the oracle comparison reads too; value-sized gaps are reported in
+data units, and orthogonality per direction of the span (m entries at
+full rank).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import DegenerateCase, PreconditionError
 from .fitting import FitResult, ProblemInstance
 from .lp import OPTIMAL, LpSolution
-from .tolerances import MULTIPLIER_TOL, RANK_TOL, agreement_tol, interpolates_exactly
+from .tolerances import MULTIPLIER_TOL, RANK_TOL, interpolates_exactly
 
 
 @dataclass
@@ -140,7 +141,7 @@ def verify_identities(
     b_under = cert.beta[1::2]
     # The fit's own lifted residual; the power of two scales back exactly.
     residual = fit_result.scaled_residuals * lift
-    tol = max(agreement_tol(d), instance.rounding_tol(alpha))
+    tol = fit_result.agreement_tol
 
     strong_duality_gap = abs(cert.dual_objective * lift - d)
     beta_sum_residual = abs(float(np.sum(cert.beta)) - 1.0)

@@ -23,7 +23,13 @@ import numpy as np
 from .basis import BasisSet, design_matrix, singular_value_rank
 from .errors import DimensionMismatch, EquifitError, SolverError
 from .lp import FREE, OPTIMAL, LinearProgram, LpSolution, solve_lp
-from .tolerances import BAND_TOL, RANK_TOL, interpolates_exactly, rounding_tol
+from .tolerances import (
+    AGREE_TOL,
+    BAND_TOL,
+    RANK_TOL,
+    interpolates_exactly,
+    rounding_tol,
+)
 
 
 @dataclass
@@ -179,9 +185,10 @@ class ProblemInstance:
         span_map, unscale = self._to_basis
         return (span_map @ lifted) * unscale
 
-    def rounding_tol(self, lifted: np.ndarray) -> float:
-        """``tolerances.rounding_tol`` of lifted coefficients, from the
-        maxima of |U_r| and of |lifted values| taken once, here."""
+    def rounding_tol(self, lifted: np.ndarray):
+        """``tolerances.rounding_tol`` of lifted coefficients, or of a stack
+        of them, one per row, from the maxima of |U_r| and of |lifted
+        values| taken once, here."""
         return rounding_tol(*self._maxima, lifted)
 
     def reported_discrepancy(self, lifted_d: float) -> float:
@@ -220,6 +227,15 @@ class FitResult:
     exact_interpolation: bool
     low_rank: bool
     lp_solution: LpSolution = field(repr=False)
+
+    @property
+    def agreement_tol(self) -> float:
+        """How far two computations of the lifted d may differ: AGREE_TOL *
+        max(1, lifted d), or ``ProblemInstance.rounding_tol`` of the lifted
+        coefficients where that is more; the certificate identities and the
+        oracle comparison read it."""
+        d, alpha = self.lp_solution.objective_value, self.lp_solution.primal[1:]
+        return max(AGREE_TOL * max(1.0, d), self.instance.rounding_tol(alpha))
 
 
 def assemble_primal(instance: ProblemInstance) -> LinearProgram:
@@ -287,7 +303,7 @@ def fit(instance: ProblemInstance) -> FitResult:
     alpha = solution.primal[1:]
     lifted_residuals = y - g @ alpha
     max_lifted = float(np.max(np.abs(lifted_residuals)))
-    band = max(BAND_TOL * max(1.0, lifted_d), instance.rounding_tol(alpha))
+    band = max(BAND_TOL * max(1.0, lifted_d), float(instance.rounding_tol(alpha)))
     # Written so that a NaN bound or optimum fails the check.
     if not abs(max_lifted - lifted_d) <= band:
         raise SolverError(

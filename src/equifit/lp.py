@@ -49,11 +49,11 @@ import numpy as np
 from .errors import DimensionMismatch, NumericFailure
 from .tolerances import (
     BAND_TOL,
+    FEAS_TOL,
     MULTIPLIER_TOL,
     PIVOT_TOL,
     RATIO_TIE_TOL,
-    ROW_ROUNDING_TOL,
-    value_slack,
+    rounding_tol,
 )
 
 FREE = "free"
@@ -267,7 +267,8 @@ class _Simplex:
         where = np.flatnonzero(self.basis == self.art_col)
         if where.size:
             row = int(where[0])
-            if self.tableau[row, -1] > value_slack(self.lp.rhs):
+            # A level below FEAS_TOL * max(1, max |rhs|) counts as zero.
+            if self.tableau[row, -1] > FEAS_TOL * max(1.0, np.max(np.abs(self.lp.rhs))):
                 return False
             # Artificial stuck in the basis at level zero: pivot it out for the
             # lowest nonbasic (hence real) label that can take its place.  Its
@@ -315,18 +316,19 @@ class _Simplex:
             )
         beta = np.maximum(beta, 0.0)
 
-        # A row may exceed its rhs by BAND_TOL * max(1, |rhs|), or else by
-        # its own rounding, ROW_ROUNDING_TOL * |A_i| . |x|, which is worked
-        # out only for the rows beyond the band.  Both are measured in
-        # units of max(1, |rhs|); a NaN excess and a rounding that is not
-        # finite fail.
+        # A row may exceed its rhs by BAND_TOL * max(1, |rhs_i|), or else by
+        # its own rounding unit, rounding_tol(|rhs_i|, max |A_i|, x), which
+        # is worked out only for the rows beyond the band.  A NaN excess and
+        # a unit that is not finite fail.
         excess = lp.constraint_matrix @ primal - lp.rhs
-        excess /= np.maximum(1.0, np.abs(lp.rhs))
-        over = np.flatnonzero(~(excess <= BAND_TOL))
+        over = np.flatnonzero(~(excess / np.maximum(1.0, np.abs(lp.rhs)) <= BAND_TOL))
         if over.size:
-            terms = np.abs(lp.constraint_matrix[over]) @ np.abs(primal)
-            rounding = ROW_ROUNDING_TOL * terms / np.maximum(1.0, np.abs(lp.rhs[over]))
-            over = over[~((excess[over] <= rounding) & np.isfinite(rounding))]
+            unit = rounding_tol(
+                np.abs(lp.rhs[over]),
+                np.max(np.abs(lp.constraint_matrix[over]), axis=1),
+                primal,
+            )
+            over = over[~((excess[over] <= unit) & np.isfinite(unit))]
         if over.size:
             raise NumericFailure(
                 f"optimal basis violates feasibility by {np.max(excess[over]):.3e}",

@@ -25,12 +25,16 @@ la Vallee Poussin bound h_S = |lam^T y_S| / ||lam||_1: every coefficient
 vector has a residual of at least h_S on S, so no candidate of d below the
 floor H = max_S h_S is feasible, and at full rank the optimum is H itself
 (Stiefel 1959; Cheney, *Introduction to Approximation Theory*, 1966,
-ch. 2).  The scan therefore scores only the candidates within rounding of
-the floor (the band), in ascending (d, enumeration) order, and stops at the
-first feasible one, which is the full scan's first minimum, exactly.  A
-candidate above the band would not be optimal, so when the band holds no
-feasible candidate (witness blocks too ill-conditioned for any to pass the
-feasibility test) the oracle raises NoCandidate.
+ch. 2).  A candidate is feasible when its max |r| is within t of its d,
+where t is FEAS_TOL * max(1, H) or, where that is more, the rounding unit
+of its own lifted coefficients (``ProblemInstance.rounding_tol``), as
+``fit``'s band is.  The scan therefore scores only the candidates within
+twice the largest t a feasible candidate can have of the floor (the band),
+in ascending (d, enumeration) order, and stops at the first feasible one,
+which is the full scan's first minimum, exactly.  A candidate above the band would not be optimal, so
+when the band holds no feasible candidate (witness blocks too
+ill-conditioned for any to pass the feasibility test) the oracle raises
+NoCandidate.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 
 from .errors import NoCandidate, TooLarge
 from .fitting import FitResult, ProblemInstance
-from .tolerances import agreement_tol, value_slack
+from .tolerances import FEAS_TOL
 
 MAX_POINTS = 15
 MAX_BASIS = 4
@@ -220,19 +224,24 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
             np.abs(lam_y) / np.sum(np.abs(lam), axis=1), where=full_rank, initial=0.0
         )
 
-    # The band: 2 slack on either side of the floor.  For any alpha and any
-    # subset T, G_T^T lam_T = 0 gives lam_T^T (y_T - G_T alpha) = lam_T^T y_T,
-    # so the residual r of alpha has max |r| >= h_T, hence max |r| >= H.  A
-    # candidate passes the feasibility test only when max |r| <= d_s + slack,
-    # so only when d_s >= H - slack.  In floating point lam_T is a null
-    # vector of G_T^T only to O(eps |G_T|), as Householder QR is backward
-    # stable, and h_T, d_s and max |r| carry a few ulps of |y| + |G| |alpha|;
-    # for a feasible alpha, whose G alpha is within max |y| + d of zero, that
-    # is some 1e-15 * max(1, max |y|) with a moderate condition number, far
-    # below a second slack.  So no candidate with d_s < H - 2 slack can pass,
-    # and skipping them changes no answer.
-    slack = value_slack(y)
-    low, high = floor - 2.0 * slack, floor + 2.0 * slack
+    # The band: 2 t_max on either side of the floor, where t_max is the
+    # largest slack t that a feasible candidate can have.  For any alpha and
+    # any subset T, G_T^T lam_T = 0 gives lam_T^T (y_T - G_T alpha) =
+    # lam_T^T y_T, so the residual r of alpha has max |r| >= h_T, hence
+    # max |r| >= H.  A candidate passes the feasibility test only when
+    # max |r| <= d_s + t, so only when d_s >= H - t.  In floating point
+    # lam_T is a null vector of G_T^T only to O(eps |G_T|), as Householder
+    # QR is backward stable, and h_T, d_s and max |r| carry a few ulps of
+    # |y| + |G| |alpha|, below a second t with a moderate condition number.
+    # So no candidate with d_s < H - 2 t_max can pass, and skipping them
+    # changes no answer.  t grows with ||alpha||_1, and a feasible alpha has
+    # |G alpha| <= max |y| + d + t <= 3 max(1, max |y|) at every point; G's
+    # columns are orthonormal, so ||alpha||_1 <= sqrt(m) ||G alpha||_2 <=
+    # 3 sqrt(m n) max(1, max |y|), and t_max is t at that norm.
+    floor_slack = FEAS_TOL * max(1.0, floor)
+    alpha_l1 = 3.0 * np.sqrt(m * n) * max(1.0, np.max(np.abs(y)))
+    t_max = max(floor_slack, instance.rounding_tol([alpha_l1]))
+    low, high = floor - 2.0 * t_max, floor + 2.0 * t_max
     flat_ds = ds.ravel()
     band = np.flatnonzero((flat_ds >= low) & (flat_ds <= high))
     # A stable sort keeps enumeration order among equal d.
@@ -256,14 +265,10 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
             residuals = g @ np.ascontiguousarray(columns)
             residuals -= y[:, None]
             max_abs = np.max(np.abs(residuals, out=residuals), axis=0)
+            slack = np.maximum(floor_slack, instance.rounding_tol(alphas))
         max_abs = max_abs[: chunk.size]
-        feasible = (
-            full_rank[si]
-            & np.isfinite(d)
-            & np.isfinite(max_abs)
-            & (d >= -slack)
-            & (max_abs <= d + slack)
-        )
+        # max |r| >= 0, so a feasible d is at least -slack.
+        feasible = full_rank[si] & np.isfinite(max_abs) & (max_abs <= d + slack)
         if np.any(feasible):
             k = int(np.argmax(feasible))
             return OracleResult(
@@ -283,12 +288,12 @@ def compare_with_oracle(result: FitResult) -> OracleComparison:
     """Brute-force the fit's instance and compare the optima on lifted
     values; raises what ``brute_force_fit`` raises (TooLarge, NoCandidate).
 
-    The fit agrees when its discrepancy is the oracle's: the optimum need
+    The fit agrees when its discrepancy is the oracle's within the
+    certificate's tolerance, ``FitResult.agreement_tol``: the optimum need
     not be unique, and ``fit`` already ties its coefficients to its d, so
     the coefficient gap is reported, not judged."""
     oracle = brute_force_fit(result.instance)
     discrepancy_gap = abs(result.discrepancy - oracle.discrepancy)
     coefficient_gap = float(np.max(np.abs(result.coefficients - oracle.coefficients)))
-    lift = result.instance.value_scale
-    agrees = discrepancy_gap <= agreement_tol(oracle.discrepancy * lift) / lift
+    agrees = discrepancy_gap <= result.agreement_tol / result.instance.value_scale
     return OracleComparison(oracle, discrepancy_gap, coefficient_gap, bool(agrees))

@@ -7,17 +7,19 @@ problem, ``ProblemInstance.lifted_design_and_values()``: the design is an
 orthonormal basis of the span of the weighted columns, and data below one
 are lifted so that max |w y| >= 1.  So each floor of 1 below is in the
 data's unit, and none has an absolute regime for small data or for a basis
-function's scale.  On data far above one, fit's band and the certificate
-identities also allow ``ROUNDING_UNITS`` roundings of a lifted residual
-(``rounding_tol``).  Each constant is given as its question; the quantity
-it is relative to; its readers.
+function's scale.  On data far above one, every verdict on a fit also
+allows ``ROUNDING_UNITS`` roundings of a lifted residual (``rounding_tol``):
+the LP's vertex check, fit's band, the certificate identities and the
+oracle's feasibility test and agreement.  Each constant is given as its
+question; the quantity it is relative to; its readers.
 """
 
 import numpy as np
 
-# A value-sized quantity that counts as zero; max(1, max |lifted values|)
-# (``value_slack``), or the lifted optimum itself; LP phase 1, the oracle's
-# candidate slack, exact interpolation (``interpolates_exactly``).
+# A value-sized quantity that counts as zero; max(1, max |rhs|) in LP phase
+# 1, max(1, the de la Vallee Poussin floor) in the oracle's feasibility
+# test, or the lifted optimum itself in exact interpolation
+# (``interpolates_exactly``).
 FEAS_TOL = 1e-9
 # A tableau entry too small to pivot on; absolute; the simplex.
 PIVOT_TOL = 1e-10
@@ -28,11 +30,6 @@ RATIO_TIE_TOL = 1e-12
 # active band (``FitResult.active_points``, the touch set that the
 # certificate and the alternation analysis read).
 BAND_TOL = 100 * FEAS_TOL
-# How far one row of a recomputed vertex may exceed its rhs by the rounding
-# of its own terms, past the BAND_TOL band (near the float limit, one
-# rounding of terms of 1e307 is about 1e291); |A_i| . |x|, the row's terms
-# summed in magnitude; the LP's vertex check.
-ROW_ROUNDING_TOL = 64 * float(np.finfo(float).eps)
 # A singular value that does not count to the rank, and a vector of at
 # most unit length whose part off a span does not count as a new
 # direction; the largest singular value, and 1; the rank
@@ -47,17 +44,18 @@ RANK_TOL = 1e-10
 MULTIPLIER_TOL = 1e-9
 # Agreement of two computations of one number (for the certificate
 # identities, sums of n products of order-one quantities); max(1, lifted d)
-# (``agreement_tol``), or the larger of the two; the certificate identities,
-# the LP-vs-oracle discrepancy, the perturbation product formula.
+# (``FitResult.agreement_tol``), or the larger of the two; the certificate
+# identities, the LP-vs-oracle discrepancy, the perturbation product formula.
 AGREE_TOL = 1e-8
 # Interpolation nodes that are not distinct; their span; Lagrange
 # interpolation.
 NODE_GAP_TOL = 1e-12
-# How many roundings of one lifted residual a recomputed residual or a
-# certificate identity may be off by, where that is more than its floor
-# above, as on data far above one; the rounding of a lifted residual of
-# the fit's coefficients (``rounding_tol``); fit's residual-bound check and
-# active band, and the certificate identities.
+# How many roundings of one lifted residual a recomputed row or residual, a
+# certificate identity or a brute-force candidate may be off by, where that
+# is more than its floor above, as on data far above one; the rounding of a
+# residual of the coefficients at hand (``rounding_tol``); the LP's vertex
+# check, fit's residual-bound check and active band, the certificate
+# identities, and the oracle's feasibility test and agreement.
 ROUNDING_UNITS = 64
 
 
@@ -66,21 +64,12 @@ def interpolates_exactly(discrepancy):
     return discrepancy <= FEAS_TOL
 
 
-def value_slack(values):
-    """FEAS_TOL * max(1, max |values|), for lifted values: the level below
-    which a value-sized quantity counts as zero (LP phase 1, the oracle)."""
-    return FEAS_TOL * max(1.0, float(np.max(np.abs(values))))
-
-
-def agreement_tol(lifted_d):
-    """AGREE_TOL * max(1, lifted d): how far two computations of a
-    discrepancy-sized number may differ (certificate, oracle)."""
-    return AGREE_TOL * max(1.0, lifted_d)
-
-
-def rounding_tol(max_value, max_design, lifted_coefficients):
-    """ROUNDING_UNITS * u, with u = eps * (max |lifted values| + max |U_r| *
-    ||alpha||_1) the rounding of one lifted residual y - U_r alpha: the
-    data's own unit (fit's band, the certificate identities)."""
-    l1 = float(np.sum(np.abs(lifted_coefficients)))
-    return ROUNDING_UNITS * float(np.finfo(float).eps) * (max_value + max_design * l1)
+def rounding_tol(max_value, max_design, coefficients):
+    """ROUNDING_UNITS * u, with u = eps * (max |values| + max |design| *
+    ||coefficients||_1) the rounding of one residual: the data's own unit
+    (the LP's vertex check, fit's band, the certificate, the oracle).  The
+    factor multiplies each term first, so that the rule stays finite at the
+    float limit; arrays of maxima, or a stack of coefficient vectors, one
+    per row, give one unit each."""
+    unit = ROUNDING_UNITS * float(np.finfo(float).eps)
+    return unit * max_value + unit * max_design * np.sum(np.abs(coefficients), axis=-1)

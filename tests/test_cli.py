@@ -672,6 +672,59 @@ def test_verify_agrees_on_values_of_order_1e6(tmp_path, capsys):
     assert report["oracle"]["discrepancy_gap"] <= 1e-8 * report["discrepancy"]
 
 
+# Eleven values near 1.31e9 at x = 0..10, whose best constant is the
+# midrange: the oracle once took a pair below it (exit 4, gap 1.01).
+OFFSET_CSV = "x,y\n" + "".join(
+    f"{x},{y}\n"
+    for x, y in enumerate(
+        [
+            1313091879.4014971, 1313091881.101986, 1313091889.194964,
+            1313091873.803292, 1313091881.7215843, 1313091889.0699985,
+            1313091880.724518, 1313091883.4301395, 1313091888.2128558,
+            1313091876.7070394, 1313091874.843525,
+        ]
+    )
+)
+
+# Two weighted points near 1e10 that a line interpolates, and two points of
+# weight zero: the LP's optimum rounds to about -5.3e-7, and the vertex
+# check once refused the zero-weight rows (exit 3).
+LARGE_INTERPOLATION_CSV = (
+    "x,y,w\n"
+    "-0.35668753419321364,-2696329544.5373387,2.9045371667521778\n"
+    "-0.3002955565987633,-2293595819.5615726,4.445433325650394\n"
+    "0.7504097745271656,1896200471.0581613,0\n"
+    "0.1687736713236525,1940857043.1058693,0\n"
+)
+
+
+def test_verify_agrees_on_offset_data(tmp_path, capsys):
+    path = tmp_path / "offset.csv"
+    path.write_text(OFFSET_CSV)
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(path), "--basis", "1", "--verify"
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    # The midrange's d, (max y - min y) / 2, to within rounding of y.
+    assert report["discrepancy"] == pytest.approx(7.6958359479904175, abs=1e-6)
+    assert report["oracle"]["agrees"] is True
+
+
+def test_verify_agrees_on_a_large_weighted_interpolation(tmp_path, capsys):
+    path = tmp_path / "interpolation.csv"
+    path.write_text(LARGE_INTERPOLATION_CSV)
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(path), "--basis", "1, x", "--weights", "w",
+        "--certify", "--verify",
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["exact_interpolation"] is True
+    assert report["discrepancy"] == 0.0
+    assert report["oracle"]["agrees"] is True
+
+
 def test_csv_with_a_byte_order_mark(tmp_path, capsys):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfx,y\n0,0\n1,1\n")

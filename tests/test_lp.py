@@ -26,7 +26,7 @@ from equifit.lp import (
     dual_of,
     solve_lp,
 )
-from equifit.tolerances import BAND_TOL, FEAS_TOL, ROW_ROUNDING_TOL
+from equifit.tolerances import BAND_TOL, FEAS_TOL, rounding_tol
 
 
 def enumerate_vertex_optimum(lp):
@@ -619,29 +619,69 @@ def float_limit_line_lp():
     )
 
 
+def row_rounding_unit(lp, i, x):
+    """Row i's own rounding unit at x: rounding_tol(|rhs_i|, max |A_i|, x)."""
+    return rounding_tol(np.abs(lp.rhs[i]), np.max(np.abs(lp.constraint_matrix[i])), x)
+
+
 def test_a_vertex_may_miss_a_row_by_its_own_rounding():
     # Row 2, the overshoot row of the point with y = 0, has rhs 0: its
     # recomputed excess is about 2.5e291, far past the BAND_TOL band, and
-    # one rounding of its terms near 1e307.
+    # within the row's rounding unit at values near 1e307, about 2.4e294.
     lp = float_limit_line_lp()
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.primal == pytest.approx([3.5e307, 5.5e307, -8e307], rel=1e-12)
     excess = lp.constraint_matrix[2] @ sol.primal - lp.rhs[2]
-    terms = np.abs(lp.constraint_matrix[2]) @ np.abs(sol.primal)
     assert lp.rhs[2] == 0.0
-    assert BAND_TOL < excess <= ROW_ROUNDING_TOL * terms
+    assert excess == pytest.approx(2.495e291, rel=1e-3)
+    assert row_rounding_unit(lp, 2, sol.primal) == pytest.approx(2.416e294, rel=1e-3)
+    assert BAND_TOL < excess <= row_rounding_unit(lp, 2, sol.primal)
 
 
-def test_a_rounding_allowance_that_overflows_refuses_the_vertex():
-    # Doubling row 2 keeps every term finite, and its excess (5e291), but
-    # its terms summed in magnitude overflow, so no allowance is known.
+def test_a_row_whose_terms_overflow_is_judged_in_its_unit():
+    # Doubling row 2 keeps every term finite, and doubles its excess, but
+    # its terms summed in magnitude overflow.  The row's unit scales each
+    # term by 64 eps first, so it stays finite and admits the row.
     lp = float_limit_line_lp()
     lp.constraint_matrix[2] *= 2.0
     with np.errstate(over="ignore"):
         assert np.abs(lp.constraint_matrix[2]) @ [3.5e307, 5.5e307, 8e307] == np.inf
-    with pytest.raises(NumericFailure, match=r"violates feasibility by 4\.990e\+291"):
-        solve_lp(lp)
+    sol = solve_lp(lp)
+    assert sol.status == OPTIMAL
+    assert sol.primal == pytest.approx([3.5e307, 5.5e307, -8e307], rel=1e-12)
+    excess = lp.constraint_matrix[2] @ sol.primal - lp.rhs[2]
+    assert excess == pytest.approx(4.99e291, rel=1e-3)
+    unit = row_rounding_unit(lp, 2, sol.primal)
+    assert unit == pytest.approx(4.832e294, rel=1e-3)
+    assert excess <= unit
+
+
+def bound_and_tiny_row_lp(second_bound):
+    """minimize -x1 - x2 over x >= 0 with x1 <= 1e308, x2 <= second_bound
+    and 1e-300 x1 <= 0: the last row's entry is below PIVOT_TOL, so the
+    ratio test passes over it, x1 goes to 1e308, and that row is off by
+    1e8, far beyond the rounding of its own terms, which are near 1e8."""
+    return LinearProgram(
+        objective=[-1.0, -1.0],
+        constraint_matrix=[[1.0, 0.0], [0.0, 1.0], [1e-300, 0.0]],
+        rhs=[1e308, second_bound, 0.0],
+        variable_kinds=(NONNEGATIVE, NONNEGATIVE),
+    )
+
+
+def test_a_rounding_allowance_that_overflows_refuses_the_vertex():
+    # With x2 <= 1, the tiny row's unit is about 1.4e-6, and its excess of
+    # 1e8 refuses the vertex.  With x2 <= 1e308, ||x||_1 overflows, so the
+    # unit is not finite and refuses the vertex by itself.
+    lp = bound_and_tiny_row_lp(1.0)
+    assert row_rounding_unit(lp, 2, [1e308, 1.0]) == pytest.approx(1.421e-6, rel=1e-3)
+    lp_overflow = bound_and_tiny_row_lp(1e308)
+    with np.errstate(over="ignore"):
+        assert row_rounding_unit(lp_overflow, 2, [1e308, 1e308]) == np.inf
+    for lp in (lp, lp_overflow):
+        with pytest.raises(NumericFailure, match=r"violates feasibility by 1\.000e\+08"):
+            solve_lp(lp)
 
 
 def test_an_ordinary_row_violation_is_refused():

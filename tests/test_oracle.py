@@ -155,6 +155,33 @@ def test_witness_signs_alternate_for_polynomial_bases():
 
 
 
+# Eleven values near 1.31e9 at x = 0..10: the oracle's slack was once
+# FEAS_TOL * max |y| = 1.31, which let the pair (8, 10) pass at d = 6.68 with
+# coefficients whose max |r| is 7.72.
+OFFSET_VALUES = [
+    1313091879.4014971, 1313091881.101986, 1313091889.194964,
+    1313091873.803292, 1313091881.7215843, 1313091889.0699985,
+    1313091880.724518, 1313091883.4301395, 1313091888.2128558,
+    1313091876.7070394, 1313091874.843525,
+]
+
+
+def test_offset_data_are_judged_in_their_rounding_unit():
+    # The best constant is the midrange, at d = (max y - min y) / 2; the
+    # oracle's d and its coefficients' max |r| meet it within 64 roundings
+    # of a value, about 1.9e-5 here.
+    y = np.array(OFFSET_VALUES)
+    instance = ProblemInstance(
+        points=np.arange(11.0)[:, None], values=y, basis=parse_basis_spec("1", 1)
+    )
+    result = brute_force_fit(instance)
+    midrange_d = (np.max(y) - np.min(y)) / 2
+    unit = 64 * np.finfo(float).eps * np.max(np.abs(y))
+    assert abs(result.discrepancy - midrange_d) <= unit
+    assert abs(objective_value(instance, result.coefficients) - midrange_d) <= unit
+    assert compare_with_oracle(fit(instance)).agrees
+
+
 def test_compare_with_oracle_judges_optimality_not_the_coefficients():
     # The two points at x = 0 fix d = 1 and the constant at 1; any slope in
     # [3, 5] is optimal too, so the optimum is not unique.
@@ -369,7 +396,10 @@ def _full_scan(instance):
     """Every (subset, sign) candidate of the lifted problem scored at once,
     in one matrix product, as the oracle did before it skipped the
     candidates below the floor; returns the first minimum in enumeration
-    order, mapped back as the oracle maps it, or None."""
+    order, mapped back as the oracle maps it, or None.  A candidate is
+    feasible, as in the oracle, when its max |r| is within FEAS_TOL *
+    max(1, H) of its d, H the de la Vallee Poussin floor, or within the
+    rounding unit of its own lifted coefficients where that is more."""
     g, y = instance.lifted_design_and_values()
     n, m = instance.n, instance.m
     subsets = np.array(list(itertools.combinations(range(n), m + 1)))
@@ -385,10 +415,15 @@ def _full_scan(instance):
         residuals = g @ alphas.reshape(m, -1)
         residuals -= y[:, None]
         max_abs = np.max(np.abs(residuals), axis=0).reshape(ds.shape)
-    slack = FEAS_TOL * max(1.0, float(np.max(np.abs(y))))
-    feasible = (
-        solvable & np.isfinite(max_abs) & (ds >= -slack) & (max_abs <= ds + slack)
-    )
+        lam_y = np.sum(lam * y_s, axis=1)
+        floor = np.max(
+            np.abs(lam_y) / np.sum(np.abs(lam), axis=1), where=full_rank, initial=0.0
+        )
+        slack = np.maximum(
+            FEAS_TOL * max(1.0, floor),
+            instance.rounding_tol(np.moveaxis(alphas, 0, -1)),
+        )
+        feasible = solvable & np.isfinite(max_abs) & (max_abs <= ds + slack)
     if not np.any(feasible):
         return None
     best_subset, best_sign = np.unravel_index(

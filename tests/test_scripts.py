@@ -71,4 +71,11 @@ def test_census_counts_a_slice_within_its_limits(capsys):
     )
     # Judged in 64 rounding units of the data, every large-|y| fit certifies.
     assert "large |y|: 20 fits, 0 raised, 0 low_rank, 0 exact, 0 uncertified" in out
+    # The oracle's feasibility test and agreement are in the same unit, so it
+    # agrees on every offset fit (13 of these 20 disagreed when its slack
+    # was FEAS_TOL * max |y|).
+    assert (
+        "offset: 20 fits, 0 raised, 0 skipped by the oracle, 0 where the oracle "
+        "disagrees" in out
+    )
     assert all(counts[name] <= limit for name, limit in census["LIMITS"].items())
