@@ -34,6 +34,15 @@ a count is above its limit.
   that raise, and of the others those the brute-force oracle skips (it
   raises) and those on which it disagrees with the fit
   (``compare_with_oracle``).
+* ``near-tie``: 400 instances drawn from ``default_rng(11)``, in this
+  order: n = integers(4, 16), x = uniform(0, 1, n), y = normal(0, 1, n);
+  then the second-largest y is set to the largest minus
+  10.0 ** uniform(-12, -9.5), and the basis is the constant.  Counts the
+  fits that raise, and of the others those the brute-force oracle skips
+  and those where its d is below the fit's by more than the fit's
+  rounding unit (``ProblemInstance.rounding_tol`` of its lifted
+  coefficients, in data units): a candidate that misses its own d by
+  more than rounding.
 
 Prints one line per family and exits 1 when a count exceeds ``LIMITS``:
 
@@ -55,13 +64,14 @@ SHIFTS = (100.0, 1000.0)
 SHIFT_INSTANCES = 300
 LARGE_Y_INSTANCES = 400
 OFFSET_INSTANCES = 400
+NEAR_TIE_INSTANCES = 400
 
 # The counts at or below which the census passes.  At c = 1000 the rank
 # rule finds 121 cubics rank-deficient, and their fits are the worse ones;
 # every large-|y| fit certifies, since fit's band and the certificate
 # identities allow 64 rounding units of the lifted residual, and the oracle
-# agrees on every offset fit, since its feasibility test and agreement do
-# too.
+# agrees on every offset fit, and answers no near tie below the optimum,
+# since its feasibility test and agreement read the rounding unit alone.
 LIMITS = {
     "grid_smooth raised": 1,
     "grid_smooth above d": 0,
@@ -83,6 +93,9 @@ LIMITS = {
     "offset raised": 0,
     "offset skipped": 0,
     "offset disagree": 0,
+    "near-tie raised": 0,
+    "near-tie skipped": 0,
+    "near-tie below": 0,
 }
 
 
@@ -225,6 +238,43 @@ def offset(count=OFFSET_INSTANCES):
     return count, raised, skipped, disagree
 
 
+def near_tie_instances(count=NEAR_TIE_INSTANCES):
+    """(x, y, basis) of the near-tie family, drawn in order."""
+    from equifit.generators import monomial_basis
+
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        n = int(rng.integers(4, 16))
+        x = rng.uniform(0.0, 1.0, n)
+        y = rng.normal(0.0, 1.0, n)
+        second, first = np.argsort(y)[-2:]
+        y[second] = y[first] - 10.0 ** rng.uniform(-12.0, -9.5)
+        yield x, y, monomial_basis(1)
+
+
+def near_tie(count=NEAR_TIE_INSTANCES):
+    """(fits, raised, skipped, below) over the near-tie family."""
+    import equifit as ef
+    from equifit.oracle import brute_force_fit
+
+    raised = skipped = below = 0
+    for x, y, basis in near_tie_instances(count):
+        instance = ef.ProblemInstance(points=x[:, None], values=y, basis=basis)
+        try:
+            result = ef.fit(instance)
+        except ef.EquifitError:
+            raised += 1
+            continue
+        try:
+            oracle = brute_force_fit(instance)
+        except ef.EquifitError:
+            skipped += 1
+            continue
+        unit = float(instance.rounding_tol(result.lp_solution.primal[1:]))
+        below += result.discrepancy - oracle.discrepancy > unit / instance.value_scale
+    return count, raised, skipped, below
+
+
 def run(src=ROOT / "src", seeds=GRID_SEEDS, blocks=GRID_BLOCKS, count=None):
     """Print one line per family; return the counts named as in LIMITS.
     ``count`` takes the first instances of each drawn family (all of them
@@ -266,6 +316,14 @@ def run(src=ROOT / "src", seeds=GRID_SEEDS, blocks=GRID_BLOCKS, count=None):
     )
     names = ("raised", "skipped", "disagree")
     counts.update(zip([f"offset {name}" for name in names], found[1:]))
+    found = near_tie(count or NEAR_TIE_INSTANCES)
+    fits, raised, skipped, below = found
+    print(
+        f"near-tie: {fits} fits, {raised} raised, {skipped} skipped by the oracle, "
+        f"{below} where the oracle's d is below the fit's"
+    )
+    names = ("raised", "skipped", "below")
+    counts.update(zip([f"near-tie {name}" for name in names], found[1:]))
     return counts
 
 

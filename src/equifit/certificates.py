@@ -21,11 +21,10 @@ silently flipping a sign.
 
 Every identity is judged on ``ProblemInstance.lifted_design_and_values()``
 and the fit's lifted solution, ``FitResult.lp_solution``, and lifted
-residuals, against ``FitResult.agreement_tol``: the tolerance of the
-lifted d, or 64 roundings of a lifted residual where that is more, the
-rule the oracle comparison reads too; value-sized gaps are reported in
-data units, and orthogonality per direction of the span (m entries at
-full rank).
+residuals, against the rounding unit of the fit's lifted coefficients,
+``ProblemInstance.rounding_tol``, the rule the oracle comparison reads
+too; value-sized gaps are reported in data units, and orthogonality per
+direction of the span (m entries at full rank).
 """
 
 from __future__ import annotations
@@ -141,7 +140,7 @@ def verify_identities(
     b_under = cert.beta[1::2]
     # The fit's own lifted residual; the power of two scales back exactly.
     residual = fit_result.scaled_residuals * lift
-    tol = fit_result.agreement_tol
+    tol = instance.rounding_tol(alpha)
 
     strong_duality_gap = abs(cert.dual_objective * lift - d)
     beta_sum_residual = abs(float(np.sum(cert.beta)) - 1.0)

@@ -23,13 +23,7 @@ import numpy as np
 from .basis import BasisSet, design_matrix, singular_value_rank
 from .errors import DimensionMismatch, EquifitError, SolverError
 from .lp import FREE, OPTIMAL, LinearProgram, LpSolution, solve_lp
-from .tolerances import (
-    AGREE_TOL,
-    BAND_TOL,
-    RANK_TOL,
-    interpolates_exactly,
-    rounding_tol,
-)
+from .tolerances import BAND_TOL, RANK_TOL, interpolates_exactly, rounding_tol
 
 
 @dataclass
@@ -227,15 +221,6 @@ class FitResult:
     exact_interpolation: bool
     low_rank: bool
     lp_solution: LpSolution = field(repr=False)
-
-    @property
-    def agreement_tol(self) -> float:
-        """How far two computations of the lifted d may differ: AGREE_TOL *
-        max(1, lifted d), or ``ProblemInstance.rounding_tol`` of the lifted
-        coefficients where that is more; the certificate identities and the
-        oracle comparison read it."""
-        d, alpha = self.lp_solution.objective_value, self.lp_solution.primal[1:]
-        return max(AGREE_TOL * max(1.0, d), self.instance.rounding_tol(alpha))
 
 
 def assemble_primal(instance: ProblemInstance) -> LinearProgram:

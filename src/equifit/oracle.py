@@ -26,15 +26,15 @@ vector has a residual of at least h_S on S, so no candidate of d below the
 floor H = max_S h_S is feasible, and at full rank the optimum is H itself
 (Stiefel 1959; Cheney, *Introduction to Approximation Theory*, 1966,
 ch. 2).  A candidate is feasible when its max |r| is within t of its d,
-where t is FEAS_TOL * max(1, H) or, where that is more, the rounding unit
-of its own lifted coefficients (``ProblemInstance.rounding_tol``), as
-``fit``'s band is.  The scan therefore scores only the candidates within
-twice the largest t a feasible candidate can have of the floor (the band),
-in ascending (d, enumeration) order, and stops at the first feasible one,
-which is the full scan's first minimum, exactly.  A candidate above the band would not be optimal, so
-when the band holds no feasible candidate (witness blocks too
-ill-conditioned for any to pass the feasibility test) the oracle raises
-NoCandidate.
+t the rounding unit of its own lifted coefficients
+(``ProblemInstance.rounding_tol``), the unit the certificate identities
+and the oracle comparison read.  The scan therefore scores only the
+candidates within twice the largest t a feasible candidate can have of
+the floor (the band), in ascending (d, enumeration) order, and stops at
+the first feasible one, which is the full scan's first minimum, exactly.
+A candidate above the band would not be optimal, so when the band holds
+no feasible candidate (witness blocks too ill-conditioned for any to pass
+the feasibility test) the oracle raises NoCandidate.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import numpy as np
 
 from .errors import NoCandidate, TooLarge
 from .fitting import FitResult, ProblemInstance
-from .tolerances import FEAS_TOL
 
 MAX_POINTS = 15
 MAX_BASIS = 4
@@ -150,24 +149,6 @@ def _pseudo_inverses(a: np.ndarray, diagonal: np.ndarray, index) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(2, 0, 1))
 
 
-def factor_witness_subsets(blocks: np.ndarray):
-    """Factor a stack of witness blocks G_S, shape (k, m+1, m), once each.
-
-    Returns ``(null_vectors, pseudo_inverses, full_rank)``: the unit vectors
-    lam, shape (k, m+1), with G_S^T lam = 0; the pseudo-inverses
-    G_S^+ = R^-1 Q_1^T, shape (k, m, m+1); and a mask of the blocks whose R
-    has no zero on its diagonal (outside it the pseudo-inverse is not
-    finite).  For any sign pattern s, [G_S | s][alpha; d] = y_S is singular
-    exactly when the block is outside the mask or lam^T s = 0; otherwise
-    d = lam^T y_S / lam^T s and alpha = G_S^+ (y_S - d s).  A block's
-    factors do not depend on the other blocks of the stack.
-    """
-    a = np.transpose(np.asarray(blocks, dtype=float), (2, 1, 0)).copy()
-    diagonal, lam, full_rank = _factor(a)
-    with np.errstate(all="ignore"):
-        return lam, _pseudo_inverses(a, diagonal, slice(None)), full_rank
-
-
 @functools.cache
 def _enumeration(n: int, m: int):
     """The (m+1)-point subsets of n points and the 2^(m+1) sign patterns,
@@ -238,9 +219,8 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
     # |G alpha| <= max |y| + d + t <= 3 max(1, max |y|) at every point; G's
     # columns are orthonormal, so ||alpha||_1 <= sqrt(m) ||G alpha||_2 <=
     # 3 sqrt(m n) max(1, max |y|), and t_max is t at that norm.
-    floor_slack = FEAS_TOL * max(1.0, floor)
     alpha_l1 = 3.0 * np.sqrt(m * n) * max(1.0, np.max(np.abs(y)))
-    t_max = max(floor_slack, instance.rounding_tol([alpha_l1]))
+    t_max = instance.rounding_tol([alpha_l1])
     low, high = floor - 2.0 * t_max, floor + 2.0 * t_max
     flat_ds = ds.ravel()
     band = np.flatnonzero((flat_ds >= low) & (flat_ds <= high))
@@ -265,7 +245,7 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
             residuals = g @ np.ascontiguousarray(columns)
             residuals -= y[:, None]
             max_abs = np.max(np.abs(residuals, out=residuals), axis=0)
-            slack = np.maximum(floor_slack, instance.rounding_tol(alphas))
+            slack = instance.rounding_tol(alphas)
         max_abs = max_abs[: chunk.size]
         # max |r| >= 0, so a feasible d is at least -slack.
         feasible = full_rank[si] & np.isfinite(max_abs) & (max_abs <= d + slack)
@@ -289,11 +269,14 @@ def compare_with_oracle(result: FitResult) -> OracleComparison:
     values; raises what ``brute_force_fit`` raises (TooLarge, NoCandidate).
 
     The fit agrees when its discrepancy is the oracle's within the
-    certificate's tolerance, ``FitResult.agreement_tol``: the optimum need
-    not be unique, and ``fit`` already ties its coefficients to its d, so
-    the coefficient gap is reported, not judged."""
-    oracle = brute_force_fit(result.instance)
+    rounding unit of its lifted coefficients, the certificate's tolerance
+    (``ProblemInstance.rounding_tol``): the optimum need not be unique, and
+    ``fit`` already ties its coefficients to its d, so the coefficient gap
+    is reported, not judged."""
+    instance = result.instance
+    oracle = brute_force_fit(instance)
     discrepancy_gap = abs(result.discrepancy - oracle.discrepancy)
     coefficient_gap = float(np.max(np.abs(result.coefficients - oracle.coefficients)))
-    agrees = discrepancy_gap <= result.agreement_tol / result.instance.value_scale
+    unit = instance.rounding_tol(result.lp_solution.primal[1:]) / instance.value_scale
+    agrees = discrepancy_gap <= unit
     return OracleComparison(oracle, discrepancy_gap, coefficient_gap, bool(agrees))

@@ -7,18 +7,18 @@ problem, ``ProblemInstance.lifted_design_and_values()``: the design is an
 orthonormal basis of the span of the weighted columns, and data below one
 are lifted so that max |w y| >= 1.  So each floor of 1 below is in the
 data's unit, and none has an absolute regime for small data or for a basis
-function's scale.  On data far above one, every verdict on a fit also
-allows ``ROUNDING_UNITS`` roundings of a lifted residual (``rounding_tol``):
-the LP's vertex check, fit's band, the certificate identities and the
-oracle's feasibility test and agreement.  Each constant is given as its
-question; the quantity it is relative to; its readers.
+function's scale.  Two computations of one number agree within
+``ROUNDING_UNITS`` roundings of a lifted residual (``rounding_tol``) alone:
+the certificate identities and the brute-force oracle's feasibility test
+and agreement.  The LP's vertex check and fit's band allow that too, where
+it is more than ``BAND_TOL``, as on data far above one.  Each constant is
+given as its question; the quantity it is relative to; its readers.
 """
 
 import numpy as np
 
 # A value-sized quantity that counts as zero; max(1, max |rhs|) in LP phase
-# 1, max(1, the de la Vallee Poussin floor) in the oracle's feasibility
-# test, or the lifted optimum itself in exact interpolation
+# 1, or the lifted optimum itself in exact interpolation
 # (``interpolates_exactly``).
 FEAS_TOL = 1e-9
 # A tableau entry too small to pivot on; absolute; the simplex.
@@ -42,20 +42,18 @@ RANK_TOL = 1e-10
 # final basis that rounds below zero by less is set to zero, one further
 # below fails the solve) and the certificate.
 MULTIPLIER_TOL = 1e-9
-# Agreement of two computations of one number (for the certificate
-# identities, sums of n products of order-one quantities); max(1, lifted d)
-# (``FitResult.agreement_tol``), or the larger of the two; the certificate
-# identities, the LP-vs-oracle discrepancy, the perturbation product formula.
+# Agreement of an interpolant's computed move with its closed form; the
+# larger of the two; the perturbation product formula (``perturbation_step``).
 AGREE_TOL = 1e-8
 # Interpolation nodes that are not distinct; their span; Lagrange
 # interpolation.
 NODE_GAP_TOL = 1e-12
-# How many roundings of one lifted residual a recomputed row or residual, a
-# certificate identity or a brute-force candidate may be off by, where that
-# is more than its floor above, as on data far above one; the rounding of a
-# residual of the coefficients at hand (``rounding_tol``); the LP's vertex
-# check, fit's residual-bound check and active band, the certificate
-# identities, and the oracle's feasibility test and agreement.
+# How many roundings of one lifted residual a certificate identity or a
+# brute-force candidate may be off by, and a recomputed row or residual
+# where that is more than BAND_TOL; the rounding of a residual of the
+# coefficients at hand (``rounding_tol``); the certificate identities, the
+# oracle's feasibility test and agreement, the LP's vertex check, and fit's
+# residual-bound check and active band.
 ROUNDING_UNITS = 64
 
 

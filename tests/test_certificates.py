@@ -108,6 +108,28 @@ def test_fabricated_beta_flags_sum_violation():
     assert not report.identities_ok
 
 
+def test_a_perturbed_beta_fails_within_the_rounding_unit():
+    # Moving 1e-9 of beta between two nonzero entries leaves gaps near
+    # 1e-9, below an absolute floor of AGREE_TOL but far above the rounding
+    # of a residual on data of order one; the report shows them.
+    x = np.linspace(0.0, 1.0, 30)
+    y = np.sin(3.0 * x) + 0.05 * np.random.default_rng(0).normal(0.0, 1.0, 30)
+    instance = ProblemInstance(
+        points=x[:, None], values=y, basis=parse_basis_spec("1, x, x^2", 1)
+    )
+    result, cert = fitted(instance)
+    assert verify_identities(cert, result, instance).identities_ok
+    beta = cert.beta.copy()
+    first, second = np.flatnonzero(beta)[:2]
+    beta[first] += 1e-9
+    beta[second] -= 1e-9
+    perturbed = dataclasses.replace(cert, beta=beta)
+    report = verify_identities(perturbed, result, instance)
+    assert not report.identities_ok
+    assert report.value_sum_gap == pytest.approx(8.4e-10, rel=0.01)
+    assert np.max(report.orthogonality_residuals) == pytest.approx(3.9e-10, rel=0.02)
+
+
 def test_combined_orthogonality_is_linear_in_the_rows():
     instance = hat_instance()
     result, cert = fitted(instance)

@@ -725,6 +725,22 @@ def test_verify_agrees_on_a_large_weighted_interpolation(tmp_path, capsys):
     assert report["oracle"]["agrees"] is True
 
 
+def test_verify_reports_the_optimum_of_a_near_tie(tmp_path, capsys):
+    # The pair (0, 3) levels at d = 0.49999999995, but its constant misses
+    # the point at 1 by 1e-10 beyond that d: it is no feasible candidate.
+    path = tmp_path / "tie.csv"
+    path.write_text("x,y\n0,0\n1,1\n2,0.5\n3,0.9999999999\n")
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(path), "--basis", "1", "--verify"
+    )
+    assert code == 0, err
+    oracle = json.loads(out)["oracle"]
+    assert oracle["discrepancy"] == 0.5
+    assert oracle["witness_subset"] == [0, 1]
+    assert oracle["discrepancy_gap"] == 0.0
+    assert oracle["agrees"] is True
+
+
 def test_csv_with_a_byte_order_mark(tmp_path, capsys):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfx,y\n0,0\n1,1\n")

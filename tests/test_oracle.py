@@ -10,9 +10,10 @@ from equifit.basis import parse_basis_spec, singular_value_rank
 from equifit.errors import NoCandidate, TooLarge
 from equifit.fitting import ProblemInstance, fit, objective_value
 from equifit.oracle import (
+    _factor,
+    _pseudo_inverses,
     brute_force_fit,
     compare_with_oracle,
-    factor_witness_subsets,
 )
 from equifit.tolerances import AGREE_TOL, FEAS_TOL
 
@@ -182,6 +183,23 @@ def test_offset_data_are_judged_in_their_rounding_unit():
     assert compare_with_oracle(fit(instance)).agrees
 
 
+def test_the_oracle_judges_a_near_tie_in_the_candidates_rounding_unit():
+    # The pair (0, 3) levels at d = 0.49999999995, but its constant misses
+    # the point at 1 by 1e-10 more than that d: within an absolute slack of
+    # FEAS_TOL, far outside the rounding of a residual.  The optimum is the
+    # midrange of 0 and 1.
+    instance = ProblemInstance(
+        points=[[0.0], [1.0], [2.0], [3.0]],
+        values=[0.0, 1.0, 0.5, 0.9999999999],
+        basis=parse_basis_spec("1", 1),
+    )
+    result = brute_force_fit(instance)
+    assert result.discrepancy == 0.5
+    assert result.witness_subset == (0, 1)
+    assert result.witness_signs == (-1, 1)
+    assert objective_value(instance, result.coefficients) == 0.5
+
+
 def test_compare_with_oracle_judges_optimality_not_the_coefficients():
     # The two points at x = 0 fix d = 1 and the constant at 1; any slope in
     # [3, 5] is optimal too, so the optimum is not unique.
@@ -221,6 +239,24 @@ def test_rank_deficient_bases_report_no_candidate():
             brute_force_fit(instance)
 
 
+def _factor_blocks(blocks):
+    """Factor a stack of witness blocks G_S, shape (k, m+1, m), once each,
+    as the oracle's scan does.
+
+    Returns ``(null_vectors, pseudo_inverses, full_rank)``: the unit vectors
+    lam, shape (k, m+1), with G_S^T lam = 0; the pseudo-inverses
+    G_S^+ = R^-1 Q_1^T, shape (k, m, m+1); and a mask of the blocks whose R
+    has no zero on its diagonal (outside it the pseudo-inverse is not
+    finite).  For any sign pattern s, [G_S | s][alpha; d] = y_S is singular
+    exactly when the block is outside the mask or lam^T s = 0; otherwise
+    d = lam^T y_S / lam^T s and alpha = G_S^+ (y_S - d s).
+    """
+    a = np.transpose(np.asarray(blocks, dtype=float), (2, 1, 0)).copy()
+    diagonal, lam, full_rank = _factor(a)
+    with np.errstate(all="ignore"):
+        return lam, _pseudo_inverses(a, diagonal, slice(None)), full_rank
+
+
 def _monomial_blocks(rng, count, m, clustered=False, weighted=False):
     """``count`` witness blocks (m+1 points, basis 1, x, ..., x^(m-1)), with
     points in [-1, 1] or clustered in a width of 1e-4, rows optionally
@@ -239,11 +275,11 @@ def test_factors_do_not_depend_on_the_stack():
     for m in range(1, 5):
         blocks = _monomial_blocks(rng, 40, m, weighted=True)
         blocks[3, :, m - 1] = 0.0
-        full = factor_witness_subsets(blocks)
+        full = _factor_blocks(blocks)
         order = rng.permutation(40)[:17]
-        shuffled = factor_witness_subsets(blocks[order])
+        shuffled = _factor_blocks(blocks[order])
         for k, i in enumerate(order):
-            alone = factor_witness_subsets(blocks[i : i + 1])
+            alone = _factor_blocks(blocks[i : i + 1])
             for whole, part, single in zip(full, shuffled, alone):
                 assert np.array_equal(whole[i], part[k], equal_nan=True)
                 assert np.array_equal(whole[i], single[0], equal_nan=True)
@@ -258,7 +294,7 @@ def test_factors_match_lapack_qr(clustered, weighted):
     eps = np.finfo(float).eps
     for m in range(1, 5):
         blocks = _monomial_blocks(rng, 200, m, clustered, weighted)
-        lam, pinv, full_rank = factor_witness_subsets(blocks)
+        lam, pinv, full_rank = _factor_blocks(blocks)
         assert np.all(full_rank)
         size = np.linalg.norm(blocks, ord=2, axis=(1, 2))
         cond = np.linalg.cond(blocks)
@@ -281,7 +317,7 @@ def test_a_block_with_a_zero_column_is_never_a_witness():
         basis=parse_basis_spec("1, x", 1),
     )
     block = instance.design()[[0, 1, 2]][None]
-    lam, pinv, full_rank = factor_witness_subsets(block)
+    lam, pinv, full_rank = _factor_blocks(block)
     assert not full_rank[0]
     assert not np.all(np.isfinite(pinv))
     assert np.linalg.norm(lam[0]) == pytest.approx(1.0, abs=1e-14)
@@ -397,14 +433,13 @@ def _full_scan(instance):
     in one matrix product, as the oracle did before it skipped the
     candidates below the floor; returns the first minimum in enumeration
     order, mapped back as the oracle maps it, or None.  A candidate is
-    feasible, as in the oracle, when its max |r| is within FEAS_TOL *
-    max(1, H) of its d, H the de la Vallee Poussin floor, or within the
-    rounding unit of its own lifted coefficients where that is more."""
+    feasible, as in the oracle, when its max |r| is within the rounding
+    unit of its own lifted coefficients of its d."""
     g, y = instance.lifted_design_and_values()
     n, m = instance.n, instance.m
     subsets = np.array(list(itertools.combinations(range(n), m + 1)))
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m + 1)))
-    lam, pinv, full_rank = factor_witness_subsets(g[subsets])
+    lam, pinv, full_rank = _factor_blocks(g[subsets])
     y_s = y[subsets]
     lam_signs = lam @ signs.T
     solvable = full_rank[:, None] & (lam_signs != 0.0)
@@ -415,14 +450,7 @@ def _full_scan(instance):
         residuals = g @ alphas.reshape(m, -1)
         residuals -= y[:, None]
         max_abs = np.max(np.abs(residuals), axis=0).reshape(ds.shape)
-        lam_y = np.sum(lam * y_s, axis=1)
-        floor = np.max(
-            np.abs(lam_y) / np.sum(np.abs(lam), axis=1), where=full_rank, initial=0.0
-        )
-        slack = np.maximum(
-            FEAS_TOL * max(1.0, floor),
-            instance.rounding_tol(np.moveaxis(alphas, 0, -1)),
-        )
+        slack = instance.rounding_tol(np.moveaxis(alphas, 0, -1))
         feasible = solvable & np.isfinite(max_abs) & (max_abs <= ds + slack)
     if not np.any(feasible):
         return None

@@ -78,4 +78,11 @@ def test_census_counts_a_slice_within_its_limits(capsys):
         "offset: 20 fits, 0 raised, 0 skipped by the oracle, 0 where the oracle "
         "disagrees" in out
     )
+    # A candidate must meet its own d within its rounding unit, so no near
+    # tie is answered below the optimum (all 20 were when the slack was
+    # FEAS_TOL * max(1, H)).
+    assert (
+        "near-tie: 20 fits, 0 raised, 0 skipped by the oracle, 0 where the "
+        "oracle's d is below the fit's" in out
+    )
     assert all(counts[name] <= limit for name, limit in census["LIMITS"].items())
