@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the fits that fail on four robustness families, and exit 1 when
+"""Count the fits that fail on six robustness families, and exit 1 when
 a count is above its limit.
 
 * ``grid_smooth``: the benchmark's noiseless sin, exp and Runge fits
@@ -43,6 +43,14 @@ a count is above its limit.
   rounding unit (``ProblemInstance.rounding_tol`` of its lifted
   coefficients, in data units): a candidate that misses its own d by
   more than rounding.
+* ``tiny-scale``: 400 instances drawn from ``default_rng(13)``, in this
+  order: n = integers(6, 16), m = integers(1, 5), x = uniform(0, 1, n),
+  k = integers(1000, 1061) and y = ldexp(normal(0, 1, n), -k), with the
+  monomials 1, x, ..., x^(m-1): values from 2^-1000 down into the
+  subnormals.  Counts the fits that raise, those flagged as exact
+  interpolations, the others not ``low_rank`` whose certificate fails, and
+  of all fits returned those the brute-force oracle skips and those on
+  which it disagrees with the fit.
 
 Prints one line per family and exits 1 when a count exceeds ``LIMITS``:
 
@@ -65,6 +73,7 @@ SHIFT_INSTANCES = 300
 LARGE_Y_INSTANCES = 400
 OFFSET_INSTANCES = 400
 NEAR_TIE_INSTANCES = 400
+TINY_SCALE_INSTANCES = 400
 
 # The counts at or below which the census passes.  At c = 1000 the rank
 # rule finds 121 cubics rank-deficient, and their fits are the worse ones;
@@ -72,6 +81,8 @@ NEAR_TIE_INSTANCES = 400
 # identities allow 64 rounding units of the lifted residual, and the oracle
 # agrees on every offset fit, and answers no near tie below the optimum,
 # since its feasibility test and agreement read the rounding unit alone.
+# The tiny-scale counts guard what is known: the lift of the values stops
+# at 2^-1023, so below that the fits judge numbers that have lost bits.
 LIMITS = {
     "grid_smooth raised": 1,
     "grid_smooth above d": 0,
@@ -96,6 +107,11 @@ LIMITS = {
     "near-tie raised": 0,
     "near-tie skipped": 0,
     "near-tie below": 0,
+    "tiny-scale raised": 0,
+    "tiny-scale exact": 42,
+    "tiny-scale uncertified": 124,
+    "tiny-scale skipped": 0,
+    "tiny-scale disagree": 4,
 }
 
 
@@ -275,6 +291,43 @@ def near_tie(count=NEAR_TIE_INSTANCES):
     return count, raised, skipped, below
 
 
+def tiny_scale_instances(count=TINY_SCALE_INSTANCES):
+    """(x, y, basis) of the tiny-scale family, drawn in order."""
+    from equifit.generators import monomial_basis
+
+    rng = np.random.default_rng(13)
+    for _ in range(count):
+        n = int(rng.integers(6, 16))
+        m = int(rng.integers(1, 5))
+        x = rng.uniform(0.0, 1.0, n)
+        k = int(rng.integers(1000, 1061))
+        y = np.ldexp(rng.normal(0.0, 1.0, n), -k)
+        yield x, y, monomial_basis(m)
+
+
+def tiny_scale(count=TINY_SCALE_INSTANCES):
+    """(fits, raised, exact, uncertified, skipped, disagree) over the
+    tiny-scale family."""
+    import equifit as ef
+    from equifit.oracle import compare_with_oracle
+
+    raised = exact = uncertified = skipped = disagree = 0
+    for x, y, basis in tiny_scale_instances(count):
+        try:
+            result = ef.fit(ef.ProblemInstance(points=x[:, None], values=y, basis=basis))
+        except ef.EquifitError:
+            raised += 1
+            continue
+        exact += result.exact_interpolation
+        if not (result.low_rank or result.exact_interpolation):
+            uncertified += not _certifies(result)
+        try:
+            disagree += not compare_with_oracle(result).agrees
+        except ef.EquifitError:
+            skipped += 1
+    return count, raised, exact, uncertified, skipped, disagree
+
+
 def run(src=ROOT / "src", seeds=GRID_SEEDS, blocks=GRID_BLOCKS, count=None):
     """Print one line per family; return the counts named as in LIMITS.
     ``count`` takes the first instances of each drawn family (all of them
@@ -324,6 +377,15 @@ def run(src=ROOT / "src", seeds=GRID_SEEDS, blocks=GRID_BLOCKS, count=None):
     )
     names = ("raised", "skipped", "below")
     counts.update(zip([f"near-tie {name}" for name in names], found[1:]))
+    found = tiny_scale(count or TINY_SCALE_INSTANCES)
+    fits, raised, exact, uncertified, skipped, disagree = found
+    print(
+        f"tiny-scale: {fits} fits, {raised} raised, {exact} exact, "
+        f"{uncertified} uncertified, {skipped} skipped by the oracle, "
+        f"{disagree} where the oracle disagrees"
+    )
+    names = ("raised", "exact", "uncertified", "skipped", "disagree")
+    counts.update(zip([f"tiny-scale {name}" for name in names], found[1:]))
     return counts
 
 

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
 )
 from .fitting import FitResult, ProblemInstance, fit
-from .tolerances import AGREE_TOL, NODE_GAP_TOL
+from .tolerances import rounding_tol
 
 
 @dataclass
@@ -71,20 +71,21 @@ class LagrangePolynomial:
 def lagrange_interpolate(nodes, values) -> LagrangePolynomial:
     """Interpolant through (nodes, values); nodes must be pairwise distinct.
 
-    Distinctness is judged against the node span: a gap at or below
-    1e-12 * span raises DuplicateNodeError.
+    Distinctness is judged in the nodes' rounding unit: a gap at or below
+    ``rounding_tol(max |nodes|, 0, 0)``, 64 roundings of their magnitude,
+    raises DuplicateNodeError.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     if nodes.ndim != 1 or nodes.shape != values.shape:
         raise DimensionError("nodes and values must be one-dimensional and equal length")
     if len(nodes) > 1:
-        span = float(np.max(nodes) - np.min(nodes))
-        order = np.sort(nodes)
-        min_gap = float(np.min(np.diff(order)))
-        if min_gap <= NODE_GAP_TOL * span:
+        min_gap = float(np.min(np.diff(np.sort(nodes))))
+        unit = float(rounding_tol(np.max(np.abs(nodes)), 0.0, 0.0))
+        if min_gap <= unit:
             raise DuplicateNodeError(
-                f"nodes are not distinct: minimum gap {min_gap!r} over span {span!r}"
+                f"nodes are not distinct: minimum gap {min_gap!r} within their "
+                f"rounding unit {unit!r}"
             )
     weights = np.ones(len(nodes))
     for k in range(len(nodes)):
@@ -226,7 +227,11 @@ def perturbation_step(
 
     which is positive for an adjacent pair: no node lies between z[j] and
     z[j+1], so every factor is positive.  Returns the directly computed
-    difference, the closed form, and whether they agree to 1e-8 relative.
+    difference, the closed form, and whether they agree within the rounding
+    unit of the three numbers compared, ``rounding_tol(|f[j+1]| + |formula|,
+    1, l * b)``: the interpolant's value sum_k l_k b_k at z[j+1], with l_k
+    from its barycentric weights and b the bumped values, the candidate's
+    value there, and the closed form.
     The candidate sits at q - d * s, the band of unit weights, so a
     weighted instance raises PreconditionError.
     """
@@ -248,8 +253,13 @@ def perturbation_step(
     product = float(np.prod((z[j + 1] - z[others]) / (z[j] - z[others])))
     formula = epsilon * product
 
-    denom = max(abs(difference), abs(formula))
-    agrees = denom == 0.0 or abs(difference - formula) <= AGREE_TOL * denom
+    # The rounding of the interpolant's barycentric value sum_k l_k b_k at
+    # z[j+1], and of the two numbers it is compared with.
+    terms = perturbed.weights / (z[j + 1] - perturbed.nodes)
+    unit = rounding_tol(
+        abs(f_vals[j + 1]) + abs(formula), 1.0, terms / np.sum(terms) * bumped
+    )
+    agrees = abs(difference - formula) <= unit
     return PerturbationStep(
         new_value=new_value,
         difference=difference,

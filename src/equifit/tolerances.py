@@ -11,8 +11,12 @@ function's scale.  Two computations of one number agree within
 ``ROUNDING_UNITS`` roundings of a lifted residual (``rounding_tol``) alone:
 the certificate identities and the brute-force oracle's feasibility test
 and agreement.  The LP's vertex check and fit's band allow that too, where
-it is more than ``BAND_TOL``, as on data far above one.  Each constant is
-given as its question; the quantity it is relative to; its readers.
+it is more than ``BAND_TOL``, as on data far above one.  The perturbation
+analysis reads the same unit of its own numbers: an interpolant's move
+agrees with its closed form within the rounding of the values compared,
+and interpolation nodes are distinct when their gaps exceed the rounding
+of their magnitude.  Each constant is given as its question; the quantity
+it is relative to; its readers.
 """
 
 import numpy as np
@@ -42,18 +46,16 @@ RANK_TOL = 1e-10
 # final basis that rounds below zero by less is set to zero, one further
 # below fails the solve) and the certificate.
 MULTIPLIER_TOL = 1e-9
-# Agreement of an interpolant's computed move with its closed form; the
-# larger of the two; the perturbation product formula (``perturbation_step``).
-AGREE_TOL = 1e-8
-# Interpolation nodes that are not distinct; their span; Lagrange
-# interpolation.
-NODE_GAP_TOL = 1e-12
 # How many roundings of one lifted residual a certificate identity or a
 # brute-force candidate may be off by, and a recomputed row or residual
 # where that is more than BAND_TOL; the rounding of a residual of the
 # coefficients at hand (``rounding_tol``); the certificate identities, the
 # oracle's feasibility test and agreement, the LP's vertex check, and fit's
-# residual-bound check and active band.
+# residual-bound check and active band.  Also how far an interpolant's move
+# may be from its closed form, in roundings of the interpolated value and
+# the two it is compared with (``perturbation_step``), and how close two
+# interpolation nodes may come, in roundings of their largest magnitude
+# (``lagrange_interpolate``).
 ROUNDING_UNITS = 64
 
 
@@ -65,7 +67,8 @@ def interpolates_exactly(discrepancy):
 def rounding_tol(max_value, max_design, coefficients):
     """ROUNDING_UNITS * u, with u = eps * (max |values| + max |design| *
     ||coefficients||_1) the rounding of one residual: the data's own unit
-    (the LP's vertex check, fit's band, the certificate, the oracle).  The
+    (the LP's vertex check, fit's band, the certificate, the oracle, the
+    perturbation analysis and its interpolation nodes).  The
     factor multiplies each term first, so that the rule stays finite at the
     float limit; arrays of maxima, or a stack of coefficient vectors, one
     per row, give one unit each."""

@@ -110,8 +110,8 @@ def test_fabricated_beta_flags_sum_violation():
 
 def test_a_perturbed_beta_fails_within_the_rounding_unit():
     # Moving 1e-9 of beta between two nonzero entries leaves gaps near
-    # 1e-9, below an absolute floor of AGREE_TOL but far above the rounding
-    # of a residual on data of order one; the report shows them.
+    # 1e-9, far above the rounding of a residual on data of order one; the
+    # identities fail and the report shows the gaps.
     x = np.linspace(0.0, 1.0, 30)
     y = np.sin(3.0 * x) + 0.05 * np.random.default_rng(0).normal(0.0, 1.0, 30)
     instance = ProblemInstance(

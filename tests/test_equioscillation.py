@@ -168,6 +168,19 @@ def test_lagrange_duplicate_nodes_rejected():
         lagrange_interpolate([0.0, 1.0, 1.0 + 1e-15], [1.0, 2.0, 3.0])
 
 
+def test_lagrange_refuses_nodes_one_rounding_apart_far_from_zero():
+    # The gap, one ulp of 1e8, is 1.5e-8: far below the 1.4e-6 rounding unit
+    # of nodes near 1e8.
+    with pytest.raises(DuplicateNodeError, match="rounding unit"):
+        lagrange_interpolate([1e8, np.nextafter(1e8, np.inf)], [1.0, 2.0])
+
+
+def test_lagrange_accepts_a_gap_above_the_rounding_unit():
+    # A gap of 1e-13 is 7 rounding units of nodes of magnitude one.
+    poly = lagrange_interpolate([0.0, 1e-13, 1.0], [0.0, 1e-13, 1.0])
+    assert poly(0.5) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_lagrange_reproduces_node_values():
     rng = np.random.default_rng(41)
     nodes = np.sort(rng.uniform(-1, 1, 6))
@@ -221,6 +234,36 @@ def test_perturbation_linear_in_epsilon():
     assert large.product_formula_value == pytest.approx(
         2 * small.product_formula_value, rel=1e-12
     )
+
+
+def same_sided_line():
+    """Values 0.75, 1.25, 0.75 at 0, 1, 2 around the line 0.25 + 0.5 x at
+    d = 0.5, with the pair (0, 1) on one side."""
+    instance = ProblemInstance(
+        points=[[0.0], [1.0], [2.0]],
+        values=[0.75, 1.25, 0.75],
+        basis=parse_basis_spec("1, x", 1),
+    )
+    return instance, ReferenceSet((0, 1, 2), (1, 1, -1), 0.5)
+
+
+def test_a_small_bump_agrees_within_the_rounding_unit():
+    # At 1e-9 the move is 5.000000413701855e-10 against 5e-10: one rounding
+    # of values near one, yet 8e-8 of the move itself.
+    instance, reference = same_sided_line()
+    for epsilon in (0.05, 1e-6, 1e-9):
+        step = perturbation_step(reference, instance, 0, epsilon)
+        assert step.product_formula_value == pytest.approx(epsilon / 2, rel=1e-15)
+        assert step.agrees
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-9, 1e-12])
+def test_perturbation_agrees_on_random_configs_at_small_epsilon(scale):
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        instance, reference, pair, _ = same_sided_reference_config(rng)
+        epsilon = scale * reference.discrepancy
+        assert perturbation_step(reference, instance, pair, epsilon).agrees
 
 
 def test_perturbation_requires_same_sided_pair():
