@@ -39,10 +39,9 @@ a count is above its limit.
   then the second-largest y is set to the largest minus
   10.0 ** uniform(-12, -9.5), and the basis is the constant.  Counts the
   fits that raise, and of the others those the brute-force oracle skips
-  and those where its d is below the fit's by more than the fit's
+  and those where its lifted d is below the fit's by more than the fit's
   rounding unit (``ProblemInstance.rounding_tol`` of its lifted
-  coefficients, in data units): a candidate that misses its own d by
-  more than rounding.
+  coefficients): a candidate that misses its own d by more than rounding.
 * ``tiny-scale``: 400 instances drawn from ``default_rng(13)``, in this
   order: n = integers(6, 16), m = integers(1, 5), x = uniform(0, 1, n),
   k = integers(1000, 1061) and y = ldexp(normal(0, 1, n), -k), with the
@@ -81,8 +80,9 @@ TINY_SCALE_INSTANCES = 400
 # identities allow 64 rounding units of the lifted residual, and the oracle
 # agrees on every offset fit, and answers no near tie below the optimum,
 # since its feasibility test and agreement read the rounding unit alone.
-# The tiny-scale counts guard what is known: the lift of the values stops
-# at 2^-1023, so below that the fits judge numbers that have lost bits.
+# The lifts of the values and of the columns are uncapped powers of two,
+# and every check reads the lifted numbers, so values down into the
+# subnormals fit, certify and agree with the oracle like any others.
 LIMITS = {
     "grid_smooth raised": 1,
     "grid_smooth above d": 0,
@@ -108,10 +108,10 @@ LIMITS = {
     "near-tie skipped": 0,
     "near-tie below": 0,
     "tiny-scale raised": 0,
-    "tiny-scale exact": 42,
-    "tiny-scale uncertified": 124,
+    "tiny-scale exact": 0,
+    "tiny-scale uncertified": 0,
     "tiny-scale skipped": 0,
-    "tiny-scale disagree": 4,
+    "tiny-scale disagree": 0,
 }
 
 
@@ -286,8 +286,9 @@ def near_tie(count=NEAR_TIE_INSTANCES):
         except ef.EquifitError:
             skipped += 1
             continue
-        unit = float(instance.rounding_tol(result.lp_solution.primal[1:]))
-        below += result.discrepancy - oracle.discrepancy > unit / instance.value_scale
+        fit_d = max(result.lp_solution.objective_value, 0.0)
+        unit = instance.rounding_tol(result.lp_solution.primal[1:])
+        below += fit_d - oracle.lifted_discrepancy > unit
     return count, raised, skipped, below
 
 

@@ -23,8 +23,9 @@ Every identity is judged on ``ProblemInstance.lifted_design_and_values()``
 and the fit's lifted solution, ``FitResult.lp_solution``, and lifted
 residuals, against the rounding unit of the fit's lifted coefficients,
 ``ProblemInstance.rounding_tol``, the rule the oracle comparison reads
-too; value-sized gaps are reported in data units, and orthogonality per
-direction of the span (m entries at full rank).
+too; value-sized gaps are reported in data units
+(``ProblemInstance.data_units``), and orthogonality per direction of the
+span (m entries at full rank).
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ from .tolerances import MULTIPLIER_TOL, RANK_TOL, interpolates_exactly
 
 @dataclass
 class DualCertificate:
-    """Nonnegative row multipliers of a solved fit; their masses on the
-    overshoot (even) and undershoot (odd) rows are read off ``beta``."""
+    """Nonnegative row multipliers of a solved fit and the lifted dual
+    objective; their masses on the overshoot (even) and undershoot (odd)
+    rows are read off ``beta``."""
 
     beta: np.ndarray
     dual_objective: float
@@ -108,7 +110,7 @@ def extract_certificate(
     _require_analyzable(exact, instance.rank < instance.m)
     return DualCertificate(
         beta=solution.dual.copy(),
-        dual_objective=float(solution.dual_objective) / instance.value_scale,
+        dual_objective=float(solution.dual_objective),
     )
 
 
@@ -133,16 +135,14 @@ def verify_identities(
 
     # Value-sized gaps are judged lifted and reported in data units.
     g, y = instance.lifted_design_and_values()
-    lift = instance.value_scale
     alpha = fit_result.lp_solution.primal[1:]
     d = fit_result.lp_solution.objective_value
     b_over = cert.beta[0::2]
     b_under = cert.beta[1::2]
-    # The fit's own lifted residual; the power of two scales back exactly.
-    residual = fit_result.scaled_residuals * lift
+    residual = fit_result.lifted_residuals
     tol = instance.rounding_tol(alpha)
 
-    strong_duality_gap = abs(cert.dual_objective * lift - d)
+    strong_duality_gap = abs(cert.dual_objective - d)
     beta_sum_residual = abs(float(np.sum(cert.beta)) - 1.0)
 
     # Optimal-value identity; holds with the undershoot sum leading.  The
@@ -160,7 +160,7 @@ def verify_identities(
     # residual at -d makes the overshoot row tight, one at +d the undershoot.
     active = list(fit_result.active_points)
     touch = np.zeros((instance.n, 2), dtype=bool)
-    touch[active] = fit_result.scaled_residuals[active, None] * [-1.0, 1.0] > 0
+    touch[active] = residual[active, None] * [-1.0, 1.0] > 0
     violations = int(np.sum((cert.beta > MULTIPLIER_TOL) & ~touch.ravel()))
 
     active_count = len(fit_result.active_points)
@@ -188,12 +188,12 @@ def verify_identities(
         "the reversed orientation equals minus the discrepancy",
     )
     return CertificateReport(
-        strong_duality_gap=strong_duality_gap / lift,
+        strong_duality_gap=float(instance.data_units(strong_duality_gap)),
         beta_sum_residual=beta_sum_residual,
-        value_sum_gap=value_sum_gap / lift,
+        value_sum_gap=float(instance.data_units(value_sum_gap)),
         orthogonality_residuals=np.abs(orthogonality),
-        combined_orthogonality_residual=combined / lift,
-        residual_pairing_gap=residual_pairing_gap / lift,
+        combined_orthogonality_residual=float(instance.data_units(combined)),
+        residual_pairing_gap=float(instance.data_units(residual_pairing_gap)),
         complementarity_violations=violations,
         active_point_count=active_count,
         active_count_ok=active_count_ok,
@@ -205,7 +205,7 @@ def verify_identities(
 
 def check_active_point_count(fit_result: FitResult, m: int) -> bool:
     """True when at least m + 1 points sit at the discrepancy, all of them
-    within the active tolerance.
+    within the band: lifted residuals against the LP's d, floored at zero.
 
     This is the vertex structure of the fit: with m + 1 unknowns, an
     optimal basic solution pins that many rows.
@@ -214,10 +214,9 @@ def check_active_point_count(fit_result: FitResult, m: int) -> bool:
     active = fit_result.active_points
     if len(active) < m + 1:
         return False
-    gaps = np.abs(
-        np.abs(fit_result.scaled_residuals[list(active)]) - fit_result.discrepancy
-    )
-    return bool(np.max(gaps) <= fit_result.active_tol)
+    d = max(fit_result.lp_solution.objective_value, 0.0)
+    gaps = np.abs(np.abs(fit_result.lifted_residuals[list(active)]) - d)
+    return bool(np.max(gaps) <= fit_result.band)
 
 
 def check_two_sided(fit_result: FitResult, cert: DualCertificate) -> bool:
@@ -242,7 +241,7 @@ def check_two_sided(fit_result: FitResult, cert: DualCertificate) -> bool:
         )
     _require_analyzable(fit_result.exact_interpolation, fit_result.low_rank)
 
-    touching = fit_result.scaled_residuals[list(fit_result.active_points)]
+    touching = fit_result.lifted_residuals[list(fit_result.active_points)]
     has_undershoot = bool(np.any(touching > 0))
     has_overshoot = bool(np.any(touching < 0))
     halves = (

@@ -151,7 +151,7 @@ def _certificate_block(result, instance):
     block = report.to_dict()
     block["overshoot_mass"] = cert.overshoot_sum
     block["undershoot_mass"] = cert.undershoot_sum
-    block["dual_objective"] = cert.dual_objective
+    block["dual_objective"] = float(instance.data_units(cert.dual_objective))
     return block
 
 

@@ -32,7 +32,7 @@ class ReferenceSet:
     """Active points of a 1-D fit, sorted by coordinate, with residual signs.
 
     ``indices`` point into the instance; ``signs`` are +-1 per entry (sign
-    of the scaled residual); ``discrepancy`` is the band width.  Instances
+    of the lifted residual); ``discrepancy`` is the band width.  Instances
     may also be built by hand to probe hypothetical configurations.
     """
 
@@ -124,7 +124,7 @@ def alternation_pattern(
         raise PreconditionError("fit does not belong to this instance")
     indices = _sorted_active(fit_result, instance)
     signs = tuple(
-        1 if fit_result.scaled_residuals[i] >= 0 else -1 for i in indices
+        1 if fit_result.lifted_residuals[i] >= 0 else -1 for i in indices
     )
     alternates = all(a == -b for a, b in zip(signs, signs[1:]))
     return ReferenceSet(

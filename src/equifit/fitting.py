@@ -43,27 +43,30 @@ class ProblemInstance:
 
     The optimum depends only on the span of the weighted design's columns,
     so the lifted problem is posed on an orthonormal basis of that span.
-    Each weighted column is first scaled by the power of two (at most
-    2^1023) that puts its largest magnitude in [1, 2), so that no basis
-    function's scale decides the rank; one SVD, U S V^T, of that design
-    then gives the rank r (``singular_value_rank``), the lifted design U_r
-    and the map back.  At full rank the map back is V_r S_r^-1.  Below it,
-    the first r columns, in basis order, that one Gram-Schmidt pass over
-    the rows of V_r finds independent under ``RANK_TOL`` carry the fit, and
-    every other column's coefficient is 0.  ``value_scale`` is 1 unless
-    max |w y| is below one; then it is the power of two (at most 2^1023)
-    that lifts it into [1, 2).  The tolerances are absolute, so the fit LP,
-    the certificate and the oracle read the pair
-    ``lifted_design_and_values()``, and none depends on a basis function's
-    scale or the data's: coefficients map back by ``basis_coefficients``,
-    and d by ``reported_discrepancy``.
+    Each weighted column is first scaled by the power of two that puts its
+    largest magnitude in [1, 2), so that no basis function's scale decides
+    the rank; one SVD, U S V^T, of that design then gives the rank r
+    (``singular_value_rank``), the lifted design U_r and the map back.  At
+    full rank the map back is V_r S_r^-1.  Below it, the first r columns,
+    in basis order, that one Gram-Schmidt pass over the rows of V_r finds
+    independent under ``RANK_TOL`` carry the fit, and every other column's
+    coefficient is 0.  The weighted values are lifted by 2^k, k =
+    ``value_exponent``: 0 unless max |w y| is below one, and then the
+    exponent that puts it in [1, 2).  Neither power of two is capped, and
+    both are applied by ``np.ldexp``, exact barring overflow, which the
+    lift into [1, 2) rules out.  The tolerances are absolute, so the fit
+    LP, the certificate and the oracle read the pair
+    ``lifted_design_and_values()`` and judge lifted numbers alone, and none
+    depends on a basis function's scale or the data's.  Data units are a
+    view of the lifted numbers: coefficients map back by
+    ``basis_coefficients``, and every value-sized number by ``data_units``.
     """
 
     points: np.ndarray
     values: np.ndarray
     basis: BasisSet
     weights: np.ndarray | None = None
-    value_scale: float = field(init=False, repr=False)
+    value_exponent: int = field(init=False, repr=False)
     rank: int = field(init=False)
 
     @classmethod
@@ -121,16 +124,15 @@ class ProblemInstance:
                     "weighted design and values must be finite: a weight "
                     "times a design entry or value overflows"
                 )
-        exponent = np.frexp(np.max(np.abs(g), axis=0))[1]
-        column_scale = np.ldexp(1.0, np.minimum(1 - exponent, 1023))
-        exponent = np.frexp(np.max(np.abs(y)) or 1.0)[1]
-        self.value_scale = float(np.ldexp(1.0, np.clip(1 - exponent, 0, 1023)))
-        g *= column_scale
+        column_exponents = 1 - np.frexp(np.max(np.abs(g), axis=0))[1]
+        top = np.max(np.abs(y)) or 1.0
+        k = self.value_exponent = max(0, 1 - int(np.frexp(top)[1]))
+        np.ldexp(g, column_exponents, out=g)
         u, sigma, vt = np.linalg.svd(g, full_matrices=False)
         del g  # U_r is the one n x m array the instance keeps
         self.rank = r = singular_value_rank(sigma)
         max_design = float(np.max(np.abs(u[:, :r]), initial=0.0))
-        self._lifted = (u[:, :r], y * self.value_scale)
+        self._lifted = (u[:, :r], np.ldexp(y, k))
         self._maxima = (float(np.max(np.abs(self._lifted[1]))), max_design)
         v_r = vt[:r].T
         span_map = v_r / sigma[:r]
@@ -144,7 +146,7 @@ class ProblemInstance:
                     q = np.column_stack([q, rest / norm])
             span_map = np.zeros_like(span_map)
             span_map[picked] = np.linalg.solve(v_r[picked].T, np.diag(1.0 / sigma[:r]))
-        self._to_basis = (span_map, column_scale / self.value_scale)
+        self._to_basis = (span_map, column_exponents - k)
 
     @property
     def n(self) -> int:
@@ -168,16 +170,17 @@ class ProblemInstance:
 
     def lifted_design_and_values(self) -> tuple[np.ndarray, np.ndarray]:
         """U_r, the orthonormal basis of the span (n x rank), and the
-        weighted values times ``value_scale``: the problem every check of a
-        fit reads."""
+        weighted values times 2^``value_exponent``: the problem every check
+        of a fit reads."""
         return self._lifted
 
     def basis_coefficients(self, lifted: np.ndarray) -> np.ndarray:
         """Map coefficients of the lifted design's columns to the basis's:
-        V_r S_r^-1 maps them to the scaled columns', then one exact factor
-        of powers of two, last, so that no intermediate product overflows."""
-        span_map, unscale = self._to_basis
-        return (span_map @ lifted) * unscale
+        V_r S_r^-1 maps them to the scaled columns', then one power of two
+        per column, its exponent less ``value_exponent``, applied last by
+        ``np.ldexp``, so that no intermediate product overflows."""
+        span_map, exponents = self._to_basis
+        return np.ldexp(span_map @ lifted, exponents)
 
     def rounding_tol(self, lifted: np.ndarray):
         """``tolerances.rounding_tol`` of lifted coefficients, or of a stack
@@ -185,42 +188,63 @@ class ProblemInstance:
         values| taken once, here."""
         return rounding_tol(*self._maxima, lifted)
 
+    def data_units(self, lifted):
+        """A value-sized lifted number, or array of them, in data units:
+        times 2^-``value_exponent``, the one map of the value lift back.
+        Exact unless the data-unit number is subnormal, where it rounds, as
+        the data do; no check of a fit reads it."""
+        return np.ldexp(lifted, -self.value_exponent)
+
     def reported_discrepancy(self, lifted_d: float) -> float:
         """Map a lifted discrepancy to data units: floored at zero, as a
-        maximum of absolute values is, then divided by ``value_scale``.  A
-        lifted d below zero is rounding around an exact interpolation."""
-        return max(lifted_d, 0.0) / self.value_scale
+        maximum of absolute values is, then ``data_units``.  A lifted d
+        below zero is rounding around an exact interpolation."""
+        return float(self.data_units(max(lifted_d, 0.0)))
 
 
 @dataclass
 class FitResult:
     """Coefficients and discrepancy of a solved instance.
 
-    ``scaled_residuals`` fold in the weights and are what the discrepancy
-    bounds: the LP's own lifted residuals, y - U_r alpha, divided by
-    ``value_scale``, which every check of the fit reads.  ``residuals`` are
-    the gaps value - combination in data units, for the report: the scaled
-    residuals divided by the weight where it is positive (unweighted, the
-    same array), and value minus the design row times the coefficients at
-    a zero-weight point, the one place the design is evaluated again.
-    ``active_points`` lists the indices whose scaled residual magnitude
-    reaches the discrepancy, less the band ``active_tol`` (zero-weight
-    points never qualify): the one touch set, on the side of the residual's
-    sign, that the certificate and the alternation analysis read.  The LP
-    solution is that of the instance's lifted problem; the certificate
-    reads it.
+    ``lifted_residuals`` fold in the weights and the value lift and are
+    what the LP's d bounds: y - U_r alpha on the instance's lifted problem,
+    which every check of the fit reads.  ``band`` is the lifted tolerance
+    of the touch set: ``active_points`` lists the indices whose lifted
+    residual magnitude reaches d less the band (zero-weight points never
+    qualify), the one touch set, on the side of the residual's sign, that
+    the certificate and the alternation analysis read.  The LP solution is
+    that of the instance's lifted problem; the certificate reads it, and d
+    is its optimum.  ``residuals`` are the gaps value - combination in data
+    units, for the report: the lifted residuals in data units divided by
+    the weight where it is positive (unweighted, ``scaled_residuals``
+    exactly), and value minus the design row times the coefficients at a
+    zero-weight point, the one place the design is evaluated again.
+    ``discrepancy``, ``scaled_residuals`` and ``active_tol`` are data-unit
+    views of d, the lifted residuals and the band, through
+    ``ProblemInstance.data_units``.
     """
 
     instance: ProblemInstance
     coefficients: np.ndarray
-    discrepancy: float
     residuals: np.ndarray
-    scaled_residuals: np.ndarray
+    lifted_residuals: np.ndarray
     active_points: tuple[int, ...]
-    active_tol: float
+    band: float
     exact_interpolation: bool
     low_rank: bool
     lp_solution: LpSolution = field(repr=False)
+
+    @property
+    def discrepancy(self) -> float:
+        return self.instance.reported_discrepancy(self.lp_solution.objective_value)
+
+    @property
+    def scaled_residuals(self) -> np.ndarray:
+        return self.instance.data_units(self.lifted_residuals)
+
+    @property
+    def active_tol(self) -> float:
+        return float(self.instance.data_units(self.band))
 
 
 def assemble_primal(instance: ProblemInstance) -> LinearProgram:
@@ -283,7 +307,6 @@ def fit(instance: ProblemInstance) -> FitResult:
         )
 
     g, y = instance.lifted_design_and_values()
-    lift = instance.value_scale
     lifted_d = float(solution.objective_value)
     alpha = solution.primal[1:]
     lifted_residuals = y - g @ alpha
@@ -291,17 +314,18 @@ def fit(instance: ProblemInstance) -> FitResult:
     band = max(BAND_TOL * max(1.0, lifted_d), float(instance.rounding_tol(alpha)))
     # Written so that a NaN bound or optimum fails the check.
     if not abs(max_lifted - lifted_d) <= band:
+        bound, optimum = instance.data_units([max_lifted, lifted_d]).tolist()
         raise SolverError(
-            f"recomputed residual bound {max_lifted / lift!r} is inconsistent "
-            f"with the LP optimum {lifted_d / lift!r}"
+            f"recomputed residual bound {bound!r} is inconsistent "
+            f"with the LP optimum {optimum!r}"
         )
 
     coefficients = instance.basis_coefficients(alpha)
-    residuals = scaled_residuals = lifted_residuals / lift
+    residuals = instance.data_units(lifted_residuals)
     active = np.abs(lifted_residuals) >= lifted_d - band
     if instance.weights is not None:
         active &= instance.weights > 0
-        residuals = scaled_residuals / instance.weights
+        residuals /= instance.weights
         off = np.flatnonzero(instance.weights == 0)
         if off.size:
             residuals[off] = instance.values[off] - instance.design(off) @ coefficients
@@ -310,11 +334,10 @@ def fit(instance: ProblemInstance) -> FitResult:
     return FitResult(
         instance=instance,
         coefficients=coefficients,
-        discrepancy=instance.reported_discrepancy(lifted_d),
         residuals=residuals,
-        scaled_residuals=scaled_residuals,
+        lifted_residuals=lifted_residuals,
         active_points=tuple(int(i) for i in np.flatnonzero(active)),
-        active_tol=band / lift,
+        band=band,
         exact_interpolation=interpolates_exactly(lifted_d),
         low_rank=instance.rank < instance.m,
         lp_solution=solution,

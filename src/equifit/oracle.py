@@ -62,10 +62,14 @@ TINY = np.finfo(float).tiny
 
 @dataclass
 class OracleResult:
+    """The brute-force optimum: ``lifted_discrepancy`` is d on the lifted
+    problem, floored at zero, and ``discrepancy`` its data-unit view."""
+
     coefficients: np.ndarray
     discrepancy: float
     witness_subset: tuple[int, ...]
     witness_signs: tuple[int, ...]
+    lifted_discrepancy: float
 
 
 @dataclass
@@ -256,6 +260,7 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
                 discrepancy=instance.reported_discrepancy(float(d[k])),
                 witness_subset=tuple(int(i) for i in subsets[si[k]]),
                 witness_signs=tuple(int(s) for s in signs[gi[k]]),
+                lifted_discrepancy=max(float(d[k]), 0.0),
             )
     # At full rank the optimum is the floor: no candidate above it is optimal.
     raise NoCandidate(
@@ -268,15 +273,17 @@ def compare_with_oracle(result: FitResult) -> OracleComparison:
     """Brute-force the fit's instance and compare the optima on lifted
     values; raises what ``brute_force_fit`` raises (TooLarge, NoCandidate).
 
-    The fit agrees when its discrepancy is the oracle's within the
-    rounding unit of its lifted coefficients, the certificate's tolerance
-    (``ProblemInstance.rounding_tol``): the optimum need not be unique, and
-    ``fit`` already ties its coefficients to its d, so the coefficient gap
-    is reported, not judged."""
+    The fit agrees when its lifted d, the LP's optimum floored at zero, is
+    the oracle's within the rounding unit of its lifted coefficients, the
+    certificate's tolerance (``ProblemInstance.rounding_tol``): the optimum
+    need not be unique, and ``fit`` already ties its coefficients to its d,
+    so the coefficient gap is reported, not judged.  The d gap is reported
+    in data units."""
     instance = result.instance
     oracle = brute_force_fit(instance)
-    discrepancy_gap = abs(result.discrepancy - oracle.discrepancy)
+    fit_d = max(result.lp_solution.objective_value, 0.0)
+    lifted_gap = abs(fit_d - oracle.lifted_discrepancy)
     coefficient_gap = float(np.max(np.abs(result.coefficients - oracle.coefficients)))
-    unit = instance.rounding_tol(result.lp_solution.primal[1:]) / instance.value_scale
-    agrees = discrepancy_gap <= unit
+    agrees = lifted_gap <= instance.rounding_tol(result.lp_solution.primal[1:])
+    discrepancy_gap = float(instance.data_units(lifted_gap))
     return OracleComparison(oracle, discrepancy_gap, coefficient_gap, bool(agrees))

@@ -3,11 +3,13 @@
 Modules import the tolerances they apply from here; a rule that two modules
 apply is decided once, by a function below, and a rule that one module
 applies is written where it is applied.  The rules read the one lifted
-problem, ``ProblemInstance.lifted_design_and_values()``: the design is an
-orthonormal basis of the span of the weighted columns, and data below one
-are lifted so that max |w y| >= 1.  So each floor of 1 below is in the
-data's unit, and none has an absolute regime for small data or for a basis
-function's scale.  Two computations of one number agree within
+problem, ``ProblemInstance.lifted_design_and_values()``, and the numbers
+computed from it, never their data-unit views: the design is an
+orthonormal basis of the span of the weighted columns, each column lifted
+first by its own power of two, and data below one are lifted by an
+uncapped power of two so that max |w y| >= 1.  So each floor of 1 below is
+in the data's unit, and none has an absolute regime for small data or for
+a basis function's scale.  Two computations of one number agree within
 ``ROUNDING_UNITS`` roundings of a lifted residual (``rounding_tol``) alone:
 the certificate identities and the brute-force oracle's feasibility test
 and agreement.  The LP's vertex check and fit's band allow that too, where

@@ -17,6 +17,7 @@ from equifit.errors import DegenerateCase, PreconditionError
 from equifit.fitting import ProblemInstance, fit
 from equifit.generators import monomial_basis, random_instance
 from equifit.lp import INFEASIBLE, LpSolution
+from equifit.oracle import compare_with_oracle
 from equifit.tolerances import BAND_TOL, ROUNDING_UNITS
 
 
@@ -349,6 +350,24 @@ def test_the_identities_refuse_an_instance_other_than_the_fits():
     assert verify_identities(cert, result, instance).identities_ok
     with pytest.raises(PreconditionError, match="fit does not belong to this instance"):
         verify_identities(cert, result, reversed_data)
+
+
+def test_a_column_below_the_float_exponent_range_keeps_its_rank():
+    # The column 1e-320 x lifts by its own uncapped power of two to [1, 2),
+    # so the rank is 2 and the fit certifies, as with 1e-300 x.  A column
+    # lift capped at 2^1023 left it at 4e-12 of the constant, below the
+    # rank rule: rank 1, low_rank, no certificate and no oracle answer.
+    instance = ProblemInstance(
+        points=np.arange(5.0)[:, None],
+        values=[0.0, 1.0, 0.0, 1.0, 0.3],
+        basis=parse_basis_spec("1, 1e-320*x", 1),
+    )
+    assert instance.rank == 2
+    result, cert = fitted(instance)
+    assert not result.low_rank
+    report = verify_identities(cert, result, instance)
+    assert report.identities_ok and report.active_count_ok
+    assert compare_with_oracle(result).agrees
 
 
 def test_a_large_y_fit_is_judged_in_the_data_rounding_unit():

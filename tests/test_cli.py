@@ -884,7 +884,7 @@ def test_values_times_two_to_the_minus_40_scale_the_report_exactly(tmp_path, cap
 
 
 # A weight times a value overflows; a weighted point's coefficient maps back
-# through a column scale near 2^1023 and a value scale near 2^970; the
+# through column exponents 997 and 971 and a value exponent of 971; the
 # coefficient of x, 1e300, interpolates the weighted point, and its residual
 # at the zero-weight point, 1e10 x 1e300, overflows after the LP.
 OVERFLOWING_WEIGHT_CSV = "x,y,w\n0,7e9,1e300\n1,1,1\n2,0,1\n"

@@ -21,6 +21,7 @@ from equifit.fitting import (
     objective_value,
 )
 from equifit.lp import INFEASIBLE, LpSolution
+from equifit.oracle import compare_with_oracle
 import equifit.fitting as fitting
 
 
@@ -323,26 +324,32 @@ def test_a_rank_deficient_fit_puts_its_coefficients_on_independent_columns():
 @pytest.mark.parametrize(
     "values, weights, expected",
     [
-        ([0.0, 0.0, 0.0], None, 1.0),
-        ([0.5, -1.0, 0.25], None, 1.0),
-        ([0.5, -0.75, 0.25], None, 2.0),
-        ([0.1, 0.2, 0.3], [3.0, 1.0, 2.0], 2.0),
-        ([0.3, 5.0, 0.25], [0.5, 0.0, 1.0], 4.0),
-        ([7.0, -3.0, 0.5], None, 1.0),
+        ([0.0, 0.0, 0.0], None, 0),
+        ([0.5, -1.0, 0.25], None, 0),
+        ([0.5, -0.75, 0.25], None, 1),
+        ([0.1, 0.2, 0.3], [3.0, 1.0, 2.0], 1),
+        ([0.3, 5.0, 0.25], [0.5, 0.0, 1.0], 2),
+        ([7.0, -3.0, 0.5], None, 0),
+        (np.ldexp([0.5, -1.0, 0.25], -1060), None, 1060),
     ],
-    ids=["zeros", "max-one", "max-0.75", "weighted", "zero-weight", "above-one"],
+    ids=[
+        "zeros", "max-one", "max-0.75", "weighted", "zero-weight", "above-one",
+        "subnormal",
+    ],
 )
 def test_value_scale_lifts_values_below_one(values, weights, expected):
+    # The value scale is 2^value_exponent, uncapped: values of largest
+    # magnitude 2^-1060 lift to 1.
     instance = ProblemInstance(
         points=[[0.0], [1.0], [2.0]],
         values=values,
         basis=parse_basis_spec("1, x", 1),
         weights=weights,
     )
-    assert instance.value_scale == expected
+    assert instance.value_exponent == expected
     y = instance.values if weights is None else instance.weights * instance.values
     rhs = assemble_primal(instance).rhs
-    assert np.array_equal(rhs[0::2], y * expected)
+    assert np.array_equal(rhs[0::2], np.ldexp(y, expected))
 
 
 def test_subnormal_values_are_lifted_and_fit():
@@ -353,12 +360,34 @@ def test_subnormal_values_are_lifted_and_fit():
         values=[0.0, 1e-310, 0.0],
         basis=parse_basis_spec("1, x", 1),
     )
-    assert instance.value_scale == 2.0**1023
+    assert instance.value_exponent == 1030
     result = fit(instance)
     assert not result.exact_interpolation
     assert result.discrepancy == pytest.approx(5e-311, rel=1e-9)
     assert np.all(np.isfinite(result.coefficients))
     assert result.active_points == (0, 1, 2)
+
+
+def test_values_below_the_float_exponent_range_lift_uncapped_and_certify():
+    # (0, 1, 0, 1, 0.3) times 2^-1060: max |y| = 2^-1060 lifts by 2^1060,
+    # and d is exactly 2^-1060 times the 0.5 of the unscaled data.  A lift
+    # capped at 2^1023 left the values below one, where the absolute
+    # exact-interpolation floor flagged the fit exact with all 5 points
+    # active, and the certificate was refused.
+    instance = ProblemInstance(
+        points=np.arange(5.0)[:, None],
+        values=np.ldexp([0.0, 1.0, 0.0, 1.0, 0.3], -1060),
+        basis=parse_basis_spec("1, x", 1),
+    )
+    assert instance.value_exponent == 1060
+    result = fit(instance)
+    assert result.discrepancy == np.ldexp(1.0, -1061)
+    assert not result.exact_interpolation
+    assert result.active_points == (0, 1, 2, 3)
+    cert = extract_certificate(result.lp_solution, instance)
+    report = verify_identities(cert, result, instance)
+    assert report.identities_ok and report.active_count_ok
+    assert compare_with_oracle(result).agrees
 
 
 def test_a_fit_lp_that_ends_other_than_optimal_is_a_numeric_failure(monkeypatch):

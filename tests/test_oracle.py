@@ -216,7 +216,10 @@ def test_compare_with_oracle_judges_optimality_not_the_coefficients():
     assert comparison.coefficient_gap >= 1.0 - 1e-12
     assert comparison.agrees
 
-    worse = replace(result, discrepancy=result.discrepancy + 1e-7)
+    # d is a view of the LP's lifted optimum (the values need no lift).
+    lifted_d = result.lp_solution.objective_value
+    moved = replace(result.lp_solution, objective_value=lifted_d + 1e-7)
+    worse = replace(result, lp_solution=moved)
     comparison = compare_with_oracle(worse)
     assert comparison.discrepancy_gap > 1e-8
     assert not comparison.agrees
@@ -459,7 +462,7 @@ def _full_scan(instance):
     )
     return (
         instance.basis_coefficients(alphas[:, best_subset, best_sign]),
-        float(max(ds[best_subset, best_sign], 0.0)) / instance.value_scale,
+        instance.reported_discrepancy(float(ds[best_subset, best_sign])),
         tuple(int(i) for i in subsets[best_subset]),
         tuple(int(s) for s in signs[best_sign]),
     )
