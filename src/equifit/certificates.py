@@ -25,7 +25,7 @@ residuals, against the rounding unit of the fit's lifted coefficients,
 ``ProblemInstance.rounding_tol``, the rule the oracle comparison reads
 too; value-sized gaps are reported in data units
 (``ProblemInstance.data_units``), and orthogonality per direction of the
-span (m entries at full rank).
+span (r entries, r the rank).
 """
 
 from __future__ import annotations
@@ -82,14 +82,12 @@ class CertificateReport:
         return out
 
 
-def _require_analyzable(exact_interpolation: bool, low_rank: bool):
+def _require_analyzable(exact_interpolation: bool):
     if exact_interpolation:
         raise DegenerateCase(
             "exact interpolation (discrepancy ~ 0): certificates are not "
             "defined for this case"
         )
-    if low_rank:
-        raise DegenerateCase("rank-deficient design: certificates are not defined")
 
 
 def extract_certificate(
@@ -97,8 +95,8 @@ def extract_certificate(
 ) -> DualCertificate:
     """Pull the row multipliers out of a solved fit LP.
 
-    Raises DegenerateCase on exact interpolation or a rank-deficient
-    design, and PreconditionError when the solution is not optimal.
+    Raises DegenerateCase on exact interpolation, and PreconditionError
+    when the solution is not optimal.
     """
     if solution.status != OPTIMAL:
         raise PreconditionError(
@@ -107,7 +105,7 @@ def extract_certificate(
     if solution.dual is None or len(solution.dual) != 2 * instance.n:
         raise PreconditionError("solution does not belong to this instance")
     exact = interpolates_exactly(solution.objective_value)  # lifted, like fit's
-    _require_analyzable(exact, instance.rank < instance.m)
+    _require_analyzable(exact)
     return DualCertificate(
         beta=solution.dual.copy(),
         dual_objective=float(solution.dual_objective),
@@ -131,7 +129,7 @@ def verify_identities(
         raise PreconditionError("certificate does not match the instance size")
     if len(fit_result.coefficients) != instance.m:
         raise PreconditionError("fit does not match the instance size")
-    _require_analyzable(fit_result.exact_interpolation, fit_result.low_rank)
+    _require_analyzable(fit_result.exact_interpolation)
 
     # Value-sized gaps are judged lifted and reported in data units.
     g, y = instance.lifted_design_and_values()
@@ -164,7 +162,7 @@ def verify_identities(
     violations = int(np.sum((cert.beta > MULTIPLIER_TOL) & ~touch.ravel()))
 
     active_count = len(fit_result.active_points)
-    active_count_ok = check_active_point_count(fit_result, instance.m)
+    active_count_ok = check_active_point_count(fit_result)
 
     two_sided: bool | None
     try:
@@ -176,7 +174,7 @@ def verify_identities(
         strong_duality_gap <= tol
         and beta_sum_residual <= MULTIPLIER_TOL
         and value_sum_gap <= tol
-        and float(np.max(np.abs(orthogonality))) <= tol
+        and float(np.max(np.abs(orthogonality), initial=0.0)) <= tol
         and combined <= tol
         and residual_pairing_gap <= tol
         and violations == 0
@@ -203,16 +201,18 @@ def verify_identities(
     )
 
 
-def check_active_point_count(fit_result: FitResult, m: int) -> bool:
-    """True when at least m + 1 points sit at the discrepancy, all of them
-    within the band: lifted residuals against the LP's d, floored at zero.
+def check_active_point_count(fit_result: FitResult) -> bool:
+    """True when at least r + 1 points sit at the discrepancy, r the rank,
+    all of them within the band: lifted residuals against the LP's d,
+    floored at zero.
 
-    This is the vertex structure of the fit: with m + 1 unknowns, an
-    optimal basic solution pins that many rows.
+    This is the vertex structure of the fit: with r + 1 unknowns, the bound
+    and one per column of the lifted design, an optimal basic solution pins
+    that many rows.
     """
-    _require_analyzable(fit_result.exact_interpolation, fit_result.low_rank)
+    _require_analyzable(fit_result.exact_interpolation)
     active = fit_result.active_points
-    if len(active) < m + 1:
+    if len(active) < fit_result.instance.rank + 1:
         return False
     d = max(fit_result.lp_solution.objective_value, 0.0)
     gaps = np.abs(np.abs(fit_result.lifted_residuals[list(active)]) - d)
@@ -239,7 +239,7 @@ def check_two_sided(fit_result: FitResult, cert: DualCertificate) -> bool:
             "the two-sided check needs the constant in the span of the "
             "weighted basis functions on the evaluation points"
         )
-    _require_analyzable(fit_result.exact_interpolation, fit_result.low_rank)
+    _require_analyzable(fit_result.exact_interpolation)
 
     touching = fit_result.lifted_residuals[list(fit_result.active_points)]
     has_undershoot = bool(np.any(touching > 0))

@@ -227,7 +227,10 @@ def _text_report(report):
     if report.get("exact_interpolation"):
         lines.append("exact interpolation: the data is matched with zero error")
     if report.get("low_rank"):
-        lines.append("low rank: the design matrix is rank deficient")
+        lines.append(
+            "low rank: the fit and its checks are over the span that the rank "
+            "rule keeps"
+        )
     cert = report.get("certificate")
     if cert:
         if "skipped" in cert:

@@ -100,7 +100,7 @@ def _sorted_active(fit_result: FitResult, instance: ProblemInstance):
             f"alternation analysis is one-dimensional; points have dimension "
             f"{instance.dimension}"
         )
-    if fit_result.exact_interpolation or fit_result.low_rank:
+    if fit_result.exact_interpolation:
         raise DegenerateCase("alternation analysis needs a non-degenerate fit")
     active = list(fit_result.active_points)
     xs = instance.points[active, 0]
@@ -117,7 +117,8 @@ def alternation_pattern(
     """Active points sorted by coordinate with their residual signs.
 
     ``equioscillates`` is true when the signs strictly alternate and at
-    least m + 1 points are active (degree t = m - 1 needs t + 2 touches).
+    least r + 1 points are active, r the rank (degree t = r - 1 needs t + 2
+    touches).
     ``instance`` must be the fit's own, ``fit_result.instance``.
     """
     if instance is not fit_result.instance:
@@ -131,7 +132,7 @@ def alternation_pattern(
         indices=tuple(indices),
         signs=signs,
         discrepancy=fit_result.discrepancy,
-        equioscillates=bool(alternates and len(indices) >= instance.m + 1),
+        equioscillates=bool(alternates and len(indices) >= instance.rank + 1),
     )
 
 
@@ -148,10 +149,10 @@ def one_sided_construction(instance: ProblemInstance, j: int) -> ProblemInstance
     The canonical use flips an overshoot point (scaled residual -d); the
     construction is symmetric, so an undershoot point is accepted too.
     Raises PreconditionError when j is not active and DegenerateCase for
-    degenerate fits.
+    an exact interpolation.
     """
     result = fit(instance)
-    if result.exact_interpolation or result.low_rank:
+    if result.exact_interpolation:
         raise DegenerateCase("one-sided construction needs a non-degenerate fit")
     if j not in result.active_points:
         raise PreconditionError(
@@ -177,9 +178,10 @@ def _reference_geometry(reference: ReferenceSet, instance: ProblemInstance, j: i
         raise PreconditionError(
             "the perturbation analysis is defined for unweighted instances"
         )
-    if len(idx) != instance.m + 1:
+    if len(idx) != instance.rank + 1:
         raise PreconditionError(
-            f"reference must carry m + 1 = {instance.m + 1} points, got {len(idx)}"
+            f"reference must carry rank + 1 = {instance.rank + 1} points, "
+            f"got {len(idx)}"
         )
     z = instance.points[idx, 0]
     if np.any(np.diff(z) <= 0):

@@ -49,8 +49,8 @@ class SolverError(EquifitError):
 
 
 class DegenerateCase(EquifitError):
-    """Exact interpolation or a rank-deficient design; certificate analysis
-    is not defined for these inputs."""
+    """Exact interpolation; certificate and alternation analysis are not
+    defined for it."""
 
 
 class PreconditionError(EquifitError):
@@ -66,4 +66,5 @@ class TooLarge(EquifitError):
 
 
 class NoCandidate(EquifitError):
-    """No optimal witness candidate: a rank-deficient or ill-conditioned design."""
+    """No optimal witness candidate: fewer than rank + 1 points, or witness
+    blocks too ill-conditioned for any candidate at the floor to pass."""

@@ -221,7 +221,10 @@ class FitResult:
     zero-weight point, the one place the design is evaluated again.
     ``discrepancy``, ``scaled_residuals`` and ``active_tol`` are data-unit
     views of d, the lifted residuals and the band, through
-    ``ProblemInstance.data_units``.
+    ``ProblemInstance.data_units``.  ``low_rank`` says that the rank r is
+    below m: the fit and every check of it are then over the r-dimensional
+    span that the rank rule keeps, which is not optimality over the full
+    list when the rule drops a direction the floats still carry.
     """
 
     instance: ProblemInstance
@@ -231,8 +234,11 @@ class FitResult:
     active_points: tuple[int, ...]
     band: float
     exact_interpolation: bool
-    low_rank: bool
     lp_solution: LpSolution = field(repr=False)
+
+    @property
+    def low_rank(self) -> bool:
+        return self.instance.rank < self.instance.m
 
     @property
     def discrepancy(self) -> float:
@@ -339,7 +345,6 @@ def fit(instance: ProblemInstance) -> FitResult:
         active_points=tuple(int(i) for i in np.flatnonzero(active)),
         band=band,
         exact_interpolation=interpolates_exactly(lifted_d),
-        low_rank=instance.rank < instance.m,
         lp_solution=solution,
     )
 

@@ -1,19 +1,20 @@
 """Brute-force reference solver for small instances.
 
-At an optimum of the minimax fit there is a witness subset S of m+1 points
-whose residuals all sit at the discrepancy d with definite signs s, so
-that [G_S | s][alpha; d] = y_S.  The candidates are every subset with
+The scan reads the lifted design G = U_r, n x r, r the rank.  At an
+optimum of the minimax fit there is a witness subset S of r+1 points whose
+residuals all sit at the discrepancy d with definite signs s, so that
+[G_S | s][alpha; d] = y_S.  The candidates are every subset with
 every sign pattern; the answer is the first globally feasible candidate of
 least d in (subset-lexicographic, sign-lexicographic) order, on the
 instance's lifted problem, as the fit LP reads it.  This module exists to
 check the LP path, not to compete with it.
 
 The systems of one subset share G_S, so each subset is factored once, by
-Householder QR, G_S = Q R.  All C(n, m+1) blocks are factored together in
-one sweep: laid out (column, row, subset), each of the m reflector steps
+Householder QR, G_S = Q R.  All C(n, r+1) blocks are factored together in
+one sweep: laid out (column, row, subset), each of the r reflector steps
 is a few elementwise numpy operations across the whole stack, with no
 LAPACK call per block, and no operation mixes two blocks.  The reflectors
-applied to e_(m+1) give the null vector lam = Q e_(m+1) of G_S^T, and
+applied to e_(r+1) give the null vector lam = Q e_(r+1) of G_S^T, and
 every sign pattern is read off from it (Stiefel's levelled reference):
 d_s = lam^T y_S / lam^T s.  The pseudo-inverse G_S^+ = R^-1 Q_1^T, which
 gives alpha_s = G_S^+ (y_S - d_s s), is formed only for the subsets of
@@ -23,7 +24,7 @@ Scoring a candidate (its residuals at all n points) is what costs, and
 most candidates need not be scored.  The same lam gives each subset its de
 la Vallee Poussin bound h_S = |lam^T y_S| / ||lam||_1: every coefficient
 vector has a residual of at least h_S on S, so no candidate of d below the
-floor H = max_S h_S is feasible, and at full rank the optimum is H itself
+floor H = max_S h_S is feasible, and the optimum is H itself
 (Stiefel 1959; Cheney, *Introduction to Approximation Theory*, 1966,
 ch. 2).  A candidate is feasible when its max |r| is within t of its d,
 t the rounding unit of its own lifted coefficients
@@ -49,7 +50,7 @@ from .errors import NoCandidate, TooLarge
 from .fitting import FitResult, ProblemInstance
 
 MAX_POINTS = 15
-MAX_BASIS = 4
+MAX_RANK = 4
 
 # Candidates are scored this many at a time, so that memory stays bounded
 # when many of them share the floor (data the basis interpolates exactly).
@@ -84,20 +85,20 @@ class OracleComparison:
 
 def _householder(a: np.ndarray) -> np.ndarray:
     """Householder QR of a stack of blocks laid out (column, row, block),
-    shape (m, m+1, k).  Overwrites a with R above the diagonal (R[i, j] in
+    shape (r, r+1, k).  Overwrites a with R above the diagonal (R[i, j] in
     a[j, i]) and, from the diagonal down, each column j with its
     reflector's vector u_j, scaled so that H_j = I - u_j u_j^T and
-    Q = H_0 ... H_(m-1); returns the diagonal of R, shape (m, k).
+    Q = H_0 ... H_(r-1); returns the diagonal of R, shape (r, k).
 
     Every step is elementwise along the block axis, and the sums run along
     the row axis alone, which numpy adds in row order up to 7 rows
-    (m <= 6); so a block's factors do not depend on the stack it sits in.
+    (r <= 6); so a block's factors do not depend on the stack it sits in.
     A column that is exactly zero from the diagonal down gets u = 0
     (H = I) and a zero on R's diagonal.
     """
-    m = a.shape[0]
-    diagonal = np.empty((m, a.shape[2]))
-    for j in range(m):
+    r = a.shape[0]
+    diagonal = np.empty((r, a.shape[2]))
+    for j in range(r):
         column = a[j, j:]
         norm = np.add.reduce(column * column, axis=0)
         np.sqrt(norm, out=norm)
@@ -108,7 +109,7 @@ def _householder(a: np.ndarray) -> np.ndarray:
         scale = np.multiply(column[0], shift, out=shift)
         np.maximum(scale, TINY, out=scale)
         column /= np.sqrt(scale, out=scale)
-        if j + 1 < m:
+        if j + 1 < r:
             rest = a[j + 1 :, j:]
             rest -= column * np.add.reduce(column * rest, axis=1)[:, None]
     return diagonal
@@ -126,40 +127,40 @@ def _apply_q(a: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _factor(a: np.ndarray):
     """Factor the blocks of a, laid out (column, row, block), in place by
-    ``_householder``.  Returns R's diagonal, shape (m, k); the null vectors
-    lam = Q e_(m+1) of the G_S^T, shape (k, m+1); and the mask of the
+    ``_householder``.  Returns R's diagonal, shape (r, k); the null vectors
+    lam = Q e_(r+1) of the G_S^T, shape (k, r+1); and the mask of the
     blocks whose R has no zero on its diagonal."""
-    m = a.shape[0]
+    r = a.shape[0]
     with np.errstate(all="ignore"):
         diagonal = _householder(a)
-        z = np.zeros((1, m + 1, a.shape[2]))
-        z[0, m] = 1.0
+        z = np.zeros((1, r + 1, a.shape[2]))
+        z[0, r] = 1.0
         lam = np.ascontiguousarray(_apply_q(a, z)[0].T)
     return diagonal, lam, np.all(diagonal != 0.0, axis=0)
 
 
 def _pseudo_inverses(a: np.ndarray, diagonal: np.ndarray, index) -> np.ndarray:
     """G_S^+ = R^-1 Q_1^T of the blocks ``a[..., index]``, shape
-    (count, m, m+1): Q_1 from the reflectors, laid out (column, row, block)
+    (count, r, r+1): Q_1 from the reflectors, laid out (column, row, block)
     so that it reads as Q_1^T, then back-substitution with R.  Not finite
     where R has a zero on its diagonal."""
     a, diagonal = a[:, :, index], diagonal[:, index]
-    m = a.shape[0]
-    x = np.repeat(np.eye(m, m + 1)[:, :, None], a.shape[2], axis=2)
+    r = a.shape[0]
+    x = np.repeat(np.eye(r, r + 1)[:, :, None], a.shape[2], axis=2)
     _apply_q(a, x)
-    for col in reversed(range(m)):
+    for col in reversed(range(r)):
         x[col] /= diagonal[col]
         x[:col] -= a[col, :col, None] * x[col]
     return np.ascontiguousarray(x.transpose(2, 0, 1))
 
 
 @functools.cache
-def _enumeration(n: int, m: int):
-    """The (m+1)-point subsets of n points and the 2^(m+1) sign patterns,
+def _enumeration(n: int, r: int):
+    """The (r+1)-point subsets of n points and the 2^(r+1) sign patterns,
     both in lexicographic order; read-only, since every instance of the
     size shares them."""
-    subsets = np.array(list(itertools.combinations(range(n), m + 1)))
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m + 1)))
+    subsets = np.array(list(itertools.combinations(range(n), r + 1)))
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=r + 1)))
     subsets.flags.writeable = False
     signs.flags.writeable = False
     return subsets, signs
@@ -170,28 +171,24 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
     candidate, scoring only those within rounding of the de la Vallee
     Poussin floor.
 
-    Requires n <= 15 and m <= 4 (raises TooLarge otherwise).  Raises
-    NoCandidate when the design's rank is below m (its optimum need not have
-    an (m+1)-point witness) or when no candidate at the floor is feasible.
-    The scan reads the instance's lifted design and values; like ``fit``, it
+    Requires n <= 15 and rank r <= 4 (raises TooLarge otherwise): the scan
+    costs C(n, r+1) 2^(r+1) candidates, whatever m is.  Raises NoCandidate
+    when n < r + 1 or when no candidate at the floor is feasible.  The scan
+    reads the instance's lifted design and values, n x r; like ``fit``, it
     maps its coefficients back by ``instance.basis_coefficients`` and d by
     ``instance.reported_discrepancy``.
     """
-    n, m = instance.n, instance.m
-    if n > MAX_POINTS or m > MAX_BASIS:
+    n, r = instance.n, instance.rank
+    if n > MAX_POINTS or r > MAX_RANK:
         raise TooLarge(
-            f"brute force accepts n <= {MAX_POINTS}, m <= {MAX_BASIS}; "
-            f"got n={n}, m={m}"
+            f"brute force accepts n <= {MAX_POINTS}, rank <= {MAX_RANK}; "
+            f"got n={n}, rank={r}"
         )
-    if n < m + 1:
-        raise NoCandidate(f"need at least m + 1 = {m + 1} points, got {n}")
-    if instance.rank < m:
-        raise NoCandidate(
-            f"design has rank {instance.rank} < m = {m} (rank-deficient design)"
-        )
+    if n < r + 1:
+        raise NoCandidate(f"need at least rank + 1 = {r + 1} points, got {n}")
 
     g, y = instance.lifted_design_and_values()
-    subsets, signs = _enumeration(n, m)
+    subsets, signs = _enumeration(n, r)
     # Every block G_S, laid out (column, row, subset); the sweep overwrites
     # them with their factors.
     factors = np.take(np.ascontiguousarray(g.T), subsets.T, axis=1)
@@ -221,9 +218,9 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
     # So no candidate with d_s < H - 2 t_max can pass, and skipping them
     # changes no answer.  t grows with ||alpha||_1, and a feasible alpha has
     # |G alpha| <= max |y| + d + t <= 3 max(1, max |y|) at every point; G's
-    # columns are orthonormal, so ||alpha||_1 <= sqrt(m) ||G alpha||_2 <=
-    # 3 sqrt(m n) max(1, max |y|), and t_max is t at that norm.
-    alpha_l1 = 3.0 * np.sqrt(m * n) * max(1.0, np.max(np.abs(y)))
+    # columns are orthonormal, so ||alpha||_1 <= sqrt(r) ||G alpha||_2 <=
+    # 3 sqrt(r n) max(1, max |y|), and t_max is t at that norm.
+    alpha_l1 = 3.0 * np.sqrt(r * n) * max(1.0, np.max(np.abs(y)))
     t_max = instance.rounding_tol([alpha_l1])
     low, high = floor - 2.0 * t_max, floor + 2.0 * t_max
     flat_ds = ds.ravel()
@@ -262,7 +259,7 @@ def brute_force_fit(instance: ProblemInstance) -> OracleResult:
                 witness_signs=tuple(int(s) for s in signs[gi[k]]),
                 lifted_discrepancy=max(float(d[k]), 0.0),
             )
-    # At full rank the optimum is the floor: no candidate above it is optimal.
+    # The optimum is the floor: no candidate above it is optimal.
     raise NoCandidate(
         "no witness system at the de la Vallee Poussin floor passes the "
         "feasibility test: the witness blocks are too ill-conditioned"

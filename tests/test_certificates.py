@@ -13,6 +13,7 @@ from equifit.certificates import (
     extract_certificate,
     verify_identities,
 )
+from equifit.equioscillation import alternation_pattern
 from equifit.errors import DegenerateCase, PreconditionError
 from equifit.fitting import ProblemInstance, fit
 from equifit.generators import monomial_basis, random_instance
@@ -146,7 +147,7 @@ def test_combined_orthogonality_is_linear_in_the_rows():
 def test_active_count_on_line_fits():
     instance = hat_instance()
     result, _ = fitted(instance)
-    assert check_active_point_count(result, instance.m)
+    assert check_active_point_count(result)
     parabola = ProblemInstance(
         points=[[0.0], [0.5], [1.0]],
         values=[0.0, 0.25, 1.0],
@@ -154,7 +155,44 @@ def test_active_count_on_line_fits():
     )
     result = fit(parabola)
     assert len(result.active_points) == 3
-    assert check_active_point_count(result, parabola.m)
+    assert check_active_point_count(result)
+
+
+def test_a_rank_zero_fit_certifies():
+    # Both columns vanish on the data: the span is {0}, the fit is zero, d
+    # is max |y| at points 1 and 3, and one touch is the vertex count.
+    instance = ProblemInstance(
+        points=np.linspace(0.0, 1.0, 5)[:, None],
+        values=[0.0, 1.0, 0.0, 1.0, 0.3],
+        basis=parse_basis_spec("0*x, x-x", 1),
+    )
+    assert instance.rank == 0
+    result, cert = fitted(instance)
+    assert result.low_rank and result.discrepancy == 1.0
+    report = verify_identities(cert, result, instance)
+    assert report.identities_ok and report.active_count_ok
+    assert compare_with_oracle(result).agrees
+
+
+@pytest.mark.parametrize(
+    "spec", ["1, x, 2*x", "x, 1 - x, 1"], ids=["doubled-x", "split-constant"]
+)
+def test_a_dependent_list_certifies_and_alternates_on_its_span(spec):
+    # Both lists span the lines: rank 2 of 3, so r + 1 = 3 alternating
+    # touches, and the certificate splits its mass in halves.
+    x = np.linspace(-1.0, 1.0, 9)
+    instance = ProblemInstance(
+        points=x[:, None], values=np.cos(3.0 * x), basis=parse_basis_spec(spec, 1)
+    )
+    assert instance.rank == 2
+    result, cert = fitted(instance)
+    assert result.low_rank
+    report = verify_identities(cert, result, instance)
+    assert report.identities_ok and report.active_count_ok
+    assert report.two_sided_ok is True
+    pattern = alternation_pattern(result, instance)
+    assert pattern.equioscillates and len(pattern) == 3
+    assert compare_with_oracle(result).agrees
 
 
 def test_exact_interpolation_is_degenerate():
@@ -168,7 +206,7 @@ def test_exact_interpolation_is_degenerate():
     with pytest.raises(DegenerateCase):
         extract_certificate(result.lp_solution, square)
     with pytest.raises(DegenerateCase):
-        check_active_point_count(result, square.m)
+        check_active_point_count(result)
 
 
 def test_two_sided_requires_constant_first():
@@ -266,7 +304,7 @@ def test_complementarity_reads_the_fit_touch_set_near_the_band_width():
             points=x[:, None], values=y, basis=bases[m], weights=weights
         )
         result = fit(instance)
-        if result.exact_interpolation or result.low_rank:
+        if result.exact_interpolation:
             continue
         cert = extract_certificate(result.lp_solution, instance)
         report = verify_identities(cert, result, instance)
@@ -356,7 +394,7 @@ def test_a_column_below_the_float_exponent_range_keeps_its_rank():
     # The column 1e-320 x lifts by its own uncapped power of two to [1, 2),
     # so the rank is 2 and the fit certifies, as with 1e-300 x.  A column
     # lift capped at 2^1023 left it at 4e-12 of the constant, below the
-    # rank rule: rank 1, low_rank, no certificate and no oracle answer.
+    # rank rule: rank 1, and a fit by the constant alone.
     instance = ProblemInstance(
         points=np.arange(5.0)[:, None],
         values=[0.0, 1.0, 0.0, 1.0, 0.3],

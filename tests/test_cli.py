@@ -244,24 +244,12 @@ def test_text_format(hat_csv, capsys):
                 "certificates are not defined for this case)",
                 "alternation: skipped (alternation analysis needs a "
                 "non-degenerate fit)",
-                "brute-force check: skipped (need at least m + 1 = 3 points, got 2)",
-            ],
-        ),
-        (
-            HAT_CSV,
-            "x, 2*x",
-            [
-                "low rank: the design matrix is rank deficient",
-                "certificate: skipped (rank-deficient design: certificates are "
-                "not defined)",
-                "alternation: skipped (alternation analysis needs a "
-                "non-degenerate fit)",
-                "brute-force check: skipped (design has rank 1 < m = 2 "
-                "(rank-deficient design))",
+                "brute-force check: skipped (need at least rank + 1 = 3 points, "
+                "got 2)",
             ],
         ),
     ],
-    ids=["exact-interpolation", "low-rank"],
+    ids=["exact-interpolation"],
 )
 def test_text_report_names_each_skipped_check(tmp_path, capsys, text, spec, lines):
     path = tmp_path / "data.csv"
@@ -274,6 +262,27 @@ def test_text_report_names_each_skipped_check(tmp_path, capsys, text, spec, line
     report = out.splitlines()
     start = report.index(lines[0])
     assert report[start : start + len(lines)] == lines
+
+
+def test_text_report_certifies_a_low_rank_fit_on_its_span(hat_csv, capsys):
+    # x and 2*x span one direction: c x levels the residuals at points 1
+    # and 2, and every check reads that span.
+    code, out, err = run_cli(
+        capsys, "fit", "--data", hat_csv, "--basis", "x, 2*x", "--format", "text",
+        "--certify", "--verify",
+    )
+    assert code == 0, err
+    report = out.splitlines()
+    assert (
+        "low rank: the fit and its checks are over the span that the rank rule keeps"
+        in report
+    )
+    assert any(
+        line.startswith("certificate: duality gap ") and line.endswith(", identities ok")
+        for line in report
+    )
+    assert "alternation: +- (equioscillates: yes)" in report
+    assert any(line.startswith("brute-force check: agrees ") for line in report)
 
 
 def test_out_file(hat_csv, tmp_path, capsys):
@@ -496,7 +505,7 @@ def test_verify_beyond_the_oracle_bounds_is_skipped(tmp_path, capsys):
     assert "n <= 15" in json.loads(out)["oracle"]["skipped"]
 
 
-def test_verify_on_a_rank_deficient_basis_is_skipped(tmp_path, capsys):
+def test_verify_on_a_rank_deficient_basis_is_verified(tmp_path, capsys):
     rng = np.random.default_rng(3)
     x = rng.uniform(0.0, 1.0, 9)
     path = tmp_path / "sine.csv"
@@ -510,15 +519,16 @@ def test_verify_on_a_rank_deficient_basis_is_skipped(tmp_path, capsys):
         assert code == 0, (spec, err)
         report = json.loads(out)
         assert report["low_rank"] is True
-        assert "rank-deficient" in report["oracle"]["skipped"]
+        assert report["oracle"]["agrees"] is True
 
 
 def test_verify_on_ill_conditioned_witness_blocks_is_skipped(tmp_path, capsys):
     # Both used to exit 4: the oracle answered from above the de la Vallee
-    # Poussin floor, with a candidate that is not optimal.  The cluster's
-    # design is rank-deficient, and the oracle skips it; the cubic's witness
-    # blocks, read from the orthonormal lifted design, are well conditioned,
-    # and the oracle agrees at the floor.
+    # Poussin floor, with a candidate that is not optimal, and then skipped
+    # the cluster, as rank-deficient, which gave the name.  The cluster's
+    # design is rank-deficient, and the oracle scans the witness blocks of
+    # its span; the cubic's witness blocks, read from the orthonormal lifted
+    # design, are well conditioned.  Both agree at the floor.
     cluster = tmp_path / "cluster.csv"
     cluster_x = [-1.189366533870768, -1.1893675973699462, -1.1893575314804548,
                  -1.189394763190756, -1.1893667830363301]
@@ -547,7 +557,8 @@ def test_verify_on_ill_conditioned_witness_blocks_is_skipped(tmp_path, capsys):
         assert code == 0, (spec, err)
         reports.append(json.loads(out))
     clustered, narrow = reports
-    assert "rank-deficient" in clustered["oracle"]["skipped"]
+    assert clustered["low_rank"] is True
+    assert clustered["oracle"]["agrees"] is True
     assert narrow["oracle"]["agrees"] is True
     assert narrow["certificate"]["identities_ok"] is True
 

@@ -412,7 +412,7 @@ def _degenerate_one_sided(instance, reference, epsilon):
     "call, error, message",
     [
         (_planar, DimensionError, "perturbation analysis is one-dimensional"),
-        (_short, PreconditionError, "must carry m \\+ 1 = 3 points, got 2"),
+        (_short, PreconditionError, "must carry rank \\+ 1 = 3 points, got 2"),
         (_unsorted, PreconditionError, "must be sorted by coordinate"),
         (_bad_signs, PreconditionError, "signs must be \\+-1, one per point"),
         (_pair_out_of_range, PreconditionError, "pair position 2 out of range"),

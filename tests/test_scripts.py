@@ -63,8 +63,9 @@ def test_census_counts_a_slice_within_its_limits(capsys):
         "shift c=100: 20 fits, 0 raised, 0 low_rank, 0 uncertified, 0 worse "
         "than the reference, 0 with d < 0" in out
     )
-    # At c = 1000 the rank rule flags 10 of the first 20 cubics, and those
-    # fit worse than the reference (ROADMAP item 4).
+    # At c = 1000 the rank rule flags 10 of the first 20 cubics: they
+    # certify on the span it keeps, and fit worse than the reference
+    # (ROADMAP item 4).
     assert (
         "shift c=1000: 20 fits, 0 raised, 10 low_rank, 0 uncertified, 10 worse "
         "than the reference, 0 with d < 0" in out
@@ -91,5 +92,11 @@ def test_census_counts_a_slice_within_its_limits(capsys):
     assert (
         "tiny-scale: 20 fits, 0 raised, 0 exact, 0 uncertified, 0 skipped by "
         "the oracle, 0 where the oracle disagrees" in out
+    )
+    # Every check reads the rank, so dependent lists certify and agree with
+    # the oracle on their span.
+    assert (
+        "dependent lists: 20 fits, 0 raised, 0 uncertified, 0 skipped by the "
+        "oracle, 0 where the oracle disagrees" in out
     )
     assert all(counts[name] <= limit for name, limit in census["LIMITS"].items())
