@@ -116,9 +116,10 @@ def alternation_pattern(
 ) -> ReferenceSet:
     """Active points sorted by coordinate with their residual signs.
 
-    ``equioscillates`` is true when the signs strictly alternate and at
-    least r + 1 points are active, r the rank (degree t = r - 1 needs t + 2
-    touches).
+    ``equioscillates`` is true when the signs, in that order, hold at least
+    r + 1 runs, r the rank: some r + 1 of the touches alternate (degree
+    t = r - 1 needs t + 2), and an extra touch beside one of its own sign
+    does not spoil them.
     ``instance`` must be the fit's own, ``fit_result.instance``.
     """
     if instance is not fit_result.instance:
@@ -127,12 +128,12 @@ def alternation_pattern(
     signs = tuple(
         1 if fit_result.lifted_residuals[i] >= 0 else -1 for i in indices
     )
-    alternates = all(a == -b for a, b in zip(signs, signs[1:]))
+    runs = len(signs) and 1 + sum(a != b for a, b in zip(signs, signs[1:]))
     return ReferenceSet(
         indices=tuple(indices),
         signs=signs,
         discrepancy=fit_result.discrepancy,
-        equioscillates=bool(alternates and len(indices) >= instance.rank + 1),
+        equioscillates=runs >= instance.rank + 1,
     )
 
 

@@ -1,15 +1,14 @@
 """Best uniform approximation of a finite point set by a basis combination.
 
 The fit minimizes the largest (optionally weighted) absolute residual over
-the data.  It is computed exactly by assembling a linear program whose
-first variable is the bound, followed by one variable per column of the
-lifted design (an orthonormal basis of the span of the weighted basis
-functions on the data), with two rows per point: an overshoot row
-(combination above the value) and an undershoot row.  With the bound
-first, phase 1 of the simplex ends in two pivots.  The artificial enters
-on the most negative row; then the bound, the lowest-index improving
-column, enters on that row, the only one where its column is positive,
-and the artificial leaves.
+the data.  It is the linear program whose first variable is the bound,
+followed by one variable per column of the lifted design (an orthonormal
+basis of the span of the weighted basis functions on the data), with two
+rows per point: an overshoot row (combination above the value) and an
+undershoot row.  ``fit`` solves it by the exchange (``lp.exchange``), a
+revised simplex on its dual of r + 1 rows, r the rank, on the lifted
+design and values; ``assemble_primal`` states it for the general solver,
+``lp.solve_lp``.
 Nonnegative weights enter by rescaling each point's design row and value,
 which reduces the weighted problem to an unweighted one.
 """
@@ -22,7 +21,7 @@ import numpy as np
 
 from .basis import BasisSet, design_matrix, singular_value_rank
 from .errors import DimensionMismatch, EquifitError, SolverError
-from .lp import FREE, OPTIMAL, LinearProgram, LpSolution, solve_lp
+from .lp import FREE, OPTIMAL, LinearProgram, LpSolution, exchange
 from .tolerances import BAND_TOL, RANK_TOL, interpolates_exactly, rounding_tol
 
 
@@ -254,9 +253,10 @@ class FitResult:
 
 
 def assemble_primal(instance: ProblemInstance) -> LinearProgram:
-    """Build the fit LP: variables (bound, then one coefficient per column
-    of the lifted design, ``rank`` of them), rows interleaved per point as
-    (overshoot row, undershoot row).
+    """Build the fit LP for the general solver, ``lp.solve_lp``: variables
+    (bound, then one coefficient per column of the lifted design, ``rank``
+    of them), rows interleaved per point as (overshoot row, undershoot row).
+    ``fit`` solves the same program by the exchange, with no matrix.
 
     Row 2i holds "combination(x_i) - z <= y_i", row 2i+1 holds
     "-combination(x_i) - z <= -y_i", on the lifted design and values of
@@ -291,20 +291,23 @@ def fit(instance: ProblemInstance) -> FitResult:
     residual-bound check and the active band read them.  The band is
     ``BAND_TOL * max(1, lifted d)``, or ``ProblemInstance.rounding_tol``,
     64 roundings of a lifted residual, where that is more, as on data far
-    above one.  Raises SolverError when the LP layer fails, or ends other
-    than optimal, which for this feasible, bounded LP is a numeric
-    failure.  Like ``solve_lp``, it runs
-    with numpy's floating-point warnings silenced: a residual that
-    overflows, lifted or in data units, or a coefficient that overflows in
-    data units, fails a check of its own.
+    above one.  The LP is solved by ``lp.exchange`` on
+    ``instance.lifted_design_and_values()``, which stops within that
+    rounding unit.  Raises SolverError when the LP layer fails, or ends
+    other than optimal, which for this feasible, bounded LP is a numeric
+    failure.  Like ``exchange``, it runs with numpy's floating-point
+    warnings silenced: a residual that overflows, lifted or in data units,
+    or a coefficient that overflows in data units, fails a check of its
+    own.
 
     ``lp_solution.primal`` holds the lifted bound, then the coefficients of
     the lifted design's columns, read as ``primal[1:]``; ``coefficients``
     holds those of the basis.
     """
+    g, y = instance.lifted_design_and_values()
     try:
-        solution = solve_lp(assemble_primal(instance))
-    except EquifitError as exc:
+        solution = exchange(g, y, instance.rounding_tol)
+    except (EquifitError, np.linalg.LinAlgError) as exc:
         raise SolverError(f"fit LP failed: {exc}") from exc
     if solution.status != OPTIMAL:
         raise SolverError(
@@ -312,7 +315,6 @@ def fit(instance: ProblemInstance) -> FitResult:
             f"solver ended with status {solution.status}: {solution.reason}"
         )
 
-    g, y = instance.lifted_design_and_values()
     lifted_d = float(solution.objective_value)
     alpha = solution.primal[1:]
     lifted_residuals = y - g @ alpha

@@ -1,6 +1,14 @@
-"""Two-phase tableau simplex for inequality-form linear programs.
+"""Two LP solvers: the exchange for the fit LP, and a two-phase tableau
+simplex for inequality-form linear programs.
 
-Problems are stated as
+``exchange`` solves the fit LP, min h subject to |y - U alpha| <= h, as a
+revised simplex on its dual, whose r + 1 equality rows make a basis a
+reference of r + 1 signed points (Stiefel's exchange).  One step costs a
+residual pass, O(n * r), and three (r + 1)-square solves; memory beyond the
+design is O(n + r^2).  ``fit`` calls it; its docstring states the rules.
+
+``solve_lp`` is the general solver, and the reference the exchange is
+tested against.  Problems are stated as
 
     minimize   objective . vars
     subject to constraint_matrix . vars <= rhs
@@ -52,6 +60,7 @@ from .tolerances import (
     FEAS_TOL,
     MULTIPLIER_TOL,
     PIVOT_TOL,
+    RANK_TOL,
     RATIO_TIE_TOL,
     rounding_tol,
 )
@@ -120,8 +129,9 @@ class LpSolution:
     For ``status == "optimal"`` the fields hold the primal vertex, its
     objective value, the nonnegative row multipliers and the maximized dual
     value ``-rhs . dual``.  Otherwise ``reason`` explains the infeasibility /
-    unboundedness.  ``iterations`` counts the pivots of both phases,
-    ``phase_one_iterations`` those of phase 1 alone.
+    unboundedness.  ``iterations`` counts the pivots of both phases, or the
+    exchange's steps, ``phase_one_iterations`` those of phase 1 alone (0 for
+    the exchange, which has no phase 1).
     """
 
     status: str
@@ -390,6 +400,156 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     solution = state.extract()
     solution.phase_one_iterations = phase_one
     return solution
+
+
+def _independent_rows(design: np.ndarray, candidates: np.ndarray):
+    """Pivoted Gram-Schmidt over the rows ``candidates`` of ``design``: r
+    rows, each the largest part off the span of those before it, or None
+    when some part is at most ``RANK_TOL`` (the rows of U_r have at most
+    unit length)."""
+    rest = design[candidates]
+    picked = []
+    for _ in range(design.shape[1]):
+        norms = np.einsum("ij,ij->i", rest, rest)
+        k = int(np.argmax(norms))
+        if not norms[k] > RANK_TOL**2:
+            return None
+        q = rest[k] / np.sqrt(norms[k])
+        rest -= np.outer(rest @ q, q)
+        picked.append(int(candidates[k]))
+    return picked
+
+
+def _start(design: np.ndarray, values: np.ndarray):
+    """A first reference of r + 1 points and its signs.
+
+    r independent rows of a strided sample of at most 64 (r + 1) rows, or
+    of every row when the sample lacks a direction; then the point where
+    their interpolant misses most.  The signs are those of the null vector
+    lam of U_S^T, oriented so that the levelled h = lam . y_S / ||lam||_1 is
+    not negative: the weights |lam| / ||lam||_1 then solve the reference
+    system, so the reference is a feasible basis of the dual.
+    """
+    n, r = design.shape
+    rows = np.arange(0, n, -(-n // (64 * (r + 1))))
+    picked = _independent_rows(design, rows)
+    if picked is None:
+        picked = _independent_rows(design, np.arange(n))
+    miss = np.abs(values - design @ np.linalg.solve(design[picked], values[picked]))
+    miss[picked] = -1.0
+    reference = np.array(picked + [int(np.argmax(miss))])
+    lam = np.linalg.svd(design[reference].T)[2][-1]
+    sigma = np.where(lam < 0, -1.0, 1.0)
+    if lam @ values[reference] < 0:
+        sigma = -sigma
+    return reference, sigma
+
+
+@np.errstate(all="ignore")
+def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
+    """Solve the fit LP, min h subject to |values - design . alpha| <= h, by
+    the exchange: a revised simplex on its dual.
+
+    The dual has r + 1 equality rows, sum_i w_i sigma_i u_i = 0 and
+    sum_i w_i = 1 with w >= 0, so a basis is a reference S of r + 1 points
+    with signs sigma, and its prices are the levelled solution of
+    [sigma * U_S | 1] [alpha; h] = sigma * y_S, whose residuals are
+    sigma * h on S.  Each step prices every point by one residual pass,
+    enters the point j of worst |r_j| and leaves by the ratio test on the
+    weights w = B^-1 e_(r+1) against B^-1 [s_j u_j; 1], s_j the sign of
+    r_j and B = [sigma * U_S | 1]^T: the lowest-index point among the
+    ratios within ``RATIO_TIE_TOL`` of the least.  Every system is solved
+    anew from the data.  After 2 (r + 1) steps without a rise in h the
+    entering point is the lowest-index one that improves, which makes the
+    rule Bland's, and it does not cycle.  The exchange stops when
+    max |r| - h <= tolerance(alpha), the fit's rounding unit.  With n <= r
+    the orthonormal design is square, alpha = design^T values and h = 0.
+
+    Returns the ``LpSolution`` of ``fitting.assemble_primal``'s program:
+    primal (h, alpha), and 2n multipliers interleaved per point (overshoot,
+    undershoot), w_i on the row of the reference point i that its sign
+    makes tight and zero elsewhere; ``dual_objective`` is sum w_i sigma_i
+    y_i and ``iterations`` counts exchanges.  A weight that rounds below
+    zero by at most ``MULTIPLIER_TOL`` is set to zero.  Raises
+    NumericFailure past ``budget`` exchanges (50 (n + r + 1) by default),
+    on a weight further below zero, and when the systems stop being finite;
+    LinAlgError when one is singular, which the ratio test rules out in
+    exact arithmetic.
+    """
+    n, r = design.shape
+    if n <= r:
+        alpha = design.T @ values
+        return LpSolution(
+            status=OPTIMAL,
+            primal=np.append(0.0, alpha),
+            objective_value=0.0,
+            dual=np.zeros(2 * n),
+            dual_objective=0.0,
+        )
+    if budget is None:
+        budget = 50 * (n + r + 1)
+    reference, sigma = _start(design, values)
+    unit = np.zeros(r + 1)
+    unit[r] = 1.0
+    steps = stalled = 0
+    best = -np.inf
+    while True:
+        system = np.empty((r + 1, r + 1))
+        system[:, :r] = sigma[:, None] * design[reference]
+        system[:, r] = 1.0
+        levelled = np.linalg.solve(system, sigma * values[reference])
+        weights = np.linalg.solve(system.T, unit)
+        alpha, h = levelled[:r], levelled[r]
+        residuals = values - design @ alpha
+        size = np.abs(residuals)
+        slack = float(tolerance(alpha))
+        # Written so that a NaN residual, h or unit fails.
+        if not (np.all(np.isfinite(size)) and np.isfinite(h) and np.isfinite(slack)):
+            raise NumericFailure("the reference system is not finite", steps)
+        improving = size - h > slack
+        if not improving.any():
+            break
+        if h > best:
+            best, stalled = h, 0
+        else:
+            stalled += 1
+        bland = stalled >= 2 * (r + 1)
+        enter = int(np.argmax(improving) if bland else np.argmax(size))
+        steps += 1
+        if steps > budget:
+            raise NumericFailure(
+                f"the exchange exceeded its budget of {budget} exchanges", steps
+            )
+        side = np.sign(residuals[enter])
+        column = np.append(side * design[enter], 1.0)
+        direction = np.linalg.solve(system.T, column)
+        rows = np.flatnonzero(direction > PIVOT_TOL)
+        ratios = np.maximum(weights[rows], 0.0) / direction[rows]
+        ties = rows[ratios <= ratios.min(initial=np.inf) + RATIO_TIE_TOL]
+        if ties.size == 0:
+            raise NumericFailure(
+                "ratio test kept no reference point: the reference system "
+                "is not finite",
+                steps,
+            )
+        leave = int(ties[np.argmin(reference[ties])])
+        reference[leave] = enter
+        sigma[leave] = side
+
+    # Written so that a NaN weight fails.
+    if not np.min(weights) >= -MULTIPLIER_TOL:
+        raise NumericFailure(f"negative dual multiplier {np.min(weights):.3e}", steps)
+    weights = np.maximum(weights, 0.0)
+    dual = np.zeros(2 * n)
+    dual[2 * reference + (sigma > 0)] = weights
+    return LpSolution(
+        status=OPTIMAL,
+        primal=np.append(h, alpha),
+        objective_value=float(h),
+        dual=dual,
+        dual_objective=float(weights @ (sigma * values[reference])),
+        iterations=steps,
+    )
 
 
 def dual_of(lp: LinearProgram) -> LinearProgram:

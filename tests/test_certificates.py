@@ -410,10 +410,11 @@ def test_a_column_below_the_float_exponent_range_keeps_its_rank():
 
 def test_a_large_y_fit_is_judged_in_the_data_rounding_unit():
     # The second instance of the large-|y| family of scripts/census.py,
-    # drawn as there.  Values near 1e9 round by about 1e-7, so the
-    # recomputed residual bound misses the LP optimum by 4.7e-7, more than
-    # BAND_TOL * max(1, d); 64 rounding units of the lifted residual admit
-    # it, and the fit certifies.
+    # drawn as there.  Values near 1e9 round by u = 1.7e-6, so the band,
+    # 64 u, is far more than BAND_TOL * max(1, d).  The recomputed residual
+    # bound misses the optimum by 9.3e-9, within one u (the tableau simplex
+    # missed by 4.7e-7, more than BAND_TOL * max(1, d)), and the fit
+    # certifies.
     rng = np.random.default_rng(3)
     for _ in range(2):
         n, m = int(rng.integers(8, 40)), int(rng.integers(2, 6))
@@ -425,12 +426,13 @@ def test_a_large_y_fit_is_judged_in_the_data_rounding_unit():
     result, cert = fitted(instance)
     d = result.discrepancy
     gap = abs(float(np.max(np.abs(result.scaled_residuals))) - d)
-    assert BAND_TOL * max(1.0, d) < gap <= result.active_tol
     u = np.finfo(float).eps * (
         np.max(np.abs(y)) + np.max(np.abs(instance.lifted_design_and_values()[0]))
         * np.sum(np.abs(result.lp_solution.primal[1:]))
     )
     assert result.active_tol == pytest.approx(ROUNDING_UNITS * u, rel=1e-12)
+    assert BAND_TOL * max(1.0, d) < result.active_tol
+    assert gap <= u
     report = verify_identities(cert, result, instance)
     assert report.identities_ok and report.active_count_ok
 

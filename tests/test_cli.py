@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from equifit.basis import parse_basis_spec
 from equifit.generators import random_instance
 import equifit.cli as cli
 import equifit.fitting as fitting
+import equifit.lp as lp
 import equifit.selftest as selftest
 from equifit.lp import INFEASIBLE, LpSolution
 
@@ -850,15 +852,30 @@ def test_short_row_exits_2_when_the_missing_column_is_unused(tmp_path, capsys):
 def test_a_solver_failure_of_the_fit_lp_exits_3_with_one_line(
     hat_csv, monkeypatch, capsys
 ):
-    def failing(lp):
+    def failing(design, values, tolerance):
         return LpSolution(status=INFEASIBLE, reason="constraints are inconsistent")
 
-    monkeypatch.setattr(fitting, "solve_lp", failing)
+    monkeypatch.setattr(fitting, "exchange", failing)
     code, out, err = run_cli(capsys, "fit", "--data", hat_csv, "--basis", "1, x")
     assert code == 3
     assert out == ""
     assert err.startswith("E3: ")
     assert "numeric failure: the fit LP is feasible and bounded" in err
+    assert err.count("\n") == 1
+
+
+def test_an_exhausted_exchange_budget_exits_3_with_one_line(
+    tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "sine.csv"
+    x = np.linspace(0.0, 1.0, 30)
+    rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), np.sin(5.0 * x).tolist()))
+    path.write_text("x,y\n" + rows)
+    monkeypatch.setattr(fitting, "exchange", functools.partial(lp.exchange, budget=0))
+    code, out, err = run_cli(capsys, "fit", "--data", str(path), "--basis", "1, x, x^2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("E3: fit LP failed: the exchange exceeded its budget of 0")
     assert err.count("\n") == 1
 
 

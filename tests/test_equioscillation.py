@@ -93,6 +93,31 @@ def test_one_sided_construction_on_overshoot_point():
     assert not alternation_pattern(result, flipped).equioscillates
 
 
+def test_an_extra_same_signed_touch_keeps_the_alternation():
+    # The constant fit to (0, 1, 1) has d = 0.5 and touches (-, +, +):
+    # points 0 and 1 alternate, the r + 1 = 2 that the theory needs.
+    instance = ProblemInstance(
+        points=[[0.0], [1.0], [2.0]],
+        values=[0.0, 1.0, 1.0],
+        basis=parse_basis_spec("1", 1),
+    )
+    pattern = alternation_pattern(fit(instance), instance)
+    assert pattern.signs == (-1, 1, 1)
+    assert pattern.equioscillates
+
+
+def test_one_touch_run_equioscillates_at_rank_zero():
+    # The span is {0}, so r + 1 = 1 touch suffices; both touches are +.
+    instance = ProblemInstance(
+        points=np.linspace(0.0, 1.0, 5)[:, None],
+        values=[0.0, 1.0, 0.0, 1.0, 0.3],
+        basis=parse_basis_spec("0*x, x-x", 1),
+    )
+    pattern = alternation_pattern(fit(instance), instance)
+    assert pattern.signs == (1, 1)
+    assert pattern.equioscillates
+
+
 def test_one_sided_construction_is_an_involution():
     instance = hat_instance()
     twice = one_sided_construction(one_sided_construction(instance, 1), 1)

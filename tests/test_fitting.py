@@ -393,10 +393,10 @@ def test_values_below_the_float_exponent_range_lift_uncapped_and_certify():
 def test_a_fit_lp_that_ends_other_than_optimal_is_a_numeric_failure(monkeypatch):
     # The fit LP is feasible (alpha = 0, z = max |w y|) and bounded below by
     # z >= 0, so an "infeasible" verdict can only come from rounding.
-    def failing(lp):
+    def failing(design, values, tolerance):
         return LpSolution(status=INFEASIBLE, reason="constraints are inconsistent")
 
-    monkeypatch.setattr(fitting, "solve_lp", failing)
+    monkeypatch.setattr(fitting, "exchange", failing)
     with pytest.raises(SolverError) as info:
         fit(hat_instance())
     message = str(info.value)

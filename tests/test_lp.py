@@ -1,6 +1,8 @@
 """Tests for the dense simplex and its dual extraction."""
 
 import itertools
+import pathlib
+import runpy
 import tracemalloc
 
 import numpy as np
@@ -9,9 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equifit.basis import parse_basis_spec
+from equifit.certificates import extract_certificate, verify_identities
 from equifit.errors import DimensionMismatch, NumericFailure
 from equifit.fitting import ProblemInstance, assemble_primal, fit
-from equifit.generators import random_small_instance, random_weighted_instance
+from equifit.generators import (
+    monomial_basis,
+    random_small_instance,
+    random_weighted_instance,
+)
 from equifit.lp import (
     FREE,
     INFEASIBLE,
@@ -24,9 +31,12 @@ from equifit.lp import (
     LpSolution,
     _Simplex,
     dual_of,
+    exchange,
     solve_lp,
 )
-from equifit.tolerances import BAND_TOL, FEAS_TOL, rounding_tol
+from equifit.tolerances import BAND_TOL, FEAS_TOL, MULTIPLIER_TOL, rounding_tol
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
 def enumerate_vertex_optimum(lp):
@@ -597,7 +607,7 @@ def test_phase_one_of_a_fit_lp_ends_in_two_pivots():
     for seed in range(30):
         rng = np.random.default_rng(seed)
         for instance in (random_small_instance(rng), random_weighted_instance(rng)):
-            solution = fit(instance).lp_solution
+            solution = solve_lp(assemble_primal(instance))
             assert solution.phase_one_iterations <= 2
             assert solution.iterations >= solution.phase_one_iterations
 
@@ -851,3 +861,110 @@ def test_no_status_is_read_off_a_tableau_that_is_not_finite(
     )
     with pytest.raises(NumericFailure, match="the tableau is not finite"):
         solve_lp(lp)
+
+
+# -- The exchange: fit's solver, on the (r + 1)-row dual of the fit LP -------
+
+
+def two_d_instance(rng):
+    n = int(rng.integers(8, 25))
+    points = rng.uniform(-1.0, 1.0, (n, 2))
+    values = np.sin(2.0 * points[:, 0]) + points[:, 1] ** 2 + 0.1 * rng.normal(size=n)
+    spec = ("1, x, y", "1, x, y, x*y")[int(rng.integers(0, 2))]
+    return ProblemInstance(points=points, values=values, basis=parse_basis_spec(spec, 2))
+
+
+def census_dependent_instances(count):
+    """The first ``count`` instances of the dependent-lists family of
+    scripts/census.py: 1-D lists at x, 2-D ones at collinear points."""
+    census = runpy.run_path(str(SCRIPTS / "census.py"))
+    for points, y, basis in census["dependent_instances"](count):
+        yield ProblemInstance(points=points, values=y, basis=basis)
+
+
+def seeded(family):
+    return lambda count: (family(np.random.default_rng(seed)) for seed in range(count))
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [
+        seeded(random_small_instance),
+        seeded(random_weighted_instance),
+        seeded(two_d_instance),
+        census_dependent_instances,
+    ],
+    ids=["1-d", "weighted", "2-d", "dependent"],
+)
+def test_the_exchange_matches_the_tableau_simplex_within_the_rounding_unit(instances):
+    for instance in instances(25):
+        solution = fit(instance).lp_solution
+        reference = solve_lp(assemble_primal(instance))
+        alpha = solution.primal[1:]
+        assert abs(solution.objective_value - reference.objective_value) <= (
+            instance.rounding_tol(alpha)
+        )
+        # The tableau's layout: 2n multipliers, on r + 1 rows at most,
+        # summing to one, and no phase 1.
+        assert solution.dual.shape == (2 * instance.n,)
+        assert np.count_nonzero(solution.dual) <= instance.rank + 1
+        assert abs(np.sum(solution.dual) - 1.0) <= MULTIPLIER_TOL
+        assert solution.phase_one_iterations == 0
+
+
+def test_at_most_rank_points_interpolate_with_no_exchange():
+    for points, spec in (([0.0, 0.5, 1.0], "1, x, x^2"), ([0.0, 1.0], "1, x, x^2")):
+        instance = ProblemInstance(
+            points=np.array(points)[:, None],
+            values=[0.3, -1.2, 2.0][: len(points)],
+            basis=parse_basis_spec(spec, 1),
+        )
+        assert instance.n <= instance.rank
+        result = fit(instance)
+        assert result.discrepancy == 0.0 and result.exact_interpolation
+        assert result.lp_solution.iterations == 0
+        assert np.max(np.abs(result.residuals)) <= 1e-14
+
+
+def test_a_rank_zero_list_fits_the_zero_function():
+    # The span is {0}: d is max |y|, at the one point that reaches it, whose
+    # overshoot row carries the whole multiplier.
+    instance = ProblemInstance(
+        points=np.linspace(0.0, 1.0, 3)[:, None],
+        values=[0.5, -2.0, 1.0],
+        basis=parse_basis_spec("0*x, x-x", 1),
+    )
+    assert instance.rank == 0
+    result = fit(instance)
+    assert result.discrepancy == 2.0
+    assert np.all(result.coefficients == 0.0)
+    assert result.active_points == (1,)
+    assert result.lp_solution.dual.tolist() == [0, 0, 1, 0, 0, 0]
+
+
+def test_an_exhausted_exchange_budget_is_a_numeric_failure():
+    instance = random_small_instance(np.random.default_rng(3))
+    problem = instance.lifted_design_and_values()
+    steps = exchange(*problem, instance.rounding_tol).iterations
+    assert steps >= 1
+    assert exchange(*problem, instance.rounding_tol, budget=steps).iterations == steps
+    with pytest.raises(NumericFailure, match=f"budget of {steps - 1} exchanges"):
+        exchange(*problem, instance.rounding_tol, budget=steps - 1)
+
+
+def test_the_grid_smooth_fit_that_raised_on_the_tableau_certifies():
+    # grid_smooth seed 10, block 2, runge/m6 of the benchmark: the tableau
+    # simplex drifted over a long Bland run and raised "optimal basis
+    # violates feasibility by 3.882e-04".
+    x = np.linspace(-1.0, 1.0, 400)
+    instance = ProblemInstance(
+        points=x[:, None],
+        values=1.0 / (1.0 + 13.715092031335185 * x**2),
+        basis=monomial_basis(6),
+    )
+    result = fit(instance)
+    report = verify_identities(
+        extract_certificate(result.lp_solution, instance), result, instance
+    )
+    assert report.identities_ok and report.active_count_ok
+    assert result.discrepancy == pytest.approx(0.160235525417, rel=1e-9)
