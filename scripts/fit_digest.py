@@ -11,9 +11,9 @@ SHA-256 of every op's outcome.
 * The fit workloads (``many_small``, ``grid_smooth``, ``large_1d``) run
   through ``workloads.certified_fit``.  An op's outcome is d's repr; the
   bytes of the coefficients, residuals and scaled residuals; the active
-  set; the pivots; the flags; ``active_tol``; the certificate report as
-  sorted JSON; the alternation pattern; or the raised exception's class
-  and message.
+  set; the exchange count; the flags; ``active_tol``; the certificate
+  report as sorted JSON; the alternation pattern; or the raised
+  exception's class and message.
 * ``verify_cli`` runs ``equifit fit --certify --verify`` in process; an
   op's outcome is its exit code, its JSON report without ``timing``, and
   its stderr.

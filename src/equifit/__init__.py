@@ -46,24 +46,8 @@ from .errors import (
     SolverError,
     TooLarge,
 )
-from .fitting import (
-    FitResult,
-    ProblemInstance,
-    assemble_primal,
-    fit,
-    objective_value,
-)
-from .lp import (
-    FREE,
-    INFEASIBLE,
-    NONNEGATIVE,
-    OPTIMAL,
-    UNBOUNDED,
-    LinearProgram,
-    LpSolution,
-    dual_of,
-    solve_lp,
-)
+from .fitting import FitResult, ProblemInstance, fit, objective_value
+from .lp import LpSolution
 from .oracle import OracleResult, brute_force_fit
 
 __version__ = "0.1.0"
@@ -80,16 +64,11 @@ __all__ = [
     "EquifitError",
     "EvaluationError",
     "FitResult",
-    "FREE",
     "ImprovementCheck",
-    "INFEASIBLE",
     "LagrangePolynomial",
-    "LinearProgram",
     "LpSolution",
     "NoCandidate",
-    "NONNEGATIVE",
     "NumericFailure",
-    "OPTIMAL",
     "OracleResult",
     "ParseError",
     "PerturbationStep",
@@ -98,14 +77,11 @@ __all__ = [
     "ReferenceSet",
     "SolverError",
     "TooLarge",
-    "UNBOUNDED",
     "alternation_pattern",
-    "assemble_primal",
     "brute_force_fit",
     "check_active_point_count",
     "check_two_sided",
     "design_matrix",
-    "dual_of",
     "extract_certificate",
     "fit",
     "format_basis_spec",
@@ -114,7 +90,6 @@ __all__ = [
     "one_sided_construction",
     "parse_basis_spec",
     "perturbation_step",
-    "solve_lp",
     "strict_improvement_check",
     "verify_identities",
 ]

@@ -1,31 +1,32 @@
 """Optimality certificates for minimax fits.
 
-The fit LP interleaves two rows per point: the overshoot row (combination
-above the value) at even 0-based positions, the undershoot row at odd
-positions.  The row multipliers ``beta`` returned by the solver certify
-optimality:
+The fit LP has two rows per point: the overshoot row (combination above
+the value) and the undershoot row.  Its dual optimum is the exchange's
+final reference, ``FitResult.lp_solution``: r + 1 points S, r the rank,
+their signs sigma, +1 for the undershoot row (the value above the fit) and
+-1 for the overshoot row, and their weights w, the row multipliers that
+are not zero.  They certify optimality:
 
-* ``beta >= 0`` and ``sum(beta) = 1`` (the bound column of the LP);
-* each direction of the span is ``beta``-orthogonal to the data: the
-  overshoot and undershoot sums of ``beta`` times a column of the lifted
-  design, an orthonormal basis of the span, cancel;
-* nonzero multipliers sit only on the rows of ``FitResult.active_points``
-  that touch the band, by the residual's sign (complementary slackness);
-* pairing ``beta`` with the signed residuals reproduces the discrepancy,
-  matching the maximized dual functional ``-rhs . beta``.
+* ``w >= 0`` and ``sum(w) = 1`` (the bound column of the LP);
+* each direction of the span is orthogonal to the data under ``w sigma``:
+  sum_S w_i sigma_i u_i cancels for each column of the lifted design, an
+  orthonormal basis of the span;
+* nonzero weights sit only on points of ``FitResult.active_points``, on
+  the side of the residual's sign (complementary slackness);
+* pairing ``w sigma`` with the residuals reproduces the discrepancy, and
+  with the values the maximized dual functional sum_S w_i sigma_i y_i.
 
-Note on orientation: the overshoot-minus-undershoot sum of ``beta * value``
-equals *minus* the discrepancy; the identity holds with the undershoot sum
-first.  ``verify_identities`` records this in its notes rather than
-silently flipping a sign.
+Note on orientation: the undershoot-minus-overshoot sum of ``w * value``,
+sum_S w_i sigma_i y_i, equals the discrepancy; the reversed orientation
+comes out at minus it.  ``verify_identities`` records this in its notes
+rather than silently flipping a sign.
 
 Every identity is judged on ``ProblemInstance.lifted_design_and_values()``
-and the fit's lifted solution, ``FitResult.lp_solution``, and lifted
-residuals, against the rounding unit of the fit's lifted coefficients,
-``ProblemInstance.rounding_tol``, the rule the oracle comparison reads
-too; value-sized gaps are reported in data units
-(``ProblemInstance.data_units``), and orthogonality per direction of the
-span (r entries, r the rank).
+and the fit's lifted solution and lifted residuals, against the rounding
+unit of the fit's lifted coefficients, ``ProblemInstance.rounding_tol``,
+the rule the oracle comparison reads too; value-sized gaps are reported in
+data units (``ProblemInstance.data_units``), and orthogonality per
+direction of the span (r entries).
 """
 
 from __future__ import annotations
@@ -36,26 +37,30 @@ import numpy as np
 
 from .errors import DegenerateCase, PreconditionError
 from .fitting import FitResult, ProblemInstance
-from .lp import OPTIMAL, LpSolution
+from .lp import LpSolution
 from .tolerances import MULTIPLIER_TOL, RANK_TOL, interpolates_exactly
 
 
 @dataclass
 class DualCertificate:
-    """Nonnegative row multipliers of a solved fit and the lifted dual
-    objective; their masses on the overshoot (even) and undershoot (odd)
-    rows are read off ``beta``."""
+    """The dual optimum of a solved fit: the indices of its reference
+    points, their signs sigma (+1 on the undershoot row, -1 on the
+    overshoot row), their nonnegative weights and the lifted dual objective
+    sum w_i sigma_i y_i.  The masses on the two row families are the
+    weights' sums by sign."""
 
-    beta: np.ndarray
+    reference: np.ndarray
+    signs: np.ndarray
+    weights: np.ndarray
     dual_objective: float
 
     @property
     def overshoot_sum(self) -> float:
-        return float(np.sum(self.beta[0::2]))
+        return float(np.sum(self.weights[self.signs < 0]))
 
     @property
     def undershoot_sum(self) -> float:
-        return float(np.sum(self.beta[1::2]))
+        return float(np.sum(self.weights[self.signs > 0]))
 
 
 @dataclass
@@ -90,24 +95,34 @@ def _require_analyzable(exact_interpolation: bool):
         )
 
 
+def _on_points(reference, signs, weights, n: int) -> bool:
+    """True when the three are 1-D arrays of one length, and the
+    reference holds indices of points of an instance of n."""
+    reference = np.asarray(reference)
+    return bool(
+        reference.ndim == 1
+        and np.issubdtype(reference.dtype, np.integer)
+        and np.shape(signs) == np.shape(weights) == reference.shape
+        and np.all((reference >= 0) & (reference < n))
+    )
+
+
 def extract_certificate(
     solution: LpSolution, instance: ProblemInstance
 ) -> DualCertificate:
-    """Pull the row multipliers out of a solved fit LP.
+    """Pull the reference, signs and weights out of a solved fit LP.
 
     Raises DegenerateCase on exact interpolation, and PreconditionError
-    when the solution is not optimal.
+    when the solution's reference is not one on the instance's points.
     """
-    if solution.status != OPTIMAL:
-        raise PreconditionError(
-            f"certificate extraction needs an optimal solve, got {solution.status}"
-        )
-    if solution.dual is None or len(solution.dual) != 2 * instance.n:
-        raise PreconditionError("solution does not belong to this instance")
     exact = interpolates_exactly(solution.objective_value)  # lifted, like fit's
     _require_analyzable(exact)
+    if not _on_points(solution.reference, solution.signs, solution.weights, instance.n):
+        raise PreconditionError("solution does not belong to this instance")
     return DualCertificate(
-        beta=solution.dual.copy(),
+        reference=solution.reference.copy(),
+        signs=solution.signs.copy(),
+        weights=solution.weights.copy(),
         dual_objective=float(solution.dual_objective),
     )
 
@@ -119,13 +134,13 @@ def verify_identities(
 
     All residual fields are magnitudes; ``identities_ok`` aggregates them at
     the certificate tolerance.  The fabricated-certificate path is
-    supported: a beta that fails an identity shows up as a large residual,
+    supported: weights that fail an identity show up as a large residual,
     not an exception.  ``instance`` must be the fit's own,
     ``fit_result.instance``; PreconditionError otherwise.
     """
     if instance is not fit_result.instance:
         raise PreconditionError("fit does not belong to this instance")
-    if len(cert.beta) != 2 * instance.n:
+    if not _on_points(cert.reference, cert.signs, cert.weights, instance.n):
         raise PreconditionError("certificate does not match the instance size")
     if len(fit_result.coefficients) != instance.m:
         raise PreconditionError("fit does not match the instance size")
@@ -135,31 +150,30 @@ def verify_identities(
     g, y = instance.lifted_design_and_values()
     alpha = fit_result.lp_solution.primal[1:]
     d = fit_result.lp_solution.objective_value
-    b_over = cert.beta[0::2]
-    b_under = cert.beta[1::2]
-    residual = fit_result.lifted_residuals
+    points, weights = cert.reference, cert.weights
+    signed = cert.signs * weights
+    residual = fit_result.lifted_residuals[points]
     tol = instance.rounding_tol(alpha)
 
     strong_duality_gap = abs(cert.dual_objective - d)
-    beta_sum_residual = abs(float(np.sum(cert.beta)) - 1.0)
+    beta_sum_residual = abs(float(np.sum(weights)) - 1.0)
 
-    # Optimal-value identity; holds with the undershoot sum leading.  The
-    # overshoot-leading orientation comes out at -d.
-    value_sum = float(b_under @ y - b_over @ y)
-    value_sum_gap = abs(value_sum - d)
+    # Optimal-value identity; holds with the undershoot rows (sigma = +1)
+    # leading.  The overshoot-leading orientation comes out at -d.
+    value_sum_gap = abs(float(signed @ y[points]) - d)
 
-    orthogonality = g.T @ (b_over - b_under)
+    orthogonality = g[points].T @ signed
     combined = abs(float(alpha @ orthogonality))
 
-    pairing = float(b_under @ residual - b_over @ residual)
-    residual_pairing_gap = abs(pairing - d)
+    residual_pairing_gap = abs(float(signed @ residual) - d)
 
-    # The fit's touch rows, interleaved per point like the LP's rows: a
-    # residual at -d makes the overshoot row tight, one at +d the undershoot.
-    active = list(fit_result.active_points)
-    touch = np.zeros((instance.n, 2), dtype=bool)
-    touch[active] = residual[active, None] * [-1.0, 1.0] > 0
-    violations = int(np.sum((cert.beta > MULTIPLIER_TOL) & ~touch.ravel()))
+    # A weight belongs on a touch point whose residual's sign is its own:
+    # a residual at +d makes the undershoot row tight, one at -d the
+    # overshoot row.
+    active = np.zeros(instance.n, dtype=bool)
+    active[list(fit_result.active_points)] = True
+    touch = active[points] & (residual * cert.signs > 0)
+    violations = int(np.sum((weights > MULTIPLIER_TOL) & ~touch))
 
     active_count = len(fit_result.active_points)
     active_count_ok = check_active_point_count(fit_result)
@@ -178,7 +192,7 @@ def verify_identities(
         and combined <= tol
         and residual_pairing_gap <= tol
         and violations == 0
-        and np.all(cert.beta >= -MULTIPLIER_TOL)
+        and np.all(weights >= -MULTIPLIER_TOL)
     )
 
     notes = (

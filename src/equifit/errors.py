@@ -6,11 +6,11 @@ class EquifitError(Exception):
 
 
 class DimensionMismatch(EquifitError):
-    """Shapes of objective, constraint matrix, and right-hand side disagree."""
+    """Input arrays disagree in shape, or hold values the problem refuses."""
 
 
 class NumericFailure(EquifitError):
-    """The simplex stalled or produced a solution that fails verification."""
+    """The exchange spent its budget, or its systems or weights failed a check."""
 
     def __init__(self, message, iterations=None):
         super().__init__(message)

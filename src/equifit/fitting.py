@@ -7,8 +7,7 @@ basis of the span of the weighted basis functions on the data), with two
 rows per point: an overshoot row (combination above the value) and an
 undershoot row.  ``fit`` solves it by the exchange (``lp.exchange``), a
 revised simplex on its dual of r + 1 rows, r the rank, on the lifted
-design and values; ``assemble_primal`` states it for the general solver,
-``lp.solve_lp``.
+design and values, with no matrix of rows.
 Nonnegative weights enter by rescaling each point's design row and value,
 which reduces the weighted problem to an unweighted one.
 """
@@ -21,7 +20,7 @@ import numpy as np
 
 from .basis import BasisSet, design_matrix, singular_value_rank
 from .errors import DimensionMismatch, EquifitError, SolverError
-from .lp import FREE, OPTIMAL, LinearProgram, LpSolution, exchange
+from .lp import LpSolution, exchange
 from .tolerances import BAND_TOL, RANK_TOL, interpolates_exactly, rounding_tol
 
 
@@ -212,9 +211,10 @@ class FitResult:
     residual magnitude reaches d less the band (zero-weight points never
     qualify), the one touch set, on the side of the residual's sign, that
     the certificate and the alternation analysis read.  The LP solution is
-    that of the instance's lifted problem; the certificate reads it, and d
-    is its optimum.  ``residuals`` are the gaps value - combination in data
-    units, for the report: the lifted residuals in data units divided by
+    the exchange's on the instance's lifted problem: d is its optimum, and
+    its final reference, signs and weights are the dual certificate.
+    ``residuals`` are the gaps value - combination in data units, for the
+    report: the lifted residuals in data units divided by
     the weight where it is positive (unweighted, ``scaled_residuals``
     exactly), and value minus the design row times the coefficients at a
     zero-weight point, the one place the design is evaluated again.
@@ -252,35 +252,6 @@ class FitResult:
         return float(self.instance.data_units(self.band))
 
 
-def assemble_primal(instance: ProblemInstance) -> LinearProgram:
-    """Build the fit LP for the general solver, ``lp.solve_lp``: variables
-    (bound, then one coefficient per column of the lifted design, ``rank``
-    of them), rows interleaved per point as (overshoot row, undershoot row).
-    ``fit`` solves the same program by the exchange, with no matrix.
-
-    Row 2i holds "combination(x_i) - z <= y_i", row 2i+1 holds
-    "-combination(x_i) - z <= -y_i", on the lifted design and values of
-    ``instance.lifted_design_and_values()``.
-    """
-    g, y = instance.lifted_design_and_values()
-    n, m = g.shape
-    matrix = np.zeros((2 * n, m + 1))
-    rhs = np.zeros(2 * n)
-    matrix[:, 0] = -1.0
-    matrix[0::2, 1:] = g
-    matrix[1::2, 1:] = -g
-    rhs[0::2] = y
-    rhs[1::2] = -y
-    objective = np.zeros(m + 1)
-    objective[0] = 1.0
-    return LinearProgram(
-        objective=objective,
-        constraint_matrix=matrix,
-        rhs=rhs,
-        variable_kinds=(FREE,) * (m + 1),
-    )
-
-
 @np.errstate(all="ignore")
 def fit(instance: ProblemInstance) -> FitResult:
     """Solve the minimax fit for an instance.
@@ -293,12 +264,10 @@ def fit(instance: ProblemInstance) -> FitResult:
     64 roundings of a lifted residual, where that is more, as on data far
     above one.  The LP is solved by ``lp.exchange`` on
     ``instance.lifted_design_and_values()``, which stops within that
-    rounding unit.  Raises SolverError when the LP layer fails, or ends
-    other than optimal, which for this feasible, bounded LP is a numeric
-    failure.  Like ``exchange``, it runs with numpy's floating-point
-    warnings silenced: a residual that overflows, lifted or in data units,
-    or a coefficient that overflows in data units, fails a check of its
-    own.
+    rounding unit.  Raises SolverError when the exchange fails.  Like
+    ``exchange``, it runs with numpy's floating-point warnings silenced: a
+    residual that overflows, lifted or in data units, or a coefficient that
+    overflows in data units, fails a check of its own.
 
     ``lp_solution.primal`` holds the lifted bound, then the coefficients of
     the lifted design's columns, read as ``primal[1:]``; ``coefficients``
@@ -309,11 +278,6 @@ def fit(instance: ProblemInstance) -> FitResult:
         solution = exchange(g, y, instance.rounding_tol)
     except (EquifitError, np.linalg.LinAlgError) as exc:
         raise SolverError(f"fit LP failed: {exc}") from exc
-    if solution.status != OPTIMAL:
-        raise SolverError(
-            f"numeric failure: the fit LP is feasible and bounded, but the "
-            f"solver ended with status {solution.status}: {solution.reason}"
-        )
 
     lifted_d = float(solution.objective_value)
     alpha = solution.primal[1:]

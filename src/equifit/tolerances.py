@@ -11,9 +11,11 @@ uncapped power of two so that max |w y| >= 1.  So each floor of 1 below is
 in the data's unit, and none has an absolute regime for small data or for
 a basis function's scale.  Two computations of one number agree within
 ``ROUNDING_UNITS`` roundings of a lifted residual (``rounding_tol``) alone:
-the certificate identities and the brute-force oracle's feasibility test
-and agreement.  The LP's vertex check and fit's band allow that too, where
-it is more than ``BAND_TOL``, as on data far above one.  The perturbation
+the exchange's stop, the certificate identities and the brute-force
+oracle's feasibility test and agreement.  Fit's band allows that too, where
+it is more than ``BAND_TOL``, as on data far above one.  The exchange's
+ratio test reads the rounding unit of its weights, which sum to one:
+``ROUNDING_UNITS`` * eps.  The perturbation
 analysis reads the same unit of its own numbers: an interpolant's move
 agrees with its closed form within the rounding of the values compared,
 and interpolation nodes are distinct when their gaps exceed the rounding
@@ -23,18 +25,13 @@ it is relative to; its readers.
 
 import numpy as np
 
-# A value-sized quantity that counts as zero; max(1, max |rhs|) in LP phase
-# 1, or the lifted optimum itself in exact interpolation
-# (``interpolates_exactly``).
+# A value-sized quantity that counts as zero; the lifted optimum itself in
+# exact interpolation (``interpolates_exactly``).
 FEAS_TOL = 1e-9
-# A tableau entry too small to pivot on; absolute; the simplex.
-PIVOT_TOL = 1e-10
-# Ratios that tie with the minimum in the ratio test; absolute; the simplex.
-RATIO_TIE_TOL = 1e-12
-# How far rounding may move a recomputed row or residual from its bound;
-# max(1, |bound|); the LP's vertex check, fit's residual-bound check and
-# active band (``FitResult.active_points``, the touch set that the
-# certificate and the alternation analysis read).
+# How far rounding may move a recomputed residual from its bound;
+# max(1, |bound|); fit's residual-bound check and active band
+# (``FitResult.active_points``, the touch set that the certificate and the
+# alternation analysis read).
 BAND_TOL = 100 * FEAS_TOL
 # A singular value that does not count to the rank, and a vector of at
 # most unit length whose part off a span does not count as a new
@@ -44,20 +41,22 @@ BAND_TOL = 100 * FEAS_TOL
 # at unit length, against the span of the lifted design).
 RANK_TOL = 1e-10
 # The multipliers' zero level, and how exactly they sum to one and split
-# into halves; absolute; LP extraction (a multiplier recomputed from the
-# final basis that rounds below zero by less is set to zero, one further
-# below fails the solve) and the certificate.
+# into halves; absolute; the exchange (a weight of its final reference that
+# rounds below zero by less is set to zero, one further below fails the
+# fit) and the certificate.
 MULTIPLIER_TOL = 1e-9
 # How many roundings of one lifted residual a certificate identity or a
-# brute-force candidate may be off by, and a recomputed row or residual
-# where that is more than BAND_TOL; the rounding of a residual of the
-# coefficients at hand (``rounding_tol``); the certificate identities, the
-# oracle's feasibility test and agreement, the LP's vertex check, and fit's
-# residual-bound check and active band.  Also how far an interpolant's move
-# may be from its closed form, in roundings of the interpolated value and
-# the two it is compared with (``perturbation_step``), and how close two
-# interpolation nodes may come, in roundings of their largest magnitude
-# (``lagrange_interpolate``).
+# brute-force candidate may be off by, and a recomputed residual where that
+# is more than BAND_TOL; the rounding of a residual of the coefficients at
+# hand (``rounding_tol``); the exchange's stop, the certificate identities,
+# the oracle's feasibility test and agreement, and fit's residual-bound
+# check and active band.  Also how many roundings of one, the sum of the
+# exchange's weights, its ratio test allows (an eligible direction entry,
+# against the largest, and a tie with the least ratio).  Also how far an
+# interpolant's move may be from its closed form, in roundings of the
+# interpolated value and the two it is compared with
+# (``perturbation_step``), and how close two interpolation nodes may come,
+# in roundings of their largest magnitude (``lagrange_interpolate``).
 ROUNDING_UNITS = 64
 
 
@@ -69,7 +68,7 @@ def interpolates_exactly(discrepancy):
 def rounding_tol(max_value, max_design, coefficients):
     """ROUNDING_UNITS * u, with u = eps * (max |values| + max |design| *
     ||coefficients||_1) the rounding of one residual: the data's own unit
-    (the LP's vertex check, fit's band, the certificate, the oracle, the
+    (the exchange's stop, fit's band, the certificate, the oracle, the
     perturbation analysis and its interpolation nodes).  The
     factor multiplies each term first, so that the rule stays finite at the
     float limit; arrays of maxima, or a stack of coefficient vectors, one

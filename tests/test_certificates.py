@@ -17,7 +17,6 @@ from equifit.equioscillation import alternation_pattern
 from equifit.errors import DegenerateCase, PreconditionError
 from equifit.fitting import ProblemInstance, fit
 from equifit.generators import monomial_basis, random_instance
-from equifit.lp import INFEASIBLE, LpSolution
 from equifit.oracle import compare_with_oracle
 from equifit.tolerances import BAND_TOL, ROUNDING_UNITS
 
@@ -44,11 +43,19 @@ def fitted(instance):
     return result, cert
 
 
+def row_multipliers(cert, n):
+    """The certificate's weights on the fit LP's 2n rows, interleaved per
+    point as (overshoot row, undershoot row)."""
+    beta = np.zeros(2 * n)
+    beta[2 * cert.reference + (cert.signs > 0)] = cert.weights
+    return beta
+
+
 def test_constant_certificate_masses():
     # Hand-solved dual: multiplier 1/2 on the overshoot row of point 0 and
     # 1/2 on the undershoot row of point 1.
     _, cert = fitted(constant_instance())
-    assert cert.beta == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-9)
+    assert row_multipliers(cert, 2) == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-9)
     assert cert.overshoot_sum == pytest.approx(0.5, abs=1e-9)
     assert cert.undershoot_sum == pytest.approx(0.5, abs=1e-9)
     assert cert.dual_objective == pytest.approx(0.5, abs=1e-9)
@@ -57,7 +64,8 @@ def test_constant_certificate_masses():
 def test_certificate_invariant_under_value_scaling():
     _, cert1 = fitted(constant_instance(1.0))
     _, cert2 = fitted(constant_instance(2.0))
-    assert cert1.beta == pytest.approx(cert2.beta, abs=1e-9)
+    beta1, beta2 = row_multipliers(cert1, 2), row_multipliers(cert2, 2)
+    assert beta1 == pytest.approx(beta2, abs=1e-9)
 
 
 def test_beta_sums_to_one():
@@ -66,7 +74,7 @@ def test_beta_sums_to_one():
         assert cert.overshoot_sum + cert.undershoot_sum == pytest.approx(
             1.0, abs=1e-9
         )
-        assert np.all(cert.beta >= 0)
+        assert np.all(cert.weights >= 0)
 
 
 def test_masses_are_read_off_beta_and_judged_by_the_two_sided_check():
@@ -74,10 +82,10 @@ def test_masses_are_read_off_beta_and_judged_by_the_two_sided_check():
     result, cert = fitted(instance)
     assert check_two_sided(result, cert) is True
     # Three quarters of the mass on the overshoot rows, a quarter on the others.
-    beta = cert.beta * np.tile([1.5, 0.5], instance.n)
-    lopsided = DualCertificate(beta=beta, dual_objective=cert.dual_objective)
-    assert lopsided.overshoot_sum == float(np.sum(beta[0::2]))
-    assert lopsided.undershoot_sum == float(np.sum(beta[1::2]))
+    weights = cert.weights * np.where(cert.signs < 0, 1.5, 0.5)
+    lopsided = dataclasses.replace(cert, weights=weights)
+    assert lopsided.overshoot_sum == float(np.sum(weights[cert.signs < 0]))
+    assert lopsided.undershoot_sum == float(np.sum(weights[cert.signs > 0]))
     assert (lopsided.overshoot_sum, lopsided.undershoot_sum) == pytest.approx(
         (0.75, 0.25), abs=1e-12
     )
@@ -102,8 +110,8 @@ def test_identities_on_hat_fit():
 def test_fabricated_beta_flags_sum_violation():
     instance = hat_instance()
     result, cert = fitted(instance)
-    fake = DualCertificate(
-        beta=cert.beta * 2.0, dual_objective=cert.dual_objective * 2.0
+    fake = dataclasses.replace(
+        cert, weights=cert.weights * 2.0, dual_objective=cert.dual_objective * 2.0
     )
     report = verify_identities(fake, result, instance)
     assert report.beta_sum_residual > 1e-9
@@ -111,9 +119,9 @@ def test_fabricated_beta_flags_sum_violation():
 
 
 def test_a_perturbed_beta_fails_within_the_rounding_unit():
-    # Moving 1e-9 of beta between two nonzero entries leaves gaps near
-    # 1e-9, far above the rounding of a residual on data of order one; the
-    # identities fail and the report shows the gaps.
+    # Moving 1e-9 of weight between the two nonzero weights of lowest point
+    # index leaves gaps near 1e-9, far above the rounding of a residual on
+    # data of order one; the identities fail and the report shows the gaps.
     x = np.linspace(0.0, 1.0, 30)
     y = np.sin(3.0 * x) + 0.05 * np.random.default_rng(0).normal(0.0, 1.0, 30)
     instance = ProblemInstance(
@@ -121,11 +129,12 @@ def test_a_perturbed_beta_fails_within_the_rounding_unit():
     )
     result, cert = fitted(instance)
     assert verify_identities(cert, result, instance).identities_ok
-    beta = cert.beta.copy()
-    first, second = np.flatnonzero(beta)[:2]
-    beta[first] += 1e-9
-    beta[second] -= 1e-9
-    perturbed = dataclasses.replace(cert, beta=beta)
+    weights = cert.weights.copy()
+    nonzero = np.flatnonzero(weights)
+    first, second = nonzero[np.argsort(cert.reference[nonzero])][:2]
+    weights[first] += 1e-9
+    weights[second] -= 1e-9
+    perturbed = dataclasses.replace(cert, weights=weights)
     report = verify_identities(perturbed, result, instance)
     assert not report.identities_ok
     assert report.value_sum_gap == pytest.approx(8.4e-10, rel=0.01)
@@ -267,16 +276,14 @@ def test_a_multiplier_off_the_touch_rows_is_one_violation(target):
     instance = quadratic_instance()
     result, cert = fitted(instance)
     assert verify_identities(cert, result, instance).complementarity_violations == 0
-    source = int(np.argmax(cert.beta))
-    assert source // 2 in result.active_points
+    source = int(np.argmax(cert.weights))
+    assert cert.reference[source] in result.active_points
+    reference, signs = cert.reference.copy(), cert.signs.copy()
     if target == "other-row":
-        row = source ^ 1
+        signs[source] = -signs[source]
     else:
-        off = min(set(range(instance.n)) - set(result.active_points))
-        row = 2 * off + source % 2
-    beta = cert.beta.copy()
-    beta[row], beta[source] = beta[source], 0.0
-    moved = DualCertificate(beta=beta, dual_objective=cert.dual_objective)
+        reference[source] = min(set(range(instance.n)) - set(result.active_points))
+    moved = DualCertificate(reference, signs, cert.weights, cert.dual_objective)
     report = verify_identities(moved, result, instance)
     assert report.complementarity_violations == 1
     assert not report.identities_ok
@@ -437,21 +444,24 @@ def test_a_large_y_fit_is_judged_in_the_data_rounding_unit():
     assert report.identities_ok and report.active_count_ok
 
 
-def _not_optimal(result, cert, instance):
-    extract_certificate(LpSolution(status=INFEASIBLE), instance)
-
-
 def _no_dual(result, cert, instance):
-    extract_certificate(dataclasses.replace(result.lp_solution, dual=None), instance)
+    extract_certificate(dataclasses.replace(result.lp_solution, weights=None), instance)
 
 
 def _short_dual(result, cert, instance):
-    solution = dataclasses.replace(result.lp_solution, dual=cert.beta[:4])
+    solution = dataclasses.replace(result.lp_solution, weights=cert.weights[:2])
     extract_certificate(solution, instance)
 
 
+def _foreign_reference(result, cert, instance):
+    solution = result.lp_solution
+    moved = dataclasses.replace(solution, reference=solution.reference + instance.n)
+    extract_certificate(moved, instance)
+
+
 def _short_beta(result, cert, instance):
-    verify_identities(dataclasses.replace(cert, beta=cert.beta[:4]), result, instance)
+    short = dataclasses.replace(cert, weights=cert.weights[:2])
+    verify_identities(short, result, instance)
 
 
 def _short_fit(result, cert, instance):
@@ -462,13 +472,13 @@ def _short_fit(result, cert, instance):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (_not_optimal, "needs an optimal solve, got infeasible"),
         (_no_dual, "solution does not belong to this instance"),
         (_short_dual, "solution does not belong to this instance"),
+        (_foreign_reference, "solution does not belong to this instance"),
         (_short_beta, "certificate does not match the instance size"),
         (_short_fit, "fit does not match the instance size"),
     ],
-    ids=["not-optimal", "no-dual", "short-dual", "short-beta", "short-fit"],
+    ids=["no-dual", "short-dual", "foreign-reference", "short-beta", "short-fit"],
 )
 def test_certificate_preconditions_name_the_mismatch(call, message):
     instance = quadratic_instance()

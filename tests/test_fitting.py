@@ -1,4 +1,4 @@
-"""Tests for LP assembly and the minimax fit.
+"""Tests for the lifted problem and the minimax fit.
 
 Expected values for the small cases were derived by hand from the witness
 systems: residuals at m+1 active points sit at +-d, which gives a square
@@ -14,15 +14,8 @@ from equifit.basis import BasisFunction, design_matrix, parse_basis_spec
 from equifit.certificates import extract_certificate, verify_identities
 from equifit.equioscillation import alternation_pattern
 from equifit.errors import DimensionMismatch, SolverError
-from equifit.fitting import (
-    ProblemInstance,
-    assemble_primal,
-    fit,
-    objective_value,
-)
-from equifit.lp import INFEASIBLE, LpSolution
+from equifit.fitting import ProblemInstance, fit, objective_value
 from equifit.oracle import compare_with_oracle
-import equifit.fitting as fitting
 
 
 def constant_instance():
@@ -50,13 +43,14 @@ def parabola_sample_instance():
 
 
 def test_assemble_single_point_rows():
+    # The fit LP's two rows of a point, |y_i - u_i alpha| <= z, read its
+    # lifted design row and value.
     instance = ProblemInstance(
         points=[[0.0]], values=[5.0], basis=parse_basis_spec("1", 1)
     )
-    lp = assemble_primal(instance)
-    assert lp.constraint_matrix.tolist() == [[-1.0, 1.0], [-1.0, -1.0]]
-    assert lp.rhs.tolist() == [5.0, -5.0]
-    assert lp.objective.tolist() == [1.0, 0.0]
+    g, y = instance.lifted_design_and_values()
+    assert g.tolist() == [[1.0]]
+    assert y.tolist() == [5.0]
 
 
 def test_unit_weights_assemble_identically():
@@ -67,9 +61,12 @@ def test_unit_weights_assemble_identically():
         basis=plain.basis,
         weights=[1.0, 1.0, 1.0],
     )
-    a, b = assemble_primal(plain), assemble_primal(weighted)
-    assert np.array_equal(a.constraint_matrix, b.constraint_matrix)
-    assert np.array_equal(a.rhs, b.rhs)
+    (g_a, y_a), (g_b, y_b) = (
+        plain.lifted_design_and_values(),
+        weighted.lifted_design_and_values(),
+    )
+    assert np.array_equal(g_a, g_b)
+    assert np.array_equal(y_a, y_b)
 
 
 def test_weight_scales_one_row_pair():
@@ -79,15 +76,11 @@ def test_weight_scales_one_row_pair():
         basis=parse_basis_spec("1", 1),
         weights=[2.0, 1.0],
     )
-    lp = assemble_primal(instance)
-    # Point 0's pair is doubled in the rhs and in the weighted design
-    # [2, 1], whose lifted column is that vector of unit length; the bound
-    # column, the first, stays -1.
-    assert lp.constraint_matrix[:, 0].tolist() == [-1.0] * 4
-    column = lp.constraint_matrix[:, 1]
-    assert np.array_equal(column[1::2], -column[0::2])
-    assert np.abs(column[0::2]) == pytest.approx(np.array([2.0, 1.0]) / np.sqrt(5.0))
-    assert lp.rhs.tolist() == [2.0, -2.0, 2.0, -2.0]
+    g, y = instance.lifted_design_and_values()
+    # Point 0's value is doubled, and so is its row of the weighted design
+    # [2, 1], whose lifted column is that vector of unit length.
+    assert np.abs(g[:, 0]) == pytest.approx(np.array([2.0, 1.0]) / np.sqrt(5.0))
+    assert y.tolist() == [2.0, 2.0]
 
 
 def test_constant_fit_balances_two_values():
@@ -348,8 +341,8 @@ def test_value_scale_lifts_values_below_one(values, weights, expected):
     )
     assert instance.value_exponent == expected
     y = instance.values if weights is None else instance.weights * instance.values
-    rhs = assemble_primal(instance).rhs
-    assert np.array_equal(rhs[0::2], np.ldexp(y, expected))
+    lifted = instance.lifted_design_and_values()[1]
+    assert np.array_equal(lifted, np.ldexp(y, expected))
 
 
 def test_subnormal_values_are_lifted_and_fit():
@@ -391,17 +384,20 @@ def test_values_below_the_float_exponent_range_lift_uncapped_and_certify():
 
 
 def test_a_fit_lp_that_ends_other_than_optimal_is_a_numeric_failure(monkeypatch):
-    # The fit LP is feasible (alpha = 0, z = max |w y|) and bounded below by
-    # z >= 0, so an "infeasible" verdict can only come from rounding.
-    def failing(design, values, tolerance):
-        return LpSolution(status=INFEASIBLE, reason="constraints are inconsistent")
+    # The ratio test keeps the reference system regular in exact
+    # arithmetic, so a singular one comes from rounding: fit reports the
+    # exchange's own reason.  Every 3 x 3 solve is singular here: the hat's
+    # reference systems (rank 2).
+    solve = np.linalg.solve
 
-    monkeypatch.setattr(fitting, "exchange", failing)
-    with pytest.raises(SolverError) as info:
+    def singular(a, b):
+        if len(a) == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SolverError, match="^fit LP failed: Singular matrix$"):
         fit(hat_instance())
-    message = str(info.value)
-    assert message.startswith("numeric failure: the fit LP is feasible and bounded")
-    assert "status infeasible: constraints are inconsistent" in message
 
 
 HAT = {"points": [[0.0], [1.0], [2.0]], "values": [0.0, 1.0, 0.0]}

@@ -24,9 +24,15 @@ def test_one_sided_demo(capsys):
 
 def test_large_fit_reports_and_certifies(capsys):
     script = runpy.run_path(str(SCRIPTS / "large_fit.py"))
-    assert script["run"](2000, 4, 100)
+    assert script["run"](2000, 4)
     out = capsys.readouterr().out
     assert "certificate identities: ok" in out
+    assert re.search(
+        r"^tracemalloc peak \d+\.\d\d MB, \d\.\d\d doubles per point "
+        r"\(limit 0\.13 MB: 8 x n doubles\)$",
+        out,
+        re.MULTILINE,
+    )
     assert re.search(r"^fit \d+\.\d+ s \(limit 1 s\), \d+ exchanges$", out, re.MULTILINE)
     # U_r and the lifted values: 5 x 2000 doubles, 0.08 MB, within 1.1 x.
     assert re.search(
@@ -36,8 +42,8 @@ def test_large_fit_reports_and_certifies(capsys):
         re.MULTILINE,
     )
     assert not script["run"](2000, 4, 0)
-    assert not script["run"](2000, 4, 100, max_seconds=0.0)
-    assert not script["run"](2000, 4, 100, max_retained=0.9)
+    assert not script["run"](2000, 4, max_seconds=0.0)
+    assert not script["run"](2000, 4, max_retained=0.9)
     assert "(limit 0.07 MB: 0.9 x (rank + 1) x n doubles)" in capsys.readouterr().out
 
 
