@@ -5,8 +5,9 @@ one command.
 Imports ``equifit`` from SRC (default: this checkout's ``src``) and the
 seeded workloads from this checkout's ``perfbench/workloads.py``, runs a
 fixed slice of each workload's ops, and prints one line per slice: the
-workload, the seed, the op count, the count of ops that raised, and a
-SHA-256 of every op's outcome.
+workload, the seed, the op count, the count of ops that raised, a SHA-256
+of every op's full outcome, and a second SHA-256, after "fits", of its
+fits and verdicts alone.
 
 * The fit workloads (``many_small``, ``grid_smooth``, ``large_1d``) run
   through ``workloads.certified_fit``.  An op's outcome is d's repr; the
@@ -18,11 +19,20 @@ SHA-256 of every op's outcome.
   op's outcome is its exit code, its JSON report without ``timing``, and
   its stderr.
 
+The fits-alone digest leaves out what moves with a rounding of a sum and
+not with the fit: ``active_tol``, the certificate's residual magnitudes
+(the gaps, sum and orthogonality residuals of its report) and, in the
+CLI's report, the certificate's masses and dual objective.  It keeps d,
+the coefficients, the residuals, the active set, the exchange count, the
+flags, the certificate's verdicts and counts (``VERDICTS``), the
+alternation pattern, the oracle block and the exit code.
+
 A last line digests the printed output of the selftest battery,
 ``equifit selftest --seed 42 --instances 200``.
 
-Equal digests mean byte-identical fits, reports, verdicts and selftest
-output:
+Equal full digests mean byte-identical fits, reports, verdicts and
+selftest output; equal fits-alone digests, byte-identical fits and
+verdicts:
 
     python scripts/fit_digest.py > new.txt
     python scripts/fit_digest.py ../parent/src > old.txt
@@ -53,6 +63,15 @@ SLICES = (
 )
 # The selftest's seed and instance count.
 BATTERY = (42, 200)
+# The certificate report's verdicts and counts, all that the fits-alone
+# digest keeps of it.
+VERDICTS = (
+    "complementarity_violations",
+    "active_point_count",
+    "active_count_ok",
+    "two_sided_ok",
+    "identities_ok",
+)
 
 
 def _load(src):
@@ -72,9 +91,20 @@ def _load(src):
     return workloads
 
 
-def _fit_record(out):
+def _verdicts(block):
+    """The certificate block's verdicts and counts, or its skip reason."""
+    return {key: block[key] for key in (*VERDICTS, "skipped") if key in block}
+
+
+def _join(parts):
+    return b"|".join(p if isinstance(p, bytes) else p.encode() for p in parts)
+
+
+def _fit_records(out):
+    """(full, fits-alone) records of a certified fit."""
     result, report, pattern = out
-    parts = [
+    block = None if report is None else report.to_dict()
+    fits = [
         repr(result.discrepancy),
         result.coefficients.tobytes(),
         result.residuals.tobytes(),
@@ -82,28 +112,39 @@ def _fit_record(out):
         repr(result.active_points),
         repr(result.lp_solution.iterations),
         repr((result.exact_interpolation, result.low_rank)),
+    ]
+    full = [
         repr(result.active_tol),
-        "" if report is None else json.dumps(report.to_dict(), sort_keys=True),
+        "" if block is None else json.dumps(block, sort_keys=True),
         repr(pattern),
     ]
-    return b"|".join(p if isinstance(p, bytes) else p.encode() for p in parts)
+    alone = [
+        "" if block is None else json.dumps(_verdicts(block), sort_keys=True),
+        repr(pattern),
+    ]
+    return _join(fits + full), _join(fits + alone)
 
 
-def _cli_record(code, report_path, stderr):
-    report = ""
+def _cli_records(code, report_path, stderr):
+    """(full, fits-alone) records of one CLI run."""
+    report = alone = ""
     if os.path.exists(report_path):
         with open(report_path) as handle:
             data = json.load(handle)
         os.remove(report_path)
         data.pop("timing", None)
         report = json.dumps(data, sort_keys=True)
-    return f"{code}|{report}|{stderr}".encode()
+        if "certificate" in data:
+            data["certificate"] = _verdicts(data["certificate"])
+        alone = json.dumps(data, sort_keys=True)
+    return f"{code}|{report}|{stderr}".encode(), f"{code}|{alone}|{stderr}".encode()
 
 
 def digest(workloads, name, seed, blocks, workdir):
-    """(op count, raise count, SHA-256) of the first ``blocks`` blocks."""
+    """(op count, raise count, full SHA-256, fits-alone SHA-256) of the
+    first ``blocks`` blocks."""
     workload = workloads.WORKLOADS[name](seed, workdir)
-    sha = hashlib.sha256()
+    shas = hashlib.sha256(), hashlib.sha256()
     ops = raises = 0
     for index in range(blocks):
         for inp in workload.block(index):
@@ -113,13 +154,14 @@ def digest(workloads, name, seed, blocks, workdir):
             ops += 1
             if exc is not None:
                 raises += 1
-                record = f"{type(exc).__name__}: {exc}".encode()
+                records = (f"{type(exc).__name__}: {exc}".encode(),) * 2
             elif name == "verify_cli":
-                record = _cli_record(out, inp.report_path, stderr.getvalue())
+                records = _cli_records(out, inp.report_path, stderr.getvalue())
             else:
-                record = _fit_record(out)
-            sha.update(len(record).to_bytes(8, "little") + record)
-    return ops, raises, sha.hexdigest()
+                records = _fit_records(out)
+            for sha, record in zip(shas, records):
+                sha.update(len(record).to_bytes(8, "little") + record)
+    return ops, raises, shas[0].hexdigest(), shas[1].hexdigest()
 
 
 def battery_digest(seed, instances):
@@ -140,8 +182,10 @@ def run(src=ROOT / "src", blocks=None):
     with tempfile.TemporaryDirectory() as workdir:
         for name, seed, count in SLICES:
             count = count if blocks is None else min(count, blocks)
-            ops, raises, sha = digest(workloads, name, seed, count, workdir)
-            lines.append(f"{name} seed {seed}: {ops} ops, {raises} raised, {sha}")
+            ops, raises, full, alone = digest(workloads, name, seed, count, workdir)
+            lines.append(
+                f"{name} seed {seed}: {ops} ops, {raises} raised, {full}, fits {alone}"
+            )
             print(lines[-1])
     seed, instances = BATTERY if blocks is None else (BATTERY[0], 5)
     sha = battery_digest(seed, instances)

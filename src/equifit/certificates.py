@@ -24,9 +24,10 @@ rather than silently flipping a sign.
 Every identity is judged on ``ProblemInstance.lifted_design_and_values()``
 and the fit's lifted solution and lifted residuals, against the rounding
 unit of the fit's lifted coefficients, ``ProblemInstance.rounding_tol``,
-the rule the oracle comparison reads too; value-sized gaps are reported in
-data units (``ProblemInstance.data_units``), and orthogonality per
-direction of the span (r entries).
+the rule the oracle comparison reads too, and the weights, which sum to
+one, against their own unit, ``WEIGHT_UNIT``; value-sized gaps are
+reported in data units (``ProblemInstance.data_units``), and orthogonality
+per direction of the span (r entries).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import DegenerateCase, PreconditionError
 from .fitting import FitResult, ProblemInstance
 from .lp import LpSolution
-from .tolerances import MULTIPLIER_TOL, RANK_TOL, interpolates_exactly
+from .tolerances import RANK_TOL, WEIGHT_UNIT, interpolates_exactly
 
 
 @dataclass
@@ -112,11 +113,12 @@ def extract_certificate(
 ) -> DualCertificate:
     """Pull the reference, signs and weights out of a solved fit LP.
 
-    Raises DegenerateCase on exact interpolation, and PreconditionError
+    Raises DegenerateCase on exact interpolation, a lifted d within the
+    rounding unit of its coefficients (fit's band), and PreconditionError
     when the solution's reference is not one on the instance's points.
     """
-    exact = interpolates_exactly(solution.objective_value)  # lifted, like fit's
-    _require_analyzable(exact)
+    band = instance.rounding_tol(solution.primal[1:])
+    _require_analyzable(interpolates_exactly(solution.objective_value, band))
     if not _on_points(solution.reference, solution.signs, solution.weights, instance.n):
         raise PreconditionError("solution does not belong to this instance")
     return DualCertificate(
@@ -173,7 +175,7 @@ def verify_identities(
     active = np.zeros(instance.n, dtype=bool)
     active[list(fit_result.active_points)] = True
     touch = active[points] & (residual * cert.signs > 0)
-    violations = int(np.sum((weights > MULTIPLIER_TOL) & ~touch))
+    violations = int(np.sum((weights > WEIGHT_UNIT) & ~touch))
 
     active_count = len(fit_result.active_points)
     active_count_ok = check_active_point_count(fit_result)
@@ -186,13 +188,13 @@ def verify_identities(
 
     identities_ok = (
         strong_duality_gap <= tol
-        and beta_sum_residual <= MULTIPLIER_TOL
+        and beta_sum_residual <= WEIGHT_UNIT
         and value_sum_gap <= tol
         and float(np.max(np.abs(orthogonality), initial=0.0)) <= tol
         and combined <= tol
         and residual_pairing_gap <= tol
         and violations == 0
-        and np.all(weights >= -MULTIPLIER_TOL)
+        and np.all(weights >= -WEIGHT_UNIT)
     )
 
     notes = (
@@ -259,7 +261,7 @@ def check_two_sided(fit_result: FitResult, cert: DualCertificate) -> bool:
     has_undershoot = bool(np.any(touching > 0))
     has_overshoot = bool(np.any(touching < 0))
     halves = (
-        abs(cert.overshoot_sum - 0.5) <= MULTIPLIER_TOL
-        and abs(cert.undershoot_sum - 0.5) <= MULTIPLIER_TOL
+        abs(cert.overshoot_sum - 0.5) <= WEIGHT_UNIT
+        and abs(cert.undershoot_sum - 0.5) <= WEIGHT_UNIT
     )
     return has_overshoot and has_undershoot and halves

@@ -21,7 +21,7 @@ import numpy as np
 from .basis import BasisSet, design_matrix, singular_value_rank
 from .errors import DimensionMismatch, EquifitError, SolverError
 from .lp import LpSolution, exchange
-from .tolerances import BAND_TOL, RANK_TOL, interpolates_exactly, rounding_tol
+from .tolerances import RANK_TOL, interpolates_exactly, rounding_tol
 
 
 @dataclass
@@ -206,13 +206,16 @@ class FitResult:
 
     ``lifted_residuals`` fold in the weights and the value lift and are
     what the LP's d bounds: y - U_r alpha on the instance's lifted problem,
-    which every check of the fit reads.  ``band`` is the lifted tolerance
-    of the touch set: ``active_points`` lists the indices whose lifted
+    which every check of the fit reads.  ``band`` is the fit's rounding
+    unit, ``ProblemInstance.rounding_tol`` of its lifted coefficients and
+    the exchange's stop: ``active_points`` lists the indices whose lifted
     residual magnitude reaches d less the band (zero-weight points never
     qualify), the one touch set, on the side of the residual's sign, that
-    the certificate and the alternation analysis read.  The LP solution is
-    the exchange's on the instance's lifted problem: d is its optimum, and
-    its final reference, signs and weights are the dual certificate.
+    the certificate and the alternation analysis read, and
+    ``exact_interpolation`` says that d is within the band.  The LP
+    solution is the exchange's on the instance's lifted problem: d is its
+    optimum, and its final reference, signs and weights are the dual
+    certificate.
     ``residuals`` are the gaps value - combination in data units, for the
     report: the lifted residuals in data units divided by
     the weight where it is positive (unweighted, ``scaled_residuals``
@@ -260,11 +263,11 @@ def fit(instance: ProblemInstance) -> FitResult:
     ``instance.reported_discrepancy``; the lifted residuals are recomputed
     from the LP's coefficients rather than read off LP slacks, and the
     residual-bound check and the active band read them.  The band is
-    ``BAND_TOL * max(1, lifted d)``, or ``ProblemInstance.rounding_tol``,
-    64 roundings of a lifted residual, where that is more, as on data far
-    above one.  The LP is solved by ``lp.exchange`` on
-    ``instance.lifted_design_and_values()``, which stops within that
-    rounding unit.  Raises SolverError when the exchange fails.  Like
+    ``ProblemInstance.rounding_tol`` of the lifted coefficients, 64
+    roundings of a lifted residual: the stop of ``lp.exchange``, which
+    solves the LP on ``instance.lifted_design_and_values()``.  A lifted d
+    within the band is an exact interpolation (``interpolates_exactly``).
+    Raises SolverError when the exchange fails.  Like
     ``exchange``, it runs with numpy's floating-point warnings silenced: a
     residual that overflows, lifted or in data units, or a coefficient that
     overflows in data units, fails a check of its own.
@@ -283,7 +286,7 @@ def fit(instance: ProblemInstance) -> FitResult:
     alpha = solution.primal[1:]
     lifted_residuals = y - g @ alpha
     max_lifted = float(np.max(np.abs(lifted_residuals)))
-    band = max(BAND_TOL * max(1.0, lifted_d), float(instance.rounding_tol(alpha)))
+    band = float(instance.rounding_tol(alpha))
     # Written so that a NaN bound or optimum fails the check.
     if not abs(max_lifted - lifted_d) <= band:
         bound, optimum = instance.data_units([max_lifted, lifted_d]).tolist()
@@ -310,7 +313,7 @@ def fit(instance: ProblemInstance) -> FitResult:
         lifted_residuals=lifted_residuals,
         active_points=tuple(int(i) for i in np.flatnonzero(active)),
         band=band,
-        exact_interpolation=interpolates_exactly(lifted_d),
+        exact_interpolation=interpolates_exactly(lifted_d, band),
         lp_solution=solution,
     )
 

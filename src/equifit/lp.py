@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .tolerances import MULTIPLIER_TOL, RANK_TOL, ROUNDING_UNITS
+from .tolerances import RANK_TOL, WEIGHT_UNIT
 
 
 @dataclass
@@ -97,7 +97,7 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
     enters the point j of worst |r_j| and leaves by the ratio test on the
     weights w = B^-1 e_(r+1) against B^-1 [s_j u_j; 1], s_j the sign of
     r_j and B = [sigma * U_S | 1]^T.  The weights sum to one, so the ratio
-    test reads their own rounding unit, u = ``ROUNDING_UNITS`` * eps: a
+    test reads their own rounding unit, u = ``WEIGHT_UNIT``, 64 eps: a
     direction entry above u * max |direction| is eligible, and the
     lowest-index point among the ratios within u of the least leaves.
     Every system is solved anew from the data.  After 2 (r + 1) steps
@@ -110,12 +110,11 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
     Returns the ``LpSolution``: primal (h, alpha), and the final reference
     S, its signs sigma and its weights w, which solve the dual;
     ``dual_objective`` is sum w_i sigma_i y_i and ``iterations`` counts
-    exchanges.  A weight that rounds below zero by at most
-    ``MULTIPLIER_TOL`` is set to zero.  Raises
-    NumericFailure past ``budget`` exchanges (50 (n + r + 1) by default),
-    on a weight further below zero, and when the systems stop being finite;
-    LinAlgError when one is singular, which the ratio test rules out in
-    exact arithmetic.
+    exchanges.  A weight that rounds below zero by at most u is set to
+    zero.  Raises NumericFailure past ``budget`` exchanges (50 (n + r + 1)
+    by default), on a weight further below zero, and when the systems stop
+    being finite; LinAlgError when one is singular, which the ratio test
+    rules out in exact arithmetic.
     """
     n, r = design.shape
     if n <= r:
@@ -134,7 +133,6 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
     reference, sigma = _start(design, values)
     unit = np.zeros(r + 1)
     unit[r] = 1.0
-    rounding = ROUNDING_UNITS * float(np.finfo(float).eps)
     steps = stalled = 0
     best = -np.inf
     while True:
@@ -169,9 +167,9 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
         direction = np.linalg.solve(system.T, column)
         # The entries sum to one, so some entry is eligible unless the
         # direction is not finite or rounding swamps it.
-        rows = np.flatnonzero(direction > rounding * np.max(np.abs(direction)))
+        rows = np.flatnonzero(direction > WEIGHT_UNIT * np.max(np.abs(direction)))
         ratios = np.maximum(weights[rows], 0.0) / direction[rows]
-        ties = rows[ratios <= ratios.min(initial=np.inf) + rounding]
+        ties = rows[ratios <= ratios.min(initial=np.inf) + WEIGHT_UNIT]
         if ties.size == 0:
             raise NumericFailure(
                 "ratio test kept no reference point: the reference system "
@@ -183,7 +181,7 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
         sigma[leave] = side
 
     # Written so that a NaN weight fails.
-    if not np.min(weights) >= -MULTIPLIER_TOL:
+    if not np.min(weights) >= -WEIGHT_UNIT:
         raise NumericFailure(f"negative dual multiplier {np.min(weights):.3e}", steps)
     weights = np.maximum(weights, 0.0)
     return LpSolution(

@@ -51,7 +51,7 @@ def check_certificate(rng):
     return instance, (
         (
             report.active_count_ok,
-            f"{report.active_point_count} active points, need {instance.m + 1}",
+            f"{report.active_point_count} active points, need {instance.rank + 1}",
         ),
         (
             report.two_sided_ok,

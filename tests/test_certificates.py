@@ -18,7 +18,7 @@ from equifit.errors import DegenerateCase, PreconditionError
 from equifit.fitting import ProblemInstance, fit
 from equifit.generators import monomial_basis, random_instance
 from equifit.oracle import compare_with_oracle
-from equifit.tolerances import BAND_TOL, ROUNDING_UNITS
+from equifit.tolerances import ROUNDING_UNITS
 
 
 def constant_instance(scale=1.0):
@@ -290,8 +290,11 @@ def test_a_multiplier_off_the_touch_rows_is_one_violation(target):
 
 
 def test_complementarity_reads_the_fit_touch_set_near_the_band_width():
-    # d of order 1e-9 to 1e-5, around the band BAND_TOL * max(1, lifted d)
-    # that decides the fit's touch set: below it every point touches.
+    # Noise of 1e-10 to 1e-6 on polynomial data: d far above the band, the
+    # fit's rounding unit of about 1e-14 that decides its touch set, and
+    # small enough that an absolute band would take in most points.  599 of
+    # the 600 fits certify, each on the points within 64 roundings of d (at
+    # a band of 1e-7, 521 certified and 79 were flagged exact).
     rng = np.random.default_rng(0)
     bases = {
         m: parse_basis_spec(", ".join(["1", "x"] + [f"x^{k}" for k in range(2, m)]), 1)
@@ -318,7 +321,7 @@ def test_complementarity_reads_the_fit_touch_set_near_the_band_width():
         assert report.complementarity_violations == 0
         assert report.identities_ok
         certified += 1
-    assert certified >= 500
+    assert certified >= 590
 
 
 def weighted_hat(weight):
@@ -417,11 +420,10 @@ def test_a_column_below_the_float_exponent_range_keeps_its_rank():
 
 def test_a_large_y_fit_is_judged_in_the_data_rounding_unit():
     # The second instance of the large-|y| family of scripts/census.py,
-    # drawn as there.  Values near 1e9 round by u = 1.7e-6, so the band,
-    # 64 u, is far more than BAND_TOL * max(1, d).  The recomputed residual
-    # bound misses the optimum by 9.3e-9, within one u (the tableau simplex
-    # missed by 4.7e-7, more than BAND_TOL * max(1, d)), and the fit
-    # certifies.
+    # drawn as there.  Values near 1e9 round by u = 1.7e-6, and the band
+    # is 64 u, the fit's own rounding unit.  The recomputed residual bound
+    # misses the optimum by 9.3e-9, within one u (the tableau simplex
+    # missed by 4.7e-7), and the fit certifies.
     rng = np.random.default_rng(3)
     for _ in range(2):
         n, m = int(rng.integers(8, 40)), int(rng.integers(2, 6))
@@ -438,7 +440,6 @@ def test_a_large_y_fit_is_judged_in_the_data_rounding_unit():
         * np.sum(np.abs(result.lp_solution.primal[1:]))
     )
     assert result.active_tol == pytest.approx(ROUNDING_UNITS * u, rel=1e-12)
-    assert BAND_TOL * max(1.0, d) < result.active_tol
     assert gap <= u
     report = verify_identities(cert, result, instance)
     assert report.identities_ok and report.active_count_ok

@@ -22,7 +22,7 @@ from equifit.generators import (
     random_weighted_instance,
 )
 from equifit.lp import exchange
-from equifit.tolerances import BAND_TOL, FEAS_TOL, MULTIPLIER_TOL, rounding_tol
+from equifit.tolerances import WEIGHT_UNIT, rounding_tol
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -36,6 +36,12 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 # A tableau entry too small to pivot on, and ratios that tie with the least.
 PIVOT_TOL = 1e-10
 RATIO_TIE_TOL = 1e-12
+# A phase-1 level that counts as zero, relative to max(1, max |rhs|); the
+# multipliers' zero level; how far a recomputed row may exceed its rhs,
+# relative to max(1, |rhs_i|), before its own rounding unit is asked.
+FEAS_TOL = 1e-9
+MULTIPLIER_TOL = 1e-9
+BAND_TOL = 100 * FEAS_TOL
 
 FREE = "free"
 NONNEGATIVE = "nonnegative"
@@ -748,7 +754,7 @@ def test_fit_lps_match_the_dense_reference(n, weighted):
         beta[2 * solution.reference + (solution.signs > 0)] = solution.weights
         assert np.all(beta >= 0)
         stationarity = lp.constraint_matrix.T @ beta + lp.objective
-        assert np.max(np.abs(stationarity)) <= MULTIPLIER_TOL
+        assert np.max(np.abs(stationarity)) <= WEIGHT_UNIT
         assert abs(-lp.rhs @ beta - reference.objective_value) <= unit
 
 
@@ -882,12 +888,15 @@ def exchange_with_the_weight(value, monkeypatch):
 
 
 def test_a_multiplier_below_the_certificates_zero_level_is_refused(monkeypatch):
-    with pytest.raises(NumericFailure, match=r"negative dual multiplier -1\.000e-08"):
-        exchange_with_the_weight(-1e-8, monkeypatch)
+    # The zero level is the weights' unit, 64 eps = 1.4e-14.
+    for value, shown in ((-1e-8, r"-1\.000e-08"), (-1e-13, r"-1\.000e-13")):
+        with pytest.raises(NumericFailure, match=f"negative dual multiplier {shown}"):
+            exchange_with_the_weight(value, monkeypatch)
+        monkeypatch.undo()
 
 
 def test_a_multiplier_within_the_certificates_zero_level_is_zero(monkeypatch):
-    solution = exchange_with_the_weight(-1e-10, monkeypatch)
+    solution = exchange_with_the_weight(-1e-15, monkeypatch)
     assert solution.iterations == 0
     assert sorted(solution.weights.tolist()) == [0.0, 0.25, 0.5]
 
@@ -1059,7 +1068,7 @@ def test_the_exchange_matches_the_tableau_simplex_within_the_rounding_unit(insta
         assert np.unique(solution.reference).size == instance.rank + 1
         assert set(solution.signs.tolist()) <= {-1.0, 1.0}
         assert np.all(solution.weights >= 0.0)
-        assert abs(np.sum(solution.weights) - 1.0) <= MULTIPLIER_TOL
+        assert abs(np.sum(solution.weights) - 1.0) <= WEIGHT_UNIT
 
 
 def test_at_most_rank_points_interpolate_with_no_exchange():

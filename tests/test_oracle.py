@@ -15,7 +15,11 @@ from equifit.oracle import (
     brute_force_fit,
     compare_with_oracle,
 )
-from equifit.tolerances import FEAS_TOL
+
+# An absolute allowance on a value-sized number near one: how far a
+# candidate of the plain loops below may exceed its d, and the oracle's
+# coefficients the optimum.
+FEAS_TOL = 1e-9
 
 
 def test_constant_two_points():
@@ -163,7 +167,7 @@ def test_witness_signs_alternate_for_polynomial_bases():
 
 
 # Eleven values near 1.31e9 at x = 0..10: the oracle's slack was once
-# FEAS_TOL * max |y| = 1.31, which let the pair (8, 10) pass at d = 6.68 with
+# 1e-9 * max |y| = 1.31, which let the pair (8, 10) pass at d = 6.68 with
 # coefficients whose max |r| is 7.72.
 OFFSET_VALUES = [
     1313091879.4014971, 1313091881.101986, 1313091889.194964,
@@ -192,7 +196,7 @@ def test_offset_data_are_judged_in_their_rounding_unit():
 def test_the_oracle_judges_a_near_tie_in_the_candidates_rounding_unit():
     # The pair (0, 3) levels at d = 0.49999999995, but its constant misses
     # the point at 1 by 1e-10 more than that d: within an absolute slack of
-    # FEAS_TOL, far outside the rounding of a residual.  The optimum is the
+    # 1e-9, far outside the rounding of a residual.  The optimum is the
     # midrange of 0 and 1.
     instance = ProblemInstance(
         points=[[0.0], [1.0], [2.0], [3.0]],

@@ -1,7 +1,7 @@
 """Fits that the basis's own columns, as the lifted design, failed: the
-benchmark's noiseless grid_smooth fits, where long simplex runs drifted,
-and a cubic at shifted abscissae, whose monomial columns are nearly
-parallel."""
+benchmark's noiseless grid_smooth fits, where long simplex runs drifted or
+an absolute zero level took a tiny d for an interpolation, and a cubic at
+shifted abscissae, whose monomial columns are nearly parallel."""
 
 import importlib.util
 import pathlib
@@ -62,6 +62,28 @@ def test_grid_smooth_fits_reach_their_discrepancy(grid_smooth, seed, block):
     worst = objective_value(result.instance, result.coefficients)
     assert not result.exact_interpolation
     assert result.discrepancy <= worst <= 1.01 * result.discrepancy
+
+
+# (seed, block, d) of exp/m6 fits whose d is below 1e-9: an absolute zero
+# level of 1e-9 flagged them as exact interpolations, with no certificate.
+# Their band is the fit's rounding unit, about 1e-14, so they are not.
+TINY_D = ((1, 1, 7.1e-10), (4, 11, 5.2e-11), (6, 1, 5.2e-11), (7, 7, 8.1e-11))
+
+
+@pytest.mark.parametrize("seed, block, d", TINY_D)
+def test_grid_smooth_fits_of_tiny_d_certify_and_equioscillate(
+    grid_smooth, seed, block, d
+):
+    workload, inp = grid_smooth(seed, block)
+    result, report, pattern = workload.op(inp)
+    assert not result.exact_interpolation
+    assert result.discrepancy == pytest.approx(d, rel=0.01)
+    assert len(result.active_points) >= result.instance.rank + 1
+    assert report.identities_ok and report.active_count_ok
+    assert pattern.equioscillates
+    outcome = workload.check(inp, (result, report, pattern))
+    assert outcome.status == "ok", outcome.note
+    assert outcome.certified
 
 
 def test_a_cubic_at_abscissae_shifted_by_100_fits_and_certifies():

@@ -54,6 +54,11 @@ def test_fit_digest_is_deterministic(capsys):
     assert [line.split(":")[0] for line in first] == [
         f"{name} seed {seed}" for name, seed, _ in digest["SLICES"]
     ] + ["selftest seed 42"]
+    # Each slice's line holds its full digest, then its fits-alone digest.
+    for line in first[:-1]:
+        full, alone = line.split(" raised, ")[1].split(", fits ")
+        assert len(full) == len(alone) == 64
+        assert full != alone
     out = capsys.readouterr().out
     assert "many_small seed 7: 12 ops, 0 raised, " in out
     assert "selftest seed 42: 5 instances, " in out
@@ -81,14 +86,14 @@ def test_census_counts_a_slice_within_its_limits(capsys):
     assert "large |y|: 20 fits, 0 raised, 0 low_rank, 0 exact, 0 uncertified" in out
     # The oracle's feasibility test and agreement are in the same unit, so it
     # agrees on every offset fit (13 of these 20 disagreed when its slack
-    # was FEAS_TOL * max |y|).
+    # was 1e-9 * max |y|).
     assert (
         "offset: 20 fits, 0 raised, 0 skipped by the oracle, 0 where the oracle "
         "disagrees" in out
     )
     # A candidate must meet its own d within its rounding unit, so no near
     # tie is answered below the optimum (all 20 were when the slack was
-    # FEAS_TOL * max(1, H)).
+    # 1e-9 * max(1, H)).
     assert (
         "near-tie: 20 fits, 0 raised, 0 skipped by the oracle, 0 where the "
         "oracle's d is below the fit's" in out
