@@ -28,7 +28,7 @@ from equifit import ProblemInstance, extract_certificate, fit, verify_identities
 from equifit.generators import monomial_basis
 
 
-def run(n=100_000, m=6, max_peak_doubles=8.0, max_retained=1.1, max_seconds=1.0):
+def run(n=100_000, m=6, max_peak_doubles=6.0, max_retained=1.1, max_seconds=1.0):
     x = np.linspace(0.0, 1.0, n)
     y = np.sin(3.0 * x) + np.random.default_rng(0).normal(0.0, 0.01, n)
     points, basis = x[:, None], monomial_basis(m)

@@ -22,12 +22,15 @@ comes out at minus it.  ``verify_identities`` records this in its notes
 rather than silently flipping a sign.
 
 Every identity is judged on ``ProblemInstance.lifted_design_and_values()``
-and the fit's lifted solution and lifted residuals, against the rounding
-unit of the fit's lifted coefficients, ``ProblemInstance.rounding_tol``,
-the rule the oracle comparison reads too, and the weights, which sum to
-one, against their own unit, ``WEIGHT_UNIT``; value-sized gaps are
-reported in data units (``ProblemInstance.data_units``), and orthogonality
-per direction of the span (r entries).
+and the fit's lifted solution and lifted residuals, against the fit's
+rounding unit, and the weights, which sum to one, against their own unit,
+``WEIGHT_UNIT``.  The fit's rounding unit, ``ProblemInstance.rounding_tol``
+of its lifted coefficients, is decided once, in ``lp``, by the exchange's
+stop (``LpSolution.band``, which ``fit`` keeps as ``FitResult.band``): the
+certificate reads it, as the oracle comparison does, and never computes
+it again.  Value-sized gaps are reported in data units
+(``ProblemInstance.data_units``), and orthogonality per direction of the
+span (r entries).
 """
 
 from __future__ import annotations
@@ -114,11 +117,11 @@ def extract_certificate(
     """Pull the reference, signs and weights out of a solved fit LP.
 
     Raises DegenerateCase on exact interpolation, a lifted d within the
-    rounding unit of its coefficients (fit's band), and PreconditionError
-    when the solution's reference is not one on the instance's points.
+    rounding unit of its coefficients (``solution.band``, fit's band), and
+    PreconditionError when the solution's reference is not one on the
+    instance's points.
     """
-    band = instance.rounding_tol(solution.primal[1:])
-    _require_analyzable(interpolates_exactly(solution.objective_value, band))
+    _require_analyzable(interpolates_exactly(solution.objective_value, solution.band))
     if not _on_points(solution.reference, solution.signs, solution.weights, instance.n):
         raise PreconditionError("solution does not belong to this instance")
     return DualCertificate(
@@ -155,7 +158,7 @@ def verify_identities(
     points, weights = cert.reference, cert.weights
     signed = cert.signs * weights
     residual = fit_result.lifted_residuals[points]
-    tol = instance.rounding_tol(alpha)
+    tol = fit_result.band
 
     strong_duality_gap = abs(cert.dual_objective - d)
     beta_sum_residual = abs(float(np.sum(weights)) - 1.0)

@@ -206,13 +206,15 @@ class FitResult:
 
     ``lifted_residuals`` fold in the weights and the value lift and are
     what the LP's d bounds: y - U_r alpha on the instance's lifted problem,
-    which every check of the fit reads.  ``band`` is the fit's rounding
-    unit, ``ProblemInstance.rounding_tol`` of its lifted coefficients and
-    the exchange's stop: ``active_points`` lists the indices whose lifted
-    residual magnitude reaches d less the band (zero-weight points never
-    qualify), the one touch set, on the side of the residual's sign, that
-    the certificate and the alternation analysis read, and
-    ``exact_interpolation`` says that d is within the band.  The LP
+    the exchange's last pricing pass (``LpSolution.residuals``), which
+    every check of the fit reads.  ``band`` is the fit's rounding unit,
+    ``ProblemInstance.rounding_tol`` of its lifted coefficients, decided
+    once, by the exchange's stop (``LpSolution.band``): ``active_points``
+    lists the indices whose lifted residual magnitude reaches d less the
+    band (zero-weight points never qualify), the one touch set, on the
+    side of the residual's sign, that the certificate and the alternation
+    analysis read, and ``exact_interpolation`` says that d is within the
+    band.  The LP
     solution is the exchange's on the instance's lifted problem: d is its
     optimum, and its final reference, signs and weights are the dual
     certificate.
@@ -260,12 +262,14 @@ def fit(instance: ProblemInstance) -> FitResult:
     """Solve the minimax fit for an instance.
 
     The discrepancy is the LP optimum, mapped to data units by
-    ``instance.reported_discrepancy``; the lifted residuals are recomputed
-    from the LP's coefficients rather than read off LP slacks, and the
-    residual-bound check and the active band read them.  The band is
-    ``ProblemInstance.rounding_tol`` of the lifted coefficients, 64
-    roundings of a lifted residual: the stop of ``lp.exchange``, which
-    solves the LP on ``instance.lifted_design_and_values()``.  A lifted d
+    ``instance.reported_discrepancy``; the lifted residuals are the
+    exchange's last pricing pass at the returned coefficients, still not
+    LP slacks, and the residual-bound check and the active band read them.
+    The band is ``ProblemInstance.rounding_tol`` of the lifted
+    coefficients, 64 roundings of a lifted residual: the unit that
+    ``lp.exchange``, which solves the LP on
+    ``instance.lifted_design_and_values()``, stopped within, read off its
+    solution and not computed again.  A lifted d
     within the band is an exact interpolation (``interpolates_exactly``).
     Raises SolverError when the exchange fails.  Like
     ``exchange``, it runs with numpy's floating-point warnings silenced: a
@@ -276,17 +280,15 @@ def fit(instance: ProblemInstance) -> FitResult:
     the lifted design's columns, read as ``primal[1:]``; ``coefficients``
     holds those of the basis.
     """
-    g, y = instance.lifted_design_and_values()
     try:
-        solution = exchange(g, y, instance.rounding_tol)
+        solution = exchange(*instance.lifted_design_and_values(), instance.rounding_tol)
     except (EquifitError, np.linalg.LinAlgError) as exc:
         raise SolverError(f"fit LP failed: {exc}") from exc
 
     lifted_d = float(solution.objective_value)
     alpha = solution.primal[1:]
-    lifted_residuals = y - g @ alpha
+    lifted_residuals, band = solution.residuals, solution.band
     max_lifted = float(np.max(np.abs(lifted_residuals)))
-    band = float(instance.rounding_tol(alpha))
     # Written so that a NaN bound or optimum fails the check.
     if not abs(max_lifted - lifted_d) <= band:
         bound, optimum = instance.data_units([max_lifted, lifted_d]).tolist()

@@ -6,7 +6,9 @@ reference of r + 1 signed points (Stiefel's exchange).  One step costs a
 residual pass, O(n * r), and three (r + 1)-square solves; memory beyond the
 design is O(n + r^2).  ``fit`` calls it; its docstring states the rules.
 Its solution is its final reference: the r + 1 points, their signs and
-their weights, the dual optimum that the certificate reads.
+their weights, the dual optimum that the certificate reads; and the
+rounding unit it stopped within, with its last pricing pass, which fit,
+the certificate and the oracle read in place of recomputing them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ class LpSolution:
     the value lies above the fit (a residual at +h) and -1 where it lies
     below, and ``weights`` their dual multipliers w >= 0, which sum to one;
     ``dual_objective`` is sum_i w_i sigma_i y_i.  With n <= r the three are
-    empty.  ``iterations`` counts the exchanges.
+    empty.  ``residuals`` are the last pricing pass, y - U alpha at the
+    returned alpha, not LP slacks; ``band`` is the unit the exchange
+    stopped within, ``tolerance(alpha)`` at that alpha, the fit's rounding
+    unit.  ``iterations`` counts the exchanges.
     """
 
     primal: np.ndarray
@@ -38,6 +43,8 @@ class LpSolution:
     signs: np.ndarray
     weights: np.ndarray
     dual_objective: float
+    residuals: np.ndarray
+    band: float
     iterations: int = 0
 
 
@@ -65,9 +72,11 @@ def _start(design: np.ndarray, values: np.ndarray):
     r independent rows of a strided sample of at most 64 (r + 1) rows, or
     of every row when the sample lacks a direction; then the point where
     their interpolant misses most.  The signs are those of the null vector
-    lam of U_S^T, oriented so that the levelled h = lam . y_S / ||lam||_1 is
-    not negative: the weights |lam| / ||lam||_1 then solve the reference
-    system, so the reference is a feasible basis of the dual.
+    lam of U_S^T, from one solve against the picked rows P, lam =
+    [-P^-T u; 1] with u the added point's row, oriented so that the
+    levelled h = lam . y_S / ||lam||_1 is not negative: the weights
+    |lam| / ||lam||_1 then solve the reference system, so the reference
+    is a feasible basis of the dual.
     """
     n, r = design.shape
     rows = np.arange(0, n, -(-n // (64 * (r + 1))))
@@ -77,7 +86,7 @@ def _start(design: np.ndarray, values: np.ndarray):
     miss = np.abs(values - design @ np.linalg.solve(design[picked], values[picked]))
     miss[picked] = -1.0
     reference = np.array(picked + [int(np.argmax(miss))])
-    lam = np.linalg.svd(design[reference].T)[2][-1]
+    lam = np.append(np.linalg.solve(design[picked].T, -design[reference[-1]]), 1.0)
     sigma = np.where(lam < 0, -1.0, 1.0)
     if lam @ values[reference] < 0:
         sigma = -sigma
@@ -109,9 +118,11 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
 
     Returns the ``LpSolution``: primal (h, alpha), and the final reference
     S, its signs sigma and its weights w, which solve the dual;
-    ``dual_objective`` is sum w_i sigma_i y_i and ``iterations`` counts
-    exchanges.  A weight that rounds below zero by at most u is set to
-    zero.  Raises NumericFailure past ``budget`` exchanges (50 (n + r + 1)
+    ``dual_objective`` is sum w_i sigma_i y_i, ``residuals`` the last
+    pricing pass, values - design . alpha at the returned alpha (not LP
+    slacks), ``band`` the stop's unit tolerance(alpha), and ``iterations``
+    counts exchanges.  A weight that rounds below zero by at most u is set
+    to zero.  Raises NumericFailure past ``budget`` exchanges (50 (n + r + 1)
     by default), on a weight further below zero, and when the systems stop
     being finite; LinAlgError when one is singular, which the ratio test
     rules out in exact arithmetic.
@@ -127,6 +138,8 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
             signs=empty,
             weights=empty,
             dual_objective=0.0,
+            residuals=values - design @ alpha,
+            band=float(tolerance(alpha)),
         )
     if budget is None:
         budget = 50 * (n + r + 1)
@@ -191,5 +204,7 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
         signs=sigma,
         weights=weights,
         dual_objective=float(weights @ (sigma * values[reference])),
+        residuals=residuals,
+        band=slack,
         iterations=steps,
     )

@@ -272,15 +272,15 @@ def compare_with_oracle(result: FitResult) -> OracleComparison:
 
     The fit agrees when its lifted d, the LP's optimum floored at zero, is
     the oracle's within the rounding unit of its lifted coefficients, the
-    certificate's tolerance (``ProblemInstance.rounding_tol``): the optimum
-    need not be unique, and ``fit`` already ties its coefficients to its d,
-    so the coefficient gap is reported, not judged.  The d gap is reported
-    in data units."""
+    certificate's tolerance (``FitResult.band``, the exchange's stop): the
+    optimum need not be unique, and ``fit`` already ties its coefficients
+    to its d, so the coefficient gap is reported, not judged.  The d gap
+    is reported in data units."""
     instance = result.instance
     oracle = brute_force_fit(instance)
     fit_d = max(result.lp_solution.objective_value, 0.0)
     lifted_gap = abs(fit_d - oracle.lifted_discrepancy)
     coefficient_gap = float(np.max(np.abs(result.coefficients - oracle.coefficients)))
-    agrees = lifted_gap <= instance.rounding_tol(result.lp_solution.primal[1:])
+    agrees = lifted_gap <= result.band
     discrepancy_gap = float(instance.data_units(lifted_gap))
     return OracleComparison(oracle, discrepancy_gap, coefficient_gap, bool(agrees))

@@ -14,10 +14,15 @@ Two computations of one value-sized number agree within ``ROUNDING_UNITS``
 roundings of a lifted residual (``rounding_tol``) alone: the exchange's
 stop, fit's residual-bound check and touch band, exact interpolation
 (``interpolates_exactly``), the certificate identities and the brute-force
-oracle's feasibility test and agreement.  The exchange's weights sum to
-one, so every test of a weight reads their unit, ``WEIGHT_UNIT``: the
-ratio test, the exchange's refusal and clamp of a negative weight, and the
-certificate's sum, zero level, nonnegativity and halves.  The perturbation
+oracle's feasibility test and agreement.  A fit's own unit, the rule at
+its final coefficients, is decided once, in ``lp``, by the exchange's
+stop, which returns it as ``LpSolution.band``; ``fit`` (as
+``FitResult.band``), the certificate and the oracle comparison read it
+and never compute it again, and the oracle's candidates apply the rule
+to their own coefficients.  The exchange's weights sum to one, so every
+test of a weight reads their unit, ``WEIGHT_UNIT``: the ratio test, the
+exchange's refusal and clamp of a negative weight, and the certificate's
+sum, zero level, nonnegativity and halves.  The perturbation
 analysis reads the same unit of its own numbers: an interpolant's move
 agrees with its closed form within the rounding of the values compared,
 and interpolation nodes are distinct when their gaps exceed the rounding

@@ -279,6 +279,47 @@ def test_each_basis_function_is_evaluated_once_per_instance(monkeypatch, weighte
     assert calls == {"1": 1, "x": 1, "x^2": 1}
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_the_fits_rounding_unit_is_decided_once_per_fit(monkeypatch, weighted):
+    # The exchange's stop decides the band and its last pricing pass the
+    # lifted residuals; the fit, the certificate and the oracle read both,
+    # and the fit runs no SVD of its own.
+    rng = np.random.default_rng(5)
+    x = np.linspace(-1.0, 1.0, 12)
+    instance = ProblemInstance(
+        points=x[:, None],
+        values=np.exp(x) + 0.05 * rng.standard_normal(12),
+        basis=parse_basis_spec("1, x, x^2", 1),
+        weights=rng.uniform(0.5, 2.0, 12) if weighted else None,
+    )
+    units, svds = [], []
+    rounding_tol, svd = ProblemInstance.rounding_tol, np.linalg.svd
+
+    def recording_unit(self, lifted):
+        units.append(np.array(lifted, dtype=float))
+        return rounding_tol(self, lifted)
+
+    def recording_svd(*args, **kwargs):
+        svds.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(ProblemInstance, "rounding_tol", recording_unit)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    result = fit(instance)
+    assert svds == []
+    report = verify_identities(
+        extract_certificate(result.lp_solution, instance), result, instance
+    )
+    assert report.identities_ok and compare_with_oracle(result).agrees
+    alpha = result.lp_solution.primal[1:]
+    assert sum(np.array_equal(unit, alpha) for unit in units) == 1
+    solution = result.lp_solution
+    g, y = instance.lifted_design_and_values()
+    assert solution.band == rounding_tol(instance, alpha) == result.band
+    assert np.array_equal(solution.residuals, y - g @ alpha)
+    assert result.lifted_residuals is solution.residuals
+
+
 def test_instance_rank_is_the_weighted_design_rank():
     basis = parse_basis_spec("1, x", 1)
     full = ProblemInstance(points=[[0.0], [1.0], [2.0]], values=[0, 1, 0], basis=basis)

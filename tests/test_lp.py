@@ -21,7 +21,7 @@ from equifit.generators import (
     random_small_instance,
     random_weighted_instance,
 )
-from equifit.lp import exchange
+from equifit.lp import _independent_rows, exchange
 from equifit.tolerances import WEIGHT_UNIT, rounding_tol
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -1130,6 +1130,36 @@ def test_the_grid_smooth_fit_that_raised_on_the_tableau_certifies():
     )
     assert report.identities_ok and report.active_count_ok
     assert result.discrepancy == pytest.approx(0.160235525417, rel=1e-9)
+
+
+def test_the_start_falls_back_to_every_row_when_its_sample_lacks_a_direction(
+    monkeypatch,
+):
+    # Every even row sits at x = 0, so the start's stride-2 sample of 100
+    # rows spans the constant alone, and it picks its rows from all 200.
+    n = 200
+    x = np.linspace(0.1, 1.0, n)
+    x[::2] = 0.0
+    instance = ProblemInstance(
+        points=x[:, None],
+        values=np.sin(3.0 * x) + 0.01 * np.cos(40.0 * np.arange(n)),
+        basis=parse_basis_spec("1, x", 1),
+    )
+    searched = []
+
+    def recording(design, candidates):
+        picked = _independent_rows(design, candidates)
+        searched.append((len(candidates), picked is not None))
+        return picked
+
+    monkeypatch.setattr("equifit.lp._independent_rows", recording)
+    result = fit(instance)
+    assert searched == [(100, False), (200, True)]
+    assert result.lp_solution.iterations == 1
+    report = verify_identities(
+        extract_certificate(result.lp_solution, instance), result, instance
+    )
+    assert report.identities_ok and report.active_count_ok
 
 
 def test_a_reference_system_that_is_not_finite_is_a_numeric_failure():

@@ -29,7 +29,7 @@ def test_large_fit_reports_and_certifies(capsys):
     assert "certificate identities: ok" in out
     assert re.search(
         r"^tracemalloc peak \d+\.\d\d MB, \d\.\d\d doubles per point "
-        r"\(limit 0\.13 MB: 8 x n doubles\)$",
+        r"\(limit 0\.10 MB: 6 x n doubles\)$",
         out,
         re.MULTILINE,
     )
