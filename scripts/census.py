@@ -2,68 +2,76 @@
 """Count the fits that fail on seven robustness families, and exit 1 when
 a count is above its limit.
 
+Two tables drive the census.  ``FAMILIES`` holds one row per family: its
+label, its fits, and the checks it takes.  ``CHECKS`` holds one entry per
+count: the phrase it prints after, and its test on a returned fit.  Every
+family counts the fits that raise, and of the fits it returns those that
+fail each check of its row; its count ``name`` is gated by
+``LIMITS[f"{label} {name}"]``.  A new family is one row, a new count one
+entry.
+
+The families:
+
 * ``grid_smooth``: the benchmark's noiseless sin, exp and Runge fits
   (``perfbench/workloads.py``, loaded read-only), seeds 1-10, blocks 0-11:
-  1080 certified fits.  Counts the fits that raise, and the returned fits
-  whose max |r|, the largest weighted residual of the returned coefficients
-  in data units, is more than 1% above their reported d; a fit flagged as
-  an exact interpolation (d within rounding of 0) has no relative gap to
-  judge, and is not counted.  Also counts the returned fits whose reported
-  d is below zero.
-* ``shift``: 300 instances drawn from ``default_rng(5)``, in this order:
-  n = integers(10, 40), the monomials of degree integers(1, 4),
-  u = uniform(-0.5, 0.5, n) and y = normal(0, 1, n).  Each is fitted at
-  x = u + c, for c = 100 and c = 1000, and, as the reference, at x = u.
-  Counts the shifted fits that raise; those flagged ``low_rank``; those
-  not flagged exact whose certificate fails (the identities or the
-  active-point count, on the span the rank rule keeps); those whose max
-  |r| is worse than the reference fit's d by more than 1e-6 relative; and
-  those whose reported d is below zero.
+  1080 certified fits.
+* ``shift c=100`` and ``shift c=1000``: 300 instances drawn from
+  ``default_rng(5)``, in this order: n = integers(10, 40), the monomials
+  of degree integers(1, 4), u = uniform(-0.5, 0.5, n) and
+  y = normal(0, 1, n).  Each is fitted at x = u + c, for c = 100 and
+  c = 1000, and, as the reference, at x = u.
 * ``large |y|``: 400 instances drawn from ``default_rng(3)``, in this
   order: n = integers(8, 40), m = integers(2, 6), x = uniform(-1, 1, n),
   c = normal(0, 1, m) and y = 1e9 * sum_j c_j x^j + normal(0, 1, n), the
   sum by ``np.polynomial.polynomial.polyval`` (another order of summation
   rounds y otherwise and moves the counts by a few), with the monomials
-  1, x, ..., x^(m-1).  Counts the fits that raise, those flagged
-  ``low_rank`` or as exact interpolations, and those not flagged exact
-  whose certificate fails.
+  1, x, ..., x^(m-1).
 * ``offset``: 400 instances drawn from ``default_rng(7)``, in this order:
   n = integers(8, 16), m = integers(1, 5), x = uniform(0, 10, n),
   offset = 10.0 ** int(choice([6, 9, 12])) and y = offset +
-  normal(0, 5, n), with the monomials 1, x, ..., x^(m-1).  Counts the fits
-  that raise, and of the others those the brute-force oracle skips (it
-  raises) and those on which it disagrees with the fit
-  (``compare_with_oracle``).
+  normal(0, 5, n), with the monomials 1, x, ..., x^(m-1).
 * ``near-tie``: 400 instances drawn from ``default_rng(11)``, in this
   order: n = integers(4, 16), x = uniform(0, 1, n), y = normal(0, 1, n);
   then the second-largest y is set to the largest minus
-  10.0 ** uniform(-12, -9.5), and the basis is the constant.  Counts the
-  fits that raise, and of the others those the brute-force oracle skips
-  and those where its lifted d is below the fit's by more than the fit's
-  rounding unit (``ProblemInstance.rounding_tol`` of its lifted
-  coefficients): a candidate that misses its own d by more than rounding.
+  10.0 ** uniform(-12, -9.5), and the basis is the constant.
 * ``tiny-scale``: 400 instances drawn from ``default_rng(13)``, in this
   order: n = integers(6, 16), m = integers(1, 5), x = uniform(0, 1, n),
   k = integers(1000, 1061) and y = ldexp(normal(0, 1, n), -k), with the
   monomials 1, x, ..., x^(m-1): values from 2^-1000 down into the
-  subnormals.  Counts the fits that raise, those flagged as exact
-  interpolations, the others whose certificate fails, and of all fits
-  returned those the brute-force oracle skips and those on which it
-  disagrees with the fit.
+  subnormals.
 * ``dependent lists``: 400 instances drawn from ``default_rng(17)``, in
   this order: n = integers(6, 16), x = uniform(-1, 1, n), line =
   uniform(-1, 1, 2) and y = normal(0, 1, n); instance k takes list k % 4
   of ``DEPENDENT_LISTS``, whose functions are dependent on the data: the
   1-D lists at x, the 2-D ones at the collinear points (x, line[0] +
-  line[1] x).  Counts the fits that raise, and of the others those whose
-  certificate fails (an exact interpolation has none), those the
-  brute-force oracle skips and those on which it disagrees with the fit.
+  line[1] x).
+
+The checks on a returned fit; max |r| is the largest weighted residual of
+its coefficients in data units:
+
+* ``above d``: max |r| is more than 1% above the reported d; a fit flagged
+  as an exact interpolation (d within rounding of 0) has no relative gap
+  to judge, and is not counted.
+* ``low_rank``, ``exact``: the fit is flagged ``low_rank``, or as an
+  exact interpolation.
+* ``uncertified``: the fit is flagged exact, so it has no certificate, or
+  its certificate fails (the identities or the active-point count, on the
+  span the rank rule keeps).
+* ``worse``: max |r| is worse than the reference fit's d by more than
+  1e-6 relative.
+* ``negative d``: the reported d is below zero.
+* ``skipped``, ``disagree``: the brute-force oracle raises, or it
+  disagrees with the fit (``compare_with_oracle``).
+* ``below``: the oracle's lifted d is below the fit's by more than the
+  fit's rounding unit (``FitResult.band``): a candidate that misses its
+  own d by more than rounding.
 
 Prints one line per family and exits 1 when a count exceeds ``LIMITS``:
 
     PYTHONPATH=src python scripts/census.py
 """
 
+import functools
 import pathlib
 import sys
 import tempfile
@@ -144,37 +152,122 @@ LIMITS = {
 # run() has put on the path.
 
 
-def grid_smooth(workloads, seeds=GRID_SEEDS, blocks=GRID_BLOCKS):
-    """(fits, raised, above d, negative d) over the grid_smooth fits of the
-    seeds."""
-    from equifit import objective_value
+class Fit:
+    """One fit of a family: its result (None when the fit raised) and the
+    reference fit's d where the family has one.  Its methods other than
+    ``worst`` and ``oracle`` are the tests of ``CHECKS`` that take more than
+    a line; the module docstring says what each counts.  The oracle's
+    comparison is made at most once per fit."""
 
-    fits = raised = above = negative = 0
+    def __init__(self, result, reference=None):
+        self.result, self.reference = result, reference
+
+    def worst(self):
+        """max |r| of the returned coefficients."""
+        from equifit import objective_value
+
+        return objective_value(self.result.instance, self.result.coefficients)
+
+    @functools.cached_property
+    def oracle(self):
+        """``compare_with_oracle`` of the fit, or None when the oracle
+        raises."""
+        import equifit as ef
+        from equifit.oracle import compare_with_oracle
+
+        try:
+            return compare_with_oracle(self.result)
+        except ef.EquifitError:
+            return None
+
+    def above_d(self):
+        result = self.result
+        return not result.exact_interpolation and self.worst() > 1.01 * result.discrepancy
+
+    def uncertified(self):
+        import equifit as ef
+
+        if self.result.exact_interpolation:
+            return True
+        cert = ef.extract_certificate(self.result.lp_solution, self.result.instance)
+        report = ef.verify_identities(cert, self.result, self.result.instance)
+        return not (report.identities_ok and report.active_count_ok)
+
+    def worse(self):
+        return self.worst() > self.reference * (1.0 + 1e-6)
+
+    def disagrees(self):
+        return self.oracle is not None and not self.oracle.agrees
+
+    def below(self):
+        if self.oracle is None:
+            return False
+        fit_d = max(self.result.lp_solution.objective_value, 0.0)
+        return fit_d - self.oracle.oracle.lifted_discrepancy > self.result.band
+
+
+# name: (the phrase its count prints before, its test on a returned fit;
+# the module docstring says what each test counts).  Every family counts
+# "raised", the fits that raise, in run() itself.
+CHECKS = {
+    "raised": ("raised", None),
+    "above d": ("with max|r| > 1.01 d", Fit.above_d),
+    "low_rank": ("low_rank", lambda fit: fit.result.low_rank),
+    "exact": ("exact", lambda fit: fit.result.exact_interpolation),
+    "uncertified": ("uncertified", Fit.uncertified),
+    "worse": ("worse than the reference", Fit.worse),
+    "negative d": ("with d < 0", lambda fit: fit.result.discrepancy < 0),
+    "skipped": ("skipped by the oracle", lambda fit: fit.oracle is None),
+    "disagree": ("where the oracle disagrees", Fit.disagrees),
+    "below": ("where the oracle's d is below the fit's", Fit.below),
+}
+
+
+def _fit(points, y, basis):
+    """``fit`` of a drawn instance, or None when it raises."""
+    import equifit as ef
+
+    points = np.reshape(points, (len(y), -1))
+    try:
+        return ef.fit(ef.ProblemInstance(points=points, values=y, basis=basis))
+    except ef.EquifitError:
+        return None
+
+
+def grid_smooth(workloads, seeds, blocks, count):
+    """The benchmark's grid_smooth fits of the seeds and blocks."""
     with tempfile.TemporaryDirectory() as workdir:
         for seed in seeds:
             workload = workloads.WORKLOADS["grid_smooth"](seed, workdir)
             for index in range(blocks):
                 for inp in workload.block(index):
                     out, exc = workload.execute(inp)
-                    fits += 1
-                    if exc is not None:
-                        raised += 1
-                        continue
-                    result = out[0]
-                    negative += result.discrepancy < 0
-                    worst = objective_value(result.instance, result.coefficients)
-                    if not result.exact_interpolation:
-                        above += worst > 1.01 * result.discrepancy
-    return fits, raised, above, negative
+                    yield Fit(None if exc is not None else out[0])
 
 
-def _certifies(result):
-    """The certificate's identities and active-point count both hold."""
-    import equifit as ef
+def shifted(c):
+    """The shift family's fits at x = u + c, each with the d of its
+    reference fit at x = u; a reference fit that raises stops the census."""
 
-    cert = ef.extract_certificate(result.lp_solution, result.instance)
-    report = ef.verify_identities(cert, result, result.instance)
-    return report.identities_ok and report.active_count_ok
+    def fits(workloads, seeds, blocks, count):
+        import equifit as ef
+
+        for u, y, basis in shift_instances(count) if count else shift_instances():
+            reference = ef.fit(ef.ProblemInstance(points=u[:, None], values=y, basis=basis))
+            yield Fit(_fit(u + c, y, basis), reference.discrepancy)
+
+    return fits
+
+
+def drawn(instances):
+    """The fits of a drawn family's first ``count`` instances (all of them
+    by default)."""
+
+    def fits(workloads, seeds, blocks, count):
+        for points, y, basis in instances(count) if count else instances():
+            yield Fit(_fit(points, y, basis))
+
+    return fits
 
 
 def shift_instances(count=SHIFT_INSTANCES):
@@ -188,29 +281,6 @@ def shift_instances(count=SHIFT_INSTANCES):
         u = rng.uniform(-0.5, 0.5, n)
         y = rng.normal(0.0, 1.0, n)
         yield u, y, monomial_basis(degree + 1)
-
-
-def shift(c, count=SHIFT_INSTANCES):
-    """(fits, raised, low_rank, uncertified, worse, negative d) over the
-    shift family at x = u + c."""
-    import equifit as ef
-
-    raised = low_rank = uncertified = worse = negative = 0
-    for u, y, basis in shift_instances(count):
-        reference = ef.fit(ef.ProblemInstance(points=u[:, None], values=y, basis=basis))
-        instance = ef.ProblemInstance(points=(u + c)[:, None], values=y, basis=basis)
-        try:
-            result = ef.fit(instance)
-        except ef.EquifitError:
-            raised += 1
-            continue
-        negative += result.discrepancy < 0
-        worst = ef.objective_value(instance, result.coefficients)
-        worse += worst > reference.discrepancy * (1.0 + 1e-6)
-        low_rank += result.low_rank
-        if not result.exact_interpolation:
-            uncertified += not _certifies(result)
-    return count, raised, low_rank, uncertified, worse, negative
 
 
 def large_y_instances(count=LARGE_Y_INSTANCES):
@@ -227,25 +297,6 @@ def large_y_instances(count=LARGE_Y_INSTANCES):
         yield x, y, monomial_basis(m)
 
 
-def large_y(count=LARGE_Y_INSTANCES):
-    """(fits, raised, low_rank, exact, uncertified) over the large-|y|
-    family."""
-    import equifit as ef
-
-    raised = low_rank = exact = uncertified = 0
-    for x, y, basis in large_y_instances(count):
-        try:
-            result = ef.fit(ef.ProblemInstance(points=x[:, None], values=y, basis=basis))
-        except ef.EquifitError:
-            raised += 1
-            continue
-        low_rank += result.low_rank
-        exact += result.exact_interpolation
-        if not result.exact_interpolation:
-            uncertified += not _certifies(result)
-    return count, raised, low_rank, exact, uncertified
-
-
 def offset_instances(count=OFFSET_INSTANCES):
     """(x, y, basis) of the offset family, drawn in order."""
     from equifit.generators import monomial_basis
@@ -258,25 +309,6 @@ def offset_instances(count=OFFSET_INSTANCES):
         offset = 10.0 ** int(rng.choice([6, 9, 12]))
         y = offset + rng.normal(0.0, 5.0, n)
         yield x, y, monomial_basis(m)
-
-
-def offset(count=OFFSET_INSTANCES):
-    """(fits, raised, skipped, disagree) over the offset family."""
-    import equifit as ef
-    from equifit.oracle import compare_with_oracle
-
-    raised = skipped = disagree = 0
-    for x, y, basis in offset_instances(count):
-        try:
-            result = ef.fit(ef.ProblemInstance(points=x[:, None], values=y, basis=basis))
-        except ef.EquifitError:
-            raised += 1
-            continue
-        try:
-            disagree += not compare_with_oracle(result).agrees
-        except ef.EquifitError:
-            skipped += 1
-    return count, raised, skipped, disagree
 
 
 def near_tie_instances(count=NEAR_TIE_INSTANCES):
@@ -293,30 +325,6 @@ def near_tie_instances(count=NEAR_TIE_INSTANCES):
         yield x, y, monomial_basis(1)
 
 
-def near_tie(count=NEAR_TIE_INSTANCES):
-    """(fits, raised, skipped, below) over the near-tie family."""
-    import equifit as ef
-    from equifit.oracle import brute_force_fit
-
-    raised = skipped = below = 0
-    for x, y, basis in near_tie_instances(count):
-        instance = ef.ProblemInstance(points=x[:, None], values=y, basis=basis)
-        try:
-            result = ef.fit(instance)
-        except ef.EquifitError:
-            raised += 1
-            continue
-        try:
-            oracle = brute_force_fit(instance)
-        except ef.EquifitError:
-            skipped += 1
-            continue
-        fit_d = max(result.lp_solution.objective_value, 0.0)
-        unit = instance.rounding_tol(result.lp_solution.primal[1:])
-        below += fit_d - oracle.lifted_discrepancy > unit
-    return count, raised, skipped, below
-
-
 def tiny_scale_instances(count=TINY_SCALE_INSTANCES):
     """(x, y, basis) of the tiny-scale family, drawn in order."""
     from equifit.generators import monomial_basis
@@ -329,29 +337,6 @@ def tiny_scale_instances(count=TINY_SCALE_INSTANCES):
         k = int(rng.integers(1000, 1061))
         y = np.ldexp(rng.normal(0.0, 1.0, n), -k)
         yield x, y, monomial_basis(m)
-
-
-def tiny_scale(count=TINY_SCALE_INSTANCES):
-    """(fits, raised, exact, uncertified, skipped, disagree) over the
-    tiny-scale family."""
-    import equifit as ef
-    from equifit.oracle import compare_with_oracle
-
-    raised = exact = uncertified = skipped = disagree = 0
-    for x, y, basis in tiny_scale_instances(count):
-        try:
-            result = ef.fit(ef.ProblemInstance(points=x[:, None], values=y, basis=basis))
-        except ef.EquifitError:
-            raised += 1
-            continue
-        exact += result.exact_interpolation
-        if not result.exact_interpolation:
-            uncertified += not _certifies(result)
-        try:
-            disagree += not compare_with_oracle(result).agrees
-        except ef.EquifitError:
-            skipped += 1
-    return count, raised, exact, uncertified, skipped, disagree
 
 
 def dependent_instances(count=DEPENDENT_INSTANCES):
@@ -369,25 +354,22 @@ def dependent_instances(count=DEPENDENT_INSTANCES):
         yield points, y, parse_basis_spec(spec, dimension)
 
 
-def dependent(count=DEPENDENT_INSTANCES):
-    """(fits, raised, uncertified, skipped, disagree) over the
-    dependent-lists family."""
-    import equifit as ef
-    from equifit.oracle import compare_with_oracle
-
-    raised = uncertified = skipped = disagree = 0
-    for points, y, basis in dependent_instances(count):
-        try:
-            result = ef.fit(ef.ProblemInstance(points=points, values=y, basis=basis))
-        except ef.EquifitError:
-            raised += 1
-            continue
-        uncertified += result.exact_interpolation or not _certifies(result)
-        try:
-            disagree += not compare_with_oracle(result).agrees
-        except ef.EquifitError:
-            skipped += 1
-    return count, raised, uncertified, skipped, disagree
+# label: (its fits, the checks it takes besides "raised").  Each fits
+# source takes run()'s workloads module, seeds, blocks and count.
+FAMILIES = {
+    "grid_smooth": (grid_smooth, ("above d", "negative d")),
+    **{
+        f"shift c={c:g}": (shifted(c), ("low_rank", "uncertified", "worse", "negative d"))
+        for c in SHIFTS
+    },
+    "large |y|": (drawn(large_y_instances), ("low_rank", "exact", "uncertified")),
+    "offset": (drawn(offset_instances), ("skipped", "disagree")),
+    "near-tie": (drawn(near_tie_instances), ("skipped", "below")),
+    "tiny-scale": (
+        drawn(tiny_scale_instances), ("exact", "uncertified", "skipped", "disagree")
+    ),
+    "dependent lists": (drawn(dependent_instances), ("uncertified", "skipped", "disagree")),
+}
 
 
 def run(src=ROOT / "src", seeds=GRID_SEEDS, blocks=GRID_BLOCKS, count=None):
@@ -395,74 +377,32 @@ def run(src=ROOT / "src", seeds=GRID_SEEDS, blocks=GRID_BLOCKS, count=None):
     ``count`` takes the first instances of each drawn family (all of them
     by default)."""
     workloads = _load(src)
-    fits, raised, above, negative = grid_smooth(workloads, seeds, blocks)
-    print(
-        f"grid_smooth: {fits} fits, {raised} raised, {above} with max|r| > 1.01 d, "
-        f"{negative} with d < 0"
-    )
-    counts = {
-        "grid_smooth raised": raised,
-        "grid_smooth above d": above,
-        "grid_smooth negative d": negative,
-    }
-    for c in SHIFTS:
-        found = shift(c, count or SHIFT_INSTANCES)
-        fits, raised, low_rank, uncertified, worse, negative = found
-        print(
-            f"shift c={c:g}: {fits} fits, {raised} raised, {low_rank} low_rank, "
-            f"{uncertified} uncertified, {worse} worse than the reference, "
-            f"{negative} with d < 0"
-        )
-        names = ("raised", "low_rank", "uncertified", "worse", "negative d")
-        counts.update(zip([f"shift c={c:g} {name}" for name in names], found[1:]))
-    found = large_y(count or LARGE_Y_INSTANCES)
-    fits, raised, low_rank, exact, uncertified = found
-    print(
-        f"large |y|: {fits} fits, {raised} raised, {low_rank} low_rank, "
-        f"{exact} exact, {uncertified} uncertified"
-    )
-    names = ("raised", "low_rank", "exact", "uncertified")
-    counts.update(zip([f"large |y| {name}" for name in names], found[1:]))
-    found = offset(count or OFFSET_INSTANCES)
-    fits, raised, skipped, disagree = found
-    print(
-        f"offset: {fits} fits, {raised} raised, {skipped} skipped by the oracle, "
-        f"{disagree} where the oracle disagrees"
-    )
-    names = ("raised", "skipped", "disagree")
-    counts.update(zip([f"offset {name}" for name in names], found[1:]))
-    found = near_tie(count or NEAR_TIE_INSTANCES)
-    fits, raised, skipped, below = found
-    print(
-        f"near-tie: {fits} fits, {raised} raised, {skipped} skipped by the oracle, "
-        f"{below} where the oracle's d is below the fit's"
-    )
-    names = ("raised", "skipped", "below")
-    counts.update(zip([f"near-tie {name}" for name in names], found[1:]))
-    found = tiny_scale(count or TINY_SCALE_INSTANCES)
-    fits, raised, exact, uncertified, skipped, disagree = found
-    print(
-        f"tiny-scale: {fits} fits, {raised} raised, {exact} exact, "
-        f"{uncertified} uncertified, {skipped} skipped by the oracle, "
-        f"{disagree} where the oracle disagrees"
-    )
-    names = ("raised", "exact", "uncertified", "skipped", "disagree")
-    counts.update(zip([f"tiny-scale {name}" for name in names], found[1:]))
-    found = dependent(count or DEPENDENT_INSTANCES)
-    fits, raised, uncertified, skipped, disagree = found
-    print(
-        f"dependent lists: {fits} fits, {raised} raised, {uncertified} "
-        f"uncertified, {skipped} skipped by the oracle, {disagree} where the "
-        f"oracle disagrees"
-    )
-    names = ("raised", "uncertified", "skipped", "disagree")
-    counts.update(zip([f"dependent lists {name}" for name in names], found[1:]))
+    counts = {}
+    for label, (fits, checks) in FAMILIES.items():
+        found = dict.fromkeys(("raised",) + checks, 0)
+        total = 0
+        for fit in fits(workloads, seeds, blocks, count):
+            total += 1
+            if fit.result is None:
+                found["raised"] += 1
+                continue
+            for name in checks:
+                found[name] += bool(CHECKS[name][1](fit))
+        line = ", ".join(f"{n} {CHECKS[name][0]}" for name, n in found.items())
+        print(f"{label}: {total} fits, {line}")
+        counts.update((f"{label} {name}", n) for name, n in found.items())
     return counts
 
 
-if __name__ == "__main__":
-    counts = run(*sys.argv[1:2])
+def main(args=()):
+    """Run the census on SRC (the first argument, default: this checkout's
+    src); print each count above its limit, and return 1 if there is one."""
+    counts = run(*args[:1])
     over = [name for name, limit in LIMITS.items() if counts[name] > limit]
     for name in over:
         print(f"{name}: {counts[name]} above the limit {LIMITS[name]}")
-    sys.exit(1 if over else 0)
+    return 1 if over else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

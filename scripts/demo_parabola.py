@@ -33,7 +33,7 @@ def run(n=1001, out_path=None):
     cert = extract_certificate(result.lp_solution, instance)
     report = verify_identities(cert, result, instance)
     print(f"duality gap:  {report.strong_duality_gap:.3e}")
-    print(f"active count: {report.active_point_count} (need >= {instance.m + 1})")
+    print(f"active count: {report.active_point_count} (need >= {instance.rank + 1})")
 
     pattern = alternation_pattern(result, instance)
     signs = "".join("+" if s > 0 else "-" for s in pattern.signs)

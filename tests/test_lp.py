@@ -902,10 +902,11 @@ def test_a_multiplier_within_the_certificates_zero_level_is_zero(monkeypatch):
 
 
 @pytest.mark.parametrize("n, m", [(1000, 4), (10_000, 6)])
-def test_a_fit_peaks_within_eight_doubles_per_point(n, m):
+def test_a_fit_peaks_within_six_doubles_per_point(n, m):
     # Beyond the instance, a fit holds a few n-vectors (the residuals,
     # their magnitudes, the improving mask, the lifted residuals) and
-    # O(r^2) more: 5.2 and 4.2 doubles per point measured here.
+    # O(r^2) more: 5.2 and 4.2 doubles per point measured here.  Six is
+    # the bound that scripts/large_fit.py gates at n = 1e5 and 1e6.
     x = np.linspace(0.0, 1.0, n)
     y = np.sin(3.0 * x) + np.random.default_rng(0).normal(0.0, 0.01, n)
     instance = ProblemInstance(points=x[:, None], values=y, basis=monomial_basis(m))
@@ -915,7 +916,7 @@ def test_a_fit_peaks_within_eight_doubles_per_point(n, m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * n * 8
+    assert peak <= 6 * n * 8
 
 
 def test_phase_one_never_leaves_the_artificial_basic():

@@ -112,3 +112,22 @@ def test_census_counts_a_slice_within_its_limits(capsys):
         "oracle, 0 where the oracle disagrees" in out
     )
     assert all(counts[name] <= limit for name, limit in census["LIMITS"].items())
+
+
+def test_census_gate_prints_each_count_above_its_limit_and_returns_1(monkeypatch, capsys):
+    census = runpy.run_path(str(SCRIPTS / "census.py"))
+    counts = dict(census["LIMITS"])
+    main = census["main"]
+    monkeypatch.setitem(main.__globals__, "run", lambda *args: counts)
+    # A count at its limit passes.
+    assert main() == 0
+    assert capsys.readouterr().out == ""
+    counts["shift c=1000 low_rank"] += 1
+    assert main() == 1
+    assert capsys.readouterr().out == "shift c=1000 low_rank: 122 above the limit 121\n"
+
+
+def test_census_gates_every_count_it_makes(capsys):
+    census = runpy.run_path(str(SCRIPTS / "census.py"))
+    counts = census["run"](seeds=(1,), blocks=1, count=1)
+    assert set(counts) == set(census["LIMITS"])
