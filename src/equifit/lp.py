@@ -109,9 +109,10 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
     test reads their own rounding unit, u = ``WEIGHT_UNIT``, 64 eps: a
     direction entry above u * max |direction| is eligible, and the
     lowest-index point among the ratios within u of the least leaves.
-    Every system is solved anew from the data.  After 2 (r + 1) steps
-    without a rise in h the entering point is the lowest-index one that
-    improves, which makes the rule Bland's, and it does not cycle.  The
+    Every system is solved anew from the data.  After an exchange that does
+    not raise h, the next enters the lowest-index point that improves,
+    until h rises: a cycle is a run of exchanges that do not raise h, each
+    after its first a step of Bland's rule, which does not cycle.  The
     exchange stops when max |r| - h <= tolerance(alpha), the fit's rounding
     unit.  With n <= r the orthonormal design is square,
     alpha = design^T values and h = 0.
@@ -146,7 +147,7 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
     reference, sigma = _start(design, values)
     unit = np.zeros(r + 1)
     unit[r] = 1.0
-    steps = stalled = 0
+    steps = 0
     best = -np.inf
     while True:
         system = np.empty((r + 1, r + 1))
@@ -164,12 +165,9 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
         improving = size - h > slack
         if not improving.any():
             break
-        if h > best:
-            best, stalled = h, 0
-        else:
-            stalled += 1
-        bland = stalled >= 2 * (r + 1)
-        enter = int(np.argmax(improving) if bland else np.argmax(size))
+        # After an exchange that does not raise h, Bland's rule enters.
+        enter = int(np.argmax(size) if h > best else np.argmax(improving))
+        best = max(best, h)
         steps += 1
         if steps > budget:
             raise NumericFailure(

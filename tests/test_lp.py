@@ -1197,9 +1197,10 @@ def recorded_steps(monkeypatch):
 
 
 def test_a_degenerate_integer_fit_stalls_ties_and_certifies(monkeypatch):
-    # Repeated abscissae: the second step leaves h at 1/2, and its ratio
-    # test ties two reference points at 1/2, the least ratio; the third
-    # step reaches d = 1.
+    # Repeated abscissae: the first exchange leaves h at 1/2, so the second
+    # enters by Bland's rule; its ratio test ties two reference points at
+    # 1/2, the least ratio, and it reaches d = 1.  The third enters at
+    # worst |r| again and leaves h at 1.
     instance = ProblemInstance(
         points=np.array([2.0, -2.0, -2.0, -2.0, 1.0, -2.0, 2.0, 2.0])[:, None],
         values=[1.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0, -1.0],
@@ -1220,3 +1221,43 @@ def test_a_degenerate_integer_fit_stalls_ties_and_certifies(monkeypatch):
         extract_certificate(result.lp_solution, instance), result, instance
     )
     assert report.identities_ok and report.active_count_ok
+
+
+def test_an_exchange_that_does_not_raise_h_hands_the_next_to_blands_rule(monkeypatch):
+    # Seed 17 of the degenerate family.  The first exchange takes h from
+    # 1/2 to just below it, so the second enters by Bland's rule, the
+    # lowest-index improving point; it leaves h at 1/2, so the third does
+    # too, and raises h to 11/18, so the fourth enters at worst |r|.
+    # Entering at worst |r| throughout ends in 3 exchanges on {4, 5, 7, 8},
+    # with the same d.
+    instance = degenerate_instance(np.random.default_rng(17))
+    steps = recorded_steps(monkeypatch)
+    result = fit(instance)
+    assert result.discrepancy == pytest.approx(0.625, abs=1e-15)
+    assert result.lp_solution.iterations == 4
+    assert sorted(result.lp_solution.reference.tolist()) == [0, 4, 5, 8]
+    bounds = [float(x[-1]) for x in steps["levelled"]]
+    assert bounds == pytest.approx([0.5, 0.5, 0.5, 11 / 18, 0.625], abs=1e-15)
+    report = verify_identities(
+        extract_certificate(result.lp_solution, instance), result, instance
+    )
+    assert report.identities_ok and report.active_count_ok
+
+
+def test_a_direction_that_is_not_finite_keeps_no_reference_point(monkeypatch):
+    # The entering point's direction solves to NaNs: no entry is eligible,
+    # and the ratio test refuses rather than pick a leaving point.
+    solve = np.linalg.solve
+
+    def patched(a, b):
+        x = solve(a, b)
+        if np.all(a[-1] == 1.0) and b[-1] == 1.0 and np.any(b[:-1] != 0.0):
+            x[:] = np.nan
+        return x
+
+    instance = random_small_instance(np.random.default_rng(3))
+    problem = instance.lifted_design_and_values()
+    monkeypatch.setattr(np.linalg, "solve", patched)
+    with pytest.raises(NumericFailure, match="^ratio test kept no reference point") as info:
+        exchange(*problem, instance.rounding_tol)
+    assert info.value.iterations == 1

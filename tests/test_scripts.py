@@ -1,8 +1,14 @@
 """Smoke tests for the demo scripts under scripts/."""
 
+import functools
 import pathlib
 import re
 import runpy
+
+import numpy as np
+
+import equifit
+from equifit.errors import NumericFailure
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -131,3 +137,29 @@ def test_census_gates_every_count_it_makes(capsys):
     census = runpy.run_path(str(SCRIPTS / "census.py"))
     counts = census["run"](seeds=(1,), blocks=1, count=1)
     assert set(counts) == set(census["LIMITS"])
+
+
+def test_census_counts_a_shift_pair_whose_reference_fit_raises_as_raised(
+    monkeypatch, capsys
+):
+    census = runpy.run_path(str(SCRIPTS / "census.py"))
+    main = census["main"]
+    u, _, _ = next(census["shift_instances"](1))
+    fit, raised = equifit.fit, []
+
+    def raising_once(instance):
+        # The first shift instance's reference fit, at x = u, raises once.
+        if not raised and np.array_equal(instance.points[:, 0], u):
+            raised.append(instance)
+            raise NumericFailure("patched")
+        return fit(instance)
+
+    monkeypatch.setattr(equifit, "fit", raising_once)
+    monkeypatch.setitem(
+        main.__globals__, "run", functools.partial(census["run"], seeds=(1,), blocks=1, count=2)
+    )
+    assert main() == 1
+    out = capsys.readouterr().out
+    assert "shift c=100: 2 fits, 1 raised, " in out
+    assert "shift c=1000: 2 fits, 0 raised, " in out
+    assert out.endswith("\nshift c=100 raised: 1 above the limit 0\n")
