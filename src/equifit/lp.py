@@ -3,8 +3,9 @@
 ``exchange`` solves the fit LP, min h subject to |y - U alpha| <= h, as a
 revised simplex on its dual, whose r + 1 equality rows make a basis a
 reference of r + 1 signed points (Stiefel's exchange).  One step costs a
-residual pass, O(n * r), and three (r + 1)-square solves; memory beyond the
-design is O(n + r^2).  ``fit`` calls it; its docstring states the rules.
+residual pass, O(n * r), and two (r + 1)-square solves per exchange, the
+final weights solved once at the stop; memory beyond the design is
+O(n + r^2).  ``fit`` calls it; its docstring states the rules.
 Its solution is its final reference: the r + 1 points, their signs and
 their weights, the dual optimum that the certificate reads; and the
 rounding unit it stopped within, with its last pricing pass, which fit,
@@ -105,16 +106,19 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
     sigma * h on S.  Each step prices every point by one residual pass,
     enters the point j of worst |r_j| and leaves by the ratio test on the
     weights w = B^-1 e_(r+1) against B^-1 [s_j u_j; 1], s_j the sign of
-    r_j and B = [sigma * U_S | 1]^T.  The weights sum to one, so the ratio
-    test reads their own rounding unit, u = ``WEIGHT_UNIT``, 64 eps: a
+    r_j and B = [sigma * U_S | 1]^T, both from one solve of B against the
+    two right-hand sides: two solves per exchange, the final weights
+    solved once at the stop.  The weights sum to one, so the ratio test
+    reads their own rounding unit, u = ``WEIGHT_UNIT``, 64 eps: a
     direction entry above u * max |direction| is eligible, and the
     lowest-index point among the ratios within u of the least leaves.
-    Every system is solved anew from the data.  After an exchange that does
-    not raise h, the next enters the lowest-index point that improves,
-    until h rises: a cycle is a run of exchanges that do not raise h, each
-    after its first a step of Bland's rule, which does not cycle.  The
-    exchange stops when max |r| - h <= tolerance(alpha), the fit's rounding
-    unit.  With n <= r the orthonormal design is square,
+    Every system is solved anew from the data, in one (r + 1)-square array
+    per fit whose first r columns each step refills.  After an exchange
+    that does not raise h, the next enters the lowest-index point that
+    improves, until h rises: a cycle is a run of exchanges that do not
+    raise h, each after its first a step of Bland's rule, which does not
+    cycle.  The exchange stops when max |r| - h <= tolerance(alpha), the
+    fit's rounding unit.  With n <= r the orthonormal design is square,
     alpha = design^T values and h = 0.
 
     Returns the ``LpSolution``: primal (h, alpha), and the final reference
@@ -124,9 +128,10 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
     slacks), ``band`` the stop's unit tolerance(alpha), and ``iterations``
     counts exchanges.  A weight that rounds below zero by at most u is set
     to zero.  Raises NumericFailure past ``budget`` exchanges (50 (n + r + 1)
-    by default), on a weight further below zero, and when the systems stop
-    being finite; LinAlgError when one is singular, which the ratio test
-    rules out in exact arithmetic.
+    by default), on a weight further below zero, and when the gap
+    max |r| - h - tolerance(alpha) is not finite, which is when a residual,
+    h or the unit is not; LinAlgError when the reference system is
+    singular, which the ratio test rules out in exact arithmetic.
     """
     n, r = design.shape
     if n <= r:
@@ -145,28 +150,27 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
     if budget is None:
         budget = 50 * (n + r + 1)
     reference, sigma = _start(design, values)
+    system = np.ones((r + 1, r + 1))
     unit = np.zeros(r + 1)
     unit[r] = 1.0
     steps = 0
     best = -np.inf
     while True:
-        system = np.empty((r + 1, r + 1))
         system[:, :r] = sigma[:, None] * design[reference]
-        system[:, r] = 1.0
         levelled = np.linalg.solve(system, sigma * values[reference])
-        weights = np.linalg.solve(system.T, unit)
         alpha, h = levelled[:r], levelled[r]
         residuals = values - design @ alpha
         size = np.abs(residuals)
         slack = float(tolerance(alpha))
-        # Written so that a NaN residual, h or unit fails.
-        if not (np.all(np.isfinite(size)) and np.isfinite(h) and np.isfinite(slack)):
+        # Not finite when a residual, h or the unit is not; and as
+        # fl(|r_i| - h) rises with |r_i|, gap > 0 when some |r_i| - h > slack.
+        gap = np.max(size) - h - slack
+        if not np.isfinite(gap):
             raise NumericFailure("the reference system is not finite", steps)
-        improving = size - h > slack
-        if not improving.any():
+        if gap <= 0:
             break
         # After an exchange that does not raise h, Bland's rule enters.
-        enter = int(np.argmax(size) if h > best else np.argmax(improving))
+        enter = int(np.argmax(size) if h > best else np.argmax(size - h > slack))
         best = max(best, h)
         steps += 1
         if steps > budget:
@@ -174,8 +178,8 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
                 f"the exchange exceeded its budget of {budget} exchanges", steps
             )
         side = np.sign(residuals[enter])
-        column = np.append(side * design[enter], 1.0)
-        direction = np.linalg.solve(system.T, column)
+        both = np.column_stack((unit, np.append(side * design[enter], 1.0)))
+        weights, direction = np.linalg.solve(system.T, both).T
         # The entries sum to one, so some entry is eligible unless the
         # direction is not finite or rounding swamps it.
         rows = np.flatnonzero(direction > WEIGHT_UNIT * np.max(np.abs(direction)))
@@ -191,6 +195,7 @@ def exchange(design: np.ndarray, values: np.ndarray, tolerance, budget=None):
         reference[leave] = enter
         sigma[leave] = side
 
+    weights = np.linalg.solve(system.T, unit)
     # Written so that a NaN weight fails.
     if not np.min(weights) >= -WEIGHT_UNIT:
         raise NumericFailure(f"negative dual multiplier {np.min(weights):.3e}", steps)
